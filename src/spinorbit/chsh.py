@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experiment import joint_probabilities, spin_orbit_bell_state
+from .experiment import correlation, joint_probabilities, spin_orbit_bell_state
 from .qstate import PhotonState
 
 GENERATOR_ID = (
@@ -150,10 +150,14 @@ class McEstimate:
     counts: tuple[CountRecord, CountRecord, CountRecord, CountRecord]
 
 
+def chsh_combination(e_values: Sequence[float]) -> float:
+    """S = E1 + E2 - E3 + E4 from correlations in :meth:`ChshSettings.pairs` order."""
+    return e_values[0] + e_values[1] - e_values[2] + e_values[3]
+
+
 def chsh_S(settings: ChshSettings, e_func: Callable[[float, float], float]) -> float:
     """Evaluate S from a correlation function over setting pairs."""
-    e1, e2, e3, e4 = (e_func(a, b) for a, b in settings.pairs())
-    return e1 + e2 - e3 + e4
+    return chsh_combination([e_func(a, b) for a, b in settings.pairs()])
 
 
 def estimate_E(counts: CountRecord) -> float:
@@ -164,7 +168,7 @@ def estimate_E(counts: CountRecord) -> float:
     total = counts.total
     if total <= 0:
         raise ValueError("cannot estimate a correlation from zero counts")
-    return (counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp) / total
+    return correlation(counts.as_tuple()) / total
 
 
 def sample_counts(
@@ -198,7 +202,7 @@ def enumerate_assignments() -> list[tuple[float, dict[str, int]]]:
     rows = []
     for signs in product((+1, -1), repeat=4):
         a, ap, b, bp = signs
-        s = a * b + a * bp - ap * b + ap * bp
+        s = chsh_combination((a * b, a * bp, ap * b, ap * bp))
         rows.append((float(s), dict(zip(_ASSIGNMENT_KEYS, signs))))
     return rows
 
@@ -244,7 +248,7 @@ def sweep(
     rows = []
     for idx, chi_a in enumerate(chi_a_grid):
         probs = joint_probabilities(bob, chi_a, chi_b, m=m)
-        e_exact = probs[0] + probs[3] - probs[1] - probs[2]
+        e_exact = correlation(probs)
         counts = None
         e_est = None
         if shots > 0:
@@ -287,7 +291,7 @@ def chsh_monte_carlo(
         rec = sample_counts(probs, shots_per_setting, seed.substream(idx))
         counts.append(rec)
         e_values.append(estimate_E(rec))
-    s_est = e_values[0] + e_values[1] - e_values[2] + e_values[3]
+    s_est = chsh_combination(e_values)
     variance = sum((1.0 - e * e) / shots_per_setting for e in e_values)
     return McEstimate(
         s_estimate=s_est,

@@ -33,6 +33,7 @@ from .chsh import (
     ChshSettings,
     RngSeed,
     chsh_S,
+    chsh_combination,
     chsh_monte_carlo,
     nchv_max_S,
     sweep,
@@ -40,6 +41,7 @@ from .chsh import (
 from .elements import QPlateSpec, orientation_field, symmetry_order
 from .experiment import (
     LostWeightError,
+    correlation,
     expectation,
     joint_probabilities,
     spin_orbit_bell_state,
@@ -151,7 +153,7 @@ def cmd_chsh(args) -> int:
     lines = []
     if args.mode == "exact":
         e_values = [expectation(bell, a, b) for a, b in settings.pairs()]
-        s = e_values[0] + e_values[1] - e_values[2] + e_values[3]
+        s = chsh_combination(e_values)
         payload = {"e_values": e_values, "s": s}
         seed = None
     else:
@@ -303,7 +305,7 @@ def cmd_run(args) -> int:
         return 2
 
     probs = joint_probabilities(result.bob, args.chi_a, args.chi_b, m=m)
-    e_exact = probs[0] + probs[3] - probs[1] - probs[2]
+    e_exact = correlation(probs)
     lines = [
         f"bench: {args.bench}",
         f"herald probability = {_fmt(result.herald_probability)}",

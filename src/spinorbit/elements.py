@@ -1,8 +1,13 @@
-"""Optical elements compiled to linear operators.
+"""Optical elements as per-charge 2x2 spin blocks plus an OAM shift.
 
-Each constructor returns an immutable :class:`~spinorbit.qstate.LinearOp`
-over either the circular polarization basis (L, R) or the full
-(spin, m) basis of a truncated photon space.  Conventions fixed here:
+Every constructor except :func:`transmission_matrix` returns an immutable
+:class:`~spinorbit.qstate.ElementOp`: one 2x2 block over the circular
+polarization basis (L, R), either shared by every OAM charge m or given
+per charge, followed by an integer shift of the OAM charge.  Storage and
+application cost grow as O(m_max).  ``.matrix`` densifies an element for
+inspection only.  :func:`transmission_matrix` returns a dense
+:class:`~spinorbit.qstate.LinearOp` over (R, L) for display.  Conventions
+fixed here:
 
 * A q-plate with axis pattern alpha(r, phi) = q*phi + alpha0 flips the
   circular polarization and shifts m by +-2q, with transition phases
@@ -28,14 +33,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .qstate import (
-    LinearOp,
-    basis_index,
-    basis_labels,
-    oam_dim,
-    spin_op,
-    state_dim,
-)
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, spin_op
 
 _HALF_TURN_TOL = 1e-9
 
@@ -76,35 +74,16 @@ def transmission_matrix(spec: QPlateSpec, phi: float) -> LinearOp:
     return LinearOp(("R", "L"), mat, name=f"qplate_t(q={spec.q}, phi={phi})")
 
 
-def qplate_op(spec: QPlateSpec, m_max: int) -> LinearOp:
-    """Full spin x OAM action: |L, m> -> e^{i 2 a0}|R, m+2q>, |R, m> -> e^{-i 2 a0}|L, m-2q>.
+def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
+    """Spin x OAM action |L, m> -> e^{i 2 a0}|R, m+2q>, |R, m> -> e^{-i 2 a0}|L, m-2q>.
 
-    Basis states whose shifted charge would leave the truncation are
-    excluded from the operator's domain; applying the result to a state
-    with support there raises TruncationError.
+    Applying the result to a state with support that the shift would carry
+    past the truncation raises TruncationError.
     """
-    shift = spec.two_q
-    if m_max < abs(shift):
-        raise ValueError(f"m_max={m_max} cannot hold a +-{abs(shift)} OAM shift")
-    dim = state_dim(m_max)
-    mat = np.zeros((dim, dim), dtype=complex)
     phase = np.exp(2j * spec.alpha0)
-    domain = set()
-    for m in range(-m_max, m_max + 1):
-        if abs(m + shift) <= m_max:
-            mat[basis_index("R", m + shift, m_max), basis_index("L", m, m_max)] = phase
-            domain.add(("L", m))
-        if abs(m - shift) <= m_max:
-            mat[
-                basis_index("L", m - shift, m_max), basis_index("R", m, m_max)
-            ] = np.conj(phase)
-            domain.add(("R", m))
-    return LinearOp(
-        basis_labels(m_max),
-        mat,
-        name=f"qplate(q={spec.q}, alpha0={spec.alpha0})",
-        domain=frozenset(domain),
-    )
+    blocks = np.array([[0.0, np.conj(phase)], [phase, 0.0]])
+    name = f"qplate(q={spec.q}, alpha0={spec.alpha0})"
+    return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -112,14 +91,7 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-# Circular <-> linear change of basis; rows give (c_H, c_V) from (c_L, c_R).
-_C2L = np.array(
-    [[math.sqrt(0.5), math.sqrt(0.5)], [1j * math.sqrt(0.5), -1j * math.sqrt(0.5)]],
-    dtype=complex,
-)
-
-
-def waveplate_op(kind: str, theta: float) -> LinearOp:
+def waveplate_op(kind: str, theta: float) -> ElementOp:
     """Wave plate as a polarization operator over the circular basis.
 
     kind "qwp": quarter-wave retarder with fast axis at theta.
@@ -129,7 +101,7 @@ def waveplate_op(kind: str, theta: float) -> LinearOp:
     kind = kind.lower()
     if kind == "qwp":
         lin = _rotation(theta) @ np.diag([1.0, 1j]) @ _rotation(-theta)
-        circ = _C2L.conj().T @ lin @ _C2L
+        circ = _CIRC_TO_LIN.conj().T @ lin @ _CIRC_TO_LIN
         return spin_op(circ, name=f"qwp({theta})")
     if kind == "hwp":
         circ = np.array(
@@ -139,61 +111,37 @@ def waveplate_op(kind: str, theta: float) -> LinearOp:
     raise ValueError(f"unknown wave plate kind {kind!r}")
 
 
-def dove_pair_op(alpha: float, m_max: int) -> LinearOp:
+def dove_pair_op(alpha: float, m_max: int) -> ElementOp:
     """Two-arm Dove prism composite with relative rotation alpha.
 
     Per OAM charge m, the component carried on the |V> arm is advanced by
     e^{i 2 m alpha} while the |H> arm is untouched; for m = 0 the arms stay
     in phase regardless of alpha.  Polarization is unaffected.
     """
-    h = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
-    v = np.array([-1j * math.sqrt(0.5), 1j * math.sqrt(0.5)], dtype=complex)
-    p_h = np.outer(h, h.conj())
-    p_v = np.outer(v, v.conj())
-    dim = state_dim(m_max)
-    mat = np.zeros((dim, dim), dtype=complex)
-    n = oam_dim(m_max)
-    for m in range(-m_max, m_max + 1):
-        block = p_h + np.exp(2j * m * alpha) * p_v
-        col = m + m_max
-        for i in range(2):
-            for j in range(2):
-                mat[i * n + col, j * n + col] = block[i, j]
-    return LinearOp(basis_labels(m_max), mat, name=f"dove_pair({alpha})")
+    h, v = SPIN_KETS["H"], SPIN_KETS["V"]
+    p_h = np.outer(h, h.conj())[..., None]
+    p_v = np.outer(v, v.conj())[..., None]
+    blocks = p_h + np.exp(2j * np.arange(-m_max, m_max + 1) * alpha) * p_v
+    return ElementOp(blocks, m_max=m_max, name=f"dove_pair({alpha})")
 
 
-def smf_filter_op(m_max: int) -> LinearOp:
+def smf_filter_op(m_max: int) -> ElementOp:
     """Single-mode-fiber filter: keeps only the fundamental m = 0 mode.
 
     A projector, not a unitary; the squared norm after application is the
     transmitted weight.
     """
-    diag = np.zeros(state_dim(m_max))
-    for spin in ("L", "R"):
-        diag[basis_index(spin, 0, m_max)] = 1.0
-    return LinearOp(basis_labels(m_max), np.diag(diag), name="smf")
+    blocks = np.eye(2)[..., None] * (np.arange(-m_max, m_max + 1) == 0)
+    return ElementOp(blocks, m_max=m_max, name="smf")
 
 
-def mirror_op(m_max: int) -> LinearOp:
+def mirror_op(m_max: int) -> ElementOp:
     """Steering mirror, modeled as the identity.
 
     Relative arm parity in the analyzer is owned by the interferometer
     model, not by individual mirrors.
     """
-    return LinearOp(basis_labels(m_max), np.eye(state_dim(m_max)), name="mirror")
-
-
-def pbs_split(state_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (2, n_oam) circular-basis grid into (transmitted H, reflected V).
-
-    Both outputs keep the circular representation; together they carry the
-    full input norm (lossless, no reflection phase).
-    """
-    h = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
-    v = np.array([-1j * math.sqrt(0.5), 1j * math.sqrt(0.5)], dtype=complex)
-    t = np.outer(h, h.conj()) @ state_grid
-    r = np.outer(v, v.conj()) @ state_grid
-    return t, r
+    return ElementOp(np.eye(2), m_max=m_max, name="mirror")
 
 
 @dataclass(frozen=True)

@@ -211,18 +211,17 @@ def joint_probabilities(
     return probs  # type: ignore[return-value]
 
 
+def correlation(outcomes) -> float:
+    """p_pp + p_mm - p_pm - p_mp from outcome weights (p_pp, p_pm, p_mp, p_mm)."""
+    return outcomes[0] + outcomes[3] - outcomes[1] - outcomes[2]
+
+
 def expectation(bob: PhotonState, chi_a: float, chi_b: float, m: int = 2) -> float:
-    """Correlation E(chi_a, chi_b) = p_pp + p_mm - p_pm - p_mp.
+    """Correlation E(chi_a, chi_b) of :func:`joint_probabilities`.
 
     Equals sin(chi_a + chi_b) for the heralded Bell state.
     """
-    p_pp, p_pm, p_mp, p_mm = joint_probabilities(bob, chi_a, chi_b, m=m)
-    return p_pp + p_mm - p_pm - p_mp
-
-
-def _flip_oam(grid: np.ndarray) -> np.ndarray:
-    """Image inversion m -> -m on a (2, n_oam) grid."""
-    return grid[:, ::-1]
+    return correlation(joint_probabilities(bob, chi_a, chi_b, m=m))
 
 
 def interferometer_detect(
@@ -248,7 +247,7 @@ def interferometer_detect(
     arm_t = np.outer(h, h.conj()) @ grid
     arm_r = np.outer(v, v.conj()) @ grid
 
-    arm_r = _flip_oam(arm_r)
+    arm_r = arm_r[:, ::-1]  # image inversion m -> -m
     arm_r = apply(
         dove_pair_op(alpha, m_max), PhotonState(m_max, arm_r.reshape(-1))
     ).as_grid()

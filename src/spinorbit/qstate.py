@@ -23,7 +23,7 @@ use :func:`states_equal_up_to_phase` when a ray-level comparison is wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -225,18 +225,16 @@ class BipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class LinearOp:
-    """Dense complex matrix over an explicit ordered basis.
+    """Dense complex matrix over the full (spin, m) basis of one truncation.
 
-    ``basis`` is either a pair of spin labels (a polarization-only operator,
-    applied per OAM charge) or the full (spin, m) label tuple.  ``domain``,
-    when given, lists the input labels the operator is defined on; applying
-    it to a state with support outside the domain raises TruncationError.
+    For arbitrary operators, such as random unitaries; the optical elements
+    are :class:`ElementOp`.  Applying one checks that ``basis`` is the
+    state's label tuple, so a 2x2 dense matrix is never appliable.
     """
 
     basis: tuple
     matrix: np.ndarray
     name: str = ""
-    domain: frozenset = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         mat = _frozen(self.matrix)
@@ -258,26 +256,89 @@ class LinearOp:
         name = f"{self.name}^dag" if self.name else ""
         return LinearOp(self.basis, self.matrix.conj().T, name=name)
 
-    def compose(self, other: "LinearOp") -> "LinearOp":
-        """This operator applied after ``other``."""
-        if self.basis != other.basis:
-            raise BasisMismatchError("cannot compose operators on different bases")
-        return LinearOp(self.basis, self.matrix @ other.matrix)
+
+@dataclass(frozen=True, eq=False)
+class ElementOp:
+    """Optical element: a 2x2 spin block per OAM charge, then an OAM shift.
+
+    ``blocks`` is a 2x2 array over (L, R), stored as (2, 2, 1), or a
+    (2, 2, 2*m_max+1) array indexed last by the input charge m + m_max.
+    Applying the element maps each column m of the (spin, m) grid through
+    its block, then moves the L row to m - shift and the R row to m + shift.
+    Amplitude above NORM_TOL carried past |m| <= m_max raises
+    TruncationError.  ``m_max`` None marks a constant, unshifted block that
+    acts on any truncation and on bare spin states.
+    """
+
+    blocks: np.ndarray
+    shift: int = 0
+    m_max: int | None = None
+    name: str = ""
+
+    def __post_init__(self):
+        blocks = _frozen(self.blocks)
+        blocks = blocks[..., None] if blocks.ndim == 2 else blocks
+        n_oam = 1 if self.m_max is None else oam_dim(self.m_max)
+        if blocks.shape not in ((2, 2, 1), (2, 2, n_oam)):
+            raise ValueError(f"blocks {blocks.shape} do not fit m_max={self.m_max}")
+        if self.shift and (self.m_max is None or abs(self.shift) > self.m_max):
+            raise ValueError(f"m_max={self.m_max} cannot hold a +-{abs(self.shift)} OAM shift")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "shift", int(self.shift))
+
+    @property
+    def basis(self) -> tuple:
+        return SPIN_LABELS if self.m_max is None else basis_labels(self.m_max)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix over :attr:`basis`, built on demand for inspection."""
+        n_oam = self.dim // 2
+        blocks = np.broadcast_to(self.blocks, (2, 2, n_oam))
+        rows = [[np.eye(n_oam, k=k) * blocks[s, t] for t in (0, 1)]
+                for s, k in ((0, self.shift), (1, -self.shift))]
+        return _frozen(np.block(rows))
+
+    def is_unitary(self, tol: float = NORM_TOL) -> bool:
+        """Every block unitary and no amplitude shifted out of the truncation."""
+        gram = np.einsum("sto,suo->otu", self.blocks.conj(), self.blocks)
+        return self.shift == 0 and bool(np.max(np.abs(gram - np.eye(2))) <= tol)
+
+    def compose(self, other: "ElementOp") -> "ElementOp":
+        """This element applied after ``other``; both must be unshifted."""
+        if self.shift or other.shift:
+            raise ValueError("elements with an OAM shift do not compose")
+        if None not in (self.m_max, other.m_max) and self.m_max != other.m_max:
+            raise BasisMismatchError("cannot compose elements on different truncations")
+        blocks = np.einsum("sto,tuo->suo", self.blocks, other.blocks)
+        return ElementOp(blocks, m_max=self.m_max if other.m_max is None else other.m_max)
+
+    def _apply_grid(self, grid: np.ndarray, m_max: int) -> np.ndarray:
+        """Apply to a (..., 2, 2*m_max+1) grid of states at truncation m_max."""
+        name = self.name or "element"
+        if self.m_max not in (None, m_max):
+            raise BasisMismatchError(f"{name} is built for m_max={self.m_max}, not {m_max}")
+        out = np.einsum("sto,...to->...so", self.blocks, grid)
+        k, n_oam = abs(self.shift), grid.shape[-1]
+        if k == 0:
+            return out
+        down, up = (0, 1) if self.shift > 0 else (1, 0)  # rows moving to lower/higher m
+        lost = max(abs(out[..., down, :k]).max(), abs(out[..., up, n_oam - k :]).max())
+        if lost > NORM_TOL:
+            raise TruncationError(f"{name} shifts amplitude {lost:.3g} past m_max={m_max}")
+        shifted = np.zeros_like(out)
+        shifted[..., down, : n_oam - k] = out[..., down, k:]
+        shifted[..., up, k:] = out[..., up, : n_oam - k]
+        return shifted
 
 
-def spin_op(matrix: np.ndarray, name: str = "") -> LinearOp:
+def spin_op(matrix: np.ndarray, name: str = "") -> ElementOp:
     """A 2x2 polarization operator over the circular basis (L, R)."""
-    return LinearOp(SPIN_LABELS, np.asarray(matrix, dtype=complex), name=name)
-
-
-def _spin_matrix_lr(op: LinearOp) -> np.ndarray:
-    """Operator matrix reordered to (L, R) column convention."""
-    if op.basis == ("L", "R"):
-        return op.matrix
-    if op.basis == ("R", "L"):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return swap @ op.matrix @ swap
-    raise BasisMismatchError(f"not a spin operator basis: {op.basis}")
+    return ElementOp(matrix, name=name)
 
 
 def tensor(a, b, m_max: int | None = None):
@@ -317,59 +378,40 @@ def tensor(a, b, m_max: int | None = None):
     return PhotonState.from_amplitudes(m_max, amps)
 
 
-def _check_domain(op: LinearOp, state: PhotonState) -> None:
-    if op.domain is None:
-        return
-    for label, a in state.items(tol=NORM_TOL):
-        if label not in op.domain:
-            raise TruncationError(
-                f"state has amplitude {a:.3g} on {label}, outside the domain of "
-                f"{op.name or 'operator'}"
-            )
+def apply(op: LinearOp | ElementOp, state):
+    """Apply an operator to a state; preserves norm iff the op is unitary.
 
-
-def apply(op: LinearOp, state):
-    """Apply a LinearOp to a state; preserves norm iff the op is unitary.
-
-    Polarization-only operators are lifted per OAM charge; full-basis
-    operators must share the state's truncation.
+    Elements map the (spin, m) grid; a constant unshifted element also maps
+    a bare spin state.  Dense operators must share the state's basis.
     """
-    if isinstance(state, PhotonState):
-        if op.dim == 2:
-            grid = _spin_matrix_lr(op) @ state.as_grid()
-            return PhotonState(state.m_max, grid.reshape(-1))
-        if op.basis != basis_labels(state.m_max):
-            raise BasisMismatchError("operator basis does not match state basis")
-        _check_domain(op, state)
-        return PhotonState(state.m_max, op.matrix @ state.vector)
     if isinstance(state, BipartiteState):
         raise TypeError("use apply_bob or apply_alice for bipartite states")
-    vec = spin_ket(state)
-    if op.dim != 2:
-        raise BasisMismatchError("full-basis operator applied to a bare spin state")
-    return _spin_matrix_lr(op) @ vec
+    if isinstance(op, ElementOp):
+        if isinstance(state, PhotonState):
+            grid = op._apply_grid(state.as_grid(), state.m_max)
+            return PhotonState(state.m_max, grid.reshape(-1))
+        return op._apply_grid(spin_ket(state)[:, None], 0)[:, 0]
+    if not isinstance(state, PhotonState) or op.basis != basis_labels(state.m_max):
+        raise BasisMismatchError("operator basis does not match state basis")
+    return PhotonState(state.m_max, op.matrix @ state.vector)
 
 
-def apply_bob(op: LinearOp, state: BipartiteState) -> BipartiteState:
+def apply_bob(op: LinearOp | ElementOp, state: BipartiteState) -> BipartiteState:
     """Apply an operator to Bob's photon, leaving Alice untouched."""
-    if op.dim == 2:
-        m = _spin_matrix_lr(op)
+    if isinstance(op, ElementOp):
         grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
-        out = np.einsum("st,ato->aso", m, grids)
+        out = op._apply_grid(grids, state.m_max)
         return BipartiteState(state.m_max, out.reshape(2, -1))
     if op.basis != basis_labels(state.m_max):
         raise BasisMismatchError("operator basis does not match state basis")
-    if op.domain is not None:
-        for a_idx in range(2):
-            bob = PhotonState(state.m_max, state.matrix[a_idx])
-            _check_domain(op, bob)
     return BipartiteState(state.m_max, state.matrix @ op.matrix.T)
 
 
-def apply_alice(op: LinearOp, state: BipartiteState) -> BipartiteState:
-    """Apply a polarization operator to Alice's photon."""
-    m = _spin_matrix_lr(op)
-    return BipartiteState(state.m_max, m @ state.matrix)
+def apply_alice(op: ElementOp, state: BipartiteState) -> BipartiteState:
+    """Apply a constant, unshifted element to Alice's photon, which carries no OAM."""
+    if not isinstance(op, ElementOp) or op.shift or op.blocks.shape[2] != 1:
+        raise BasisMismatchError("Alice's photon takes polarization-only elements")
+    return BipartiteState(state.m_max, op.blocks[..., 0] @ state.matrix)
 
 
 def inner(a, b) -> complex:

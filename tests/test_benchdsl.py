@@ -14,7 +14,7 @@ from spinorbit.benchdsl import (
     reduce_angle,
     serialize,
 )
-from spinorbit.experiment import herald, prepare_hybrid
+from spinorbit.experiment import expectation, herald, prepare_hybrid
 from spinorbit.qstate import states_equal_up_to_phase
 
 FIG2 = """\
@@ -230,6 +230,18 @@ class TestCompile:
         text = "source spdc\nfilter smf side=bob\nhwp theta=0 side=alice\nqplate q=1 side=bob\nherald basis=H\n"
         result = compile_bench(parse(text)).run()
         assert result.herald_probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_alice_mirror_runs(self):
+        # The mirror is the identity, so the bench reproduces fig2.
+        text = (
+            "source spdc\nmirror side=alice\nfilter smf side=bob\n"
+            "qplate q=1 side=bob\nherald basis=H side=alice\n"
+        )
+        result = compile_bench(parse(text)).run()
+        assert result.herald_probability == pytest.approx(0.5, abs=1e-12)
+        for chi_a, chi_b in [(0.3, -1.1), (math.pi / 2, math.pi / 4)]:
+            e = expectation(result.bob, chi_a, chi_b, m=result.analyzer_m)
+            assert e == pytest.approx(math.sin(chi_a + chi_b), abs=1e-12)
 
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"

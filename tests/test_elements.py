@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorbit.elements import (
     OrientationField,
@@ -17,10 +19,13 @@ from spinorbit.elements import (
     waveplate_op,
 )
 from spinorbit.qstate import (
+    BipartiteState,
     PhotonState,
     TruncationError,
     apply,
+    apply_bob,
     basis_change_circular_linear,
+    basis_labels,
     inner,
     spin_ket,
     states_equal_up_to_phase,
@@ -279,3 +284,93 @@ class TestSymmetry:
 def test_mirror_is_identity():
     op = mirror_op(2)
     np.testing.assert_allclose(op.matrix, np.eye(10), atol=1e-15)
+
+
+# Projectors onto |H> and |V> over (L, R), from the kets in the qstate docstring.
+P_H = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+P_V = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
+
+
+def dense_reference(m_max, image):
+    """Matrix whose column (spin, m) holds image(spin, m), a {(spin, m): amp} map.
+
+    Images outside the truncation are dropped.
+    """
+    labels = basis_labels(m_max)
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for col, (spin, m) in enumerate(labels):
+        for label, amp in image(spin, m).items():
+            if abs(label[1]) <= m_max:
+                mat[labels.index(label), col] = amp
+    return mat
+
+
+QPLATE_CASES = [
+    (q, m_max) for q in (0.5, 1, -1, 2) for m_max in (2, 4, 7) if abs(2 * q) <= m_max
+]
+
+
+class TestDenseMatrix:
+    @pytest.mark.parametrize("q,m_max", QPLATE_CASES)
+    def test_qplate(self, q, m_max):
+        phase = np.exp(2j * 0.37)
+        two_q = round(2 * q)
+
+        def image(spin, m):
+            if spin == "L":
+                return {("R", m + two_q): phase}
+            return {("L", m - two_q): np.conj(phase)}
+
+        op = qplate_op(QPlateSpec(q, 0.37), m_max)
+        np.testing.assert_allclose(op.matrix, dense_reference(m_max, image), atol=1e-15)
+
+    @pytest.mark.parametrize("m_max", [2, 4, 7])
+    @pytest.mark.parametrize(
+        "make,block",
+        [
+            (lambda m_max: dove_pair_op(0.61, m_max),
+             lambda m: P_H + np.exp(2j * m * 0.61) * P_V),
+            (smf_filter_op, lambda m: np.eye(2) * (m == 0)),
+            (mirror_op, lambda m: np.eye(2)),
+        ],
+        ids=["dove_pair", "smf", "mirror"],
+    )
+    def test_unshifted_elements(self, make, block, m_max):
+        def image(spin, m):
+            col = block(m)[:, "LR".index(spin)]
+            return {("L", m): col[0], ("R", m): col[1]}
+
+        op = make(m_max)
+        np.testing.assert_allclose(op.matrix, dense_reference(m_max, image), atol=1e-15)
+
+
+@pytest.mark.parametrize("q,spin,m", [(1, "L", 2), (1, "R", -2), (-1, "L", -2), (-1, "R", 2)])
+def test_apply_bob_boundary_support_rejected(q, spin, m):
+    state = BipartiteState.from_amplitudes(
+        2, {("L", spin, m): SQRT_HALF, ("R", "L", 0): SQRT_HALF}
+    )
+    with pytest.raises(TruncationError):
+        apply_bob(qplate_op(QPlateSpec(q), 2), state)
+
+
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=_ANGLES, alpha=_ANGLES, alpha0=_ANGLES,
+       m_max=st.integers(1, 6), two_q=st.integers(-3, 3))
+def test_elements_unitary_at_random_angles(theta, alpha, alpha0, m_max, two_q):
+    for op in (
+        waveplate_op("qwp", theta),
+        waveplate_op("hwp", theta),
+        dove_pair_op(alpha, m_max),
+        mirror_op(m_max),
+    ):
+        assert op.is_unitary(1e-12)
+        np.testing.assert_allclose(op.matrix.conj().T @ op.matrix, np.eye(op.dim), atol=1e-12)
+    # The q-plate is an isometry on the charges it cannot shift out.
+    wide = m_max + abs(two_q)
+    op = qplate_op(QPlateSpec(two_q / 2, alpha0), wide)
+    inside = [i for i, (_, m) in enumerate(op.basis) if abs(m) <= m_max]
+    block = op.matrix[:, inside]
+    np.testing.assert_allclose(block.conj().T @ block, np.eye(len(inside)), atol=1e-12)

@@ -6,11 +6,13 @@ import pytest
 from spinorbit.qstate import (
     BasisMismatchError,
     BipartiteState,
+    ElementOp,
     LinearOp,
     PhotonState,
     Projector,
     TruncationError,
     apply,
+    apply_alice,
     basis_change_circular_linear,
     basis_labels,
     inner,
@@ -91,6 +93,13 @@ class TestApply:
         with pytest.raises(BasisMismatchError):
             apply(op, PhotonState.basis_state("L", 0, 2))
 
+    def test_dense_spin_matrix_rejected(self):
+        op = LinearOp(("L", "R"), np.array([[0, 1], [1, 0]]))
+        with pytest.raises(BasisMismatchError):
+            apply(op, PhotonState.basis_state("L", 0, 2))
+        with pytest.raises(BasisMismatchError):
+            apply(op, spin_ket("L"))
+
     def test_norm_preserved_by_random_unitaries(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -107,6 +116,52 @@ class TestApply:
             lhs = inner(a, apply(op, b))
             rhs = inner(apply(op.dagger(), a), b)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestElementOp:
+    def test_blocks_must_fit_truncation(self):
+        with pytest.raises(ValueError):
+            ElementOp(np.ones((2, 2, 4)), m_max=2)
+        with pytest.raises(ValueError):
+            ElementOp(np.eye(2), shift=1)
+        with pytest.raises(ValueError):
+            ElementOp(np.eye(2), shift=3, m_max=2)
+
+    def test_truncation_mismatch_rejected(self):
+        with pytest.raises(BasisMismatchError):
+            apply(ElementOp(np.eye(2), m_max=1), PhotonState.basis_state("L", 0, 2))
+
+    def test_shifted_elements_do_not_compose(self):
+        op = ElementOp([[0, 1], [1, 0]], shift=1, m_max=2)
+        with pytest.raises(ValueError):
+            op.compose(op)
+
+    def test_alice_rejects_oam_elements(self):
+        state = BipartiteState.from_amplitudes(2, {("L", "L", 0): 1.0})
+        for op in (
+            ElementOp([[0, 1], [1, 0]], shift=1, m_max=2),
+            ElementOp(np.ones((2, 2, 5)), m_max=2),
+        ):
+            with pytest.raises(BasisMismatchError):
+                apply_alice(op, state)
+
+    @pytest.mark.parametrize("shift", [-3, -2, -1, 0, 1, 2, 3])
+    def test_apply_matches_dense_matrix(self, shift):
+        # Random per-charge blocks; the state avoids charges the shift
+        # would carry out, where apply raises and the matrix drops.
+        rng = np.random.default_rng(17 + shift)
+        m_max = 4
+        blocks = rng.normal(size=(2, 2, 9)) + 1j * rng.normal(size=(2, 2, 9))
+        op = ElementOp(blocks, shift=shift, m_max=m_max)
+        amps = {
+            (spin, m): complex(rng.normal(), rng.normal())
+            for spin in ("L", "R")
+            for m in range(-m_max + abs(shift), m_max - abs(shift) + 1)
+        }
+        s = PhotonState.from_amplitudes(m_max, amps)
+        np.testing.assert_allclose(
+            apply(op, s).vector, op.matrix @ s.vector, atol=1e-12
+        )
 
 
 class TestInner:
