@@ -160,6 +160,19 @@ def chsh_S(settings: ChshSettings, e_func: Callable[[float, float], float]) -> f
     return chsh_combination([e_func(a, b) for a, b in settings.pairs()])
 
 
+def pair_probabilities(
+    settings: ChshSettings, bob: PhotonState | None = None, m: int = 2
+) -> np.ndarray:
+    """Joint probabilities at the four setting pairs, shape (4, 4), in S order.
+
+    One analyzer call; ``bob`` defaults to the heralded Bell state of charge m.
+    """
+    if bob is None:
+        bob = spin_orbit_bell_state(m=m)
+    chi_a, chi_b = zip(*settings.pairs())
+    return joint_probabilities(bob, chi_a, chi_b, m=m)
+
+
 def estimate_E(counts: CountRecord) -> float:
     """Count-ratio correlation estimate.
 
@@ -237,18 +250,22 @@ def sweep(
 ) -> list[SweepRow]:
     """Scan chi_A at fixed chi_B: exact probabilities, counts, both E values.
 
-    Each row samples from its own RNG substream (stream + row index), so
-    rows are reproducible independently of evaluation order.  ``shots = 0``
-    skips sampling and leaves the count fields empty.
+    One analyzer call covers the whole grid.  Each row samples from its own
+    RNG substream (stream + row index), so rows are reproducible
+    independently of evaluation order.  ``shots = 0`` skips sampling and
+    leaves the count fields empty.
     """
     if len(chi_a_grid) == 0:
         raise ValueError("chi_A grid must not be empty")
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
     if bob is None:
         bob = spin_orbit_bell_state(m=m)
+    grid_probs = joint_probabilities(bob, chi_a_grid, chi_b, m=m)
+    grid_e = correlation(grid_probs)
     rows = []
     for idx, chi_a in enumerate(chi_a_grid):
-        probs = joint_probabilities(bob, chi_a, chi_b, m=m)
-        e_exact = correlation(probs)
+        probs = tuple(grid_probs[idx].tolist())
         counts = None
         e_est = None
         if shots > 0:
@@ -260,7 +277,7 @@ def sweep(
                 chi_b=float(chi_b),
                 probabilities=probs,
                 counts=counts,
-                e_exact=e_exact,
+                e_exact=float(grid_e[idx]),
                 e_estimated=e_est,
                 is_circle=_is_circle(chi_a, chi_b),
             )
@@ -282,15 +299,11 @@ def chsh_monte_carlo(
     """
     if shots_per_setting < 2:
         raise ValueError("need at least two shots per setting")
-    if bob is None:
-        bob = spin_orbit_bell_state(m=m)
-    counts = []
-    e_values = []
-    for idx, (chi_a, chi_b) in enumerate(settings.pairs()):
-        probs = joint_probabilities(bob, chi_a, chi_b, m=m)
-        rec = sample_counts(probs, shots_per_setting, seed.substream(idx))
-        counts.append(rec)
-        e_values.append(estimate_E(rec))
+    counts = [
+        sample_counts(probs, shots_per_setting, seed.substream(idx))
+        for idx, probs in enumerate(pair_probabilities(settings, bob, m))
+    ]
+    e_values = [estimate_E(rec) for rec in counts]
     s_est = chsh_combination(e_values)
     variance = sum((1.0 - e * e) / shots_per_setting for e in e_values)
     return McEstimate(

@@ -12,8 +12,8 @@ Angles accept plain radians, ``pi`` fractions (``pi/2``, ``-pi``, ``0.75pi``)
 or degrees (``22.5deg``).  Every file output gets a sidecar
 ``<name>.manifest.json`` recording the resolved parameters, seed, RNG
 identity and tool version; stdout commands embed the same manifest in
-their ``--json`` form.  Exit codes: 0 success, 1 usage error, 2 bench
-parse/semantic error, 3 numeric contract violation.
+their ``--json`` form.  Exit codes: 0 success, 1 usage error or invalid
+value, 2 bench parse/semantic error, 3 numeric contract violation.
 """
 
 from __future__ import annotations
@@ -32,20 +32,15 @@ from .chsh import (
     TSIRELSON_SETTINGS,
     ChshSettings,
     RngSeed,
-    chsh_S,
     chsh_combination,
     chsh_monte_carlo,
     nchv_max_S,
+    pair_probabilities,
     sweep,
 )
 from .elements import QPlateSpec, orientation_field, symmetry_order
-from .experiment import (
-    LostWeightError,
-    correlation,
-    expectation,
-    joint_probabilities,
-    spin_orbit_bell_state,
-)
+from .experiment import LostWeightError, correlation, joint_probabilities
+from .qstate import TruncationError
 
 SEED_ENV_VAR = "SPINORBIT_SEED"
 _SQRT2 = math.sqrt(2.0)
@@ -90,14 +85,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
+def _rng_seed(args) -> RngSeed:
+    """The command's RNG seed: --seed, else $SPINORBIT_SEED, else 0."""
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            print(f"spinorbit: warning: ignoring ${SEED_ENV_VAR}={raw!r} (not an integer); "
+                  "using seed 0", file=sys.stderr)
+            seed = 0
+    return RngSeed(seed, args.stream)
 
 
 def _manifest(command: str, params: dict, seed: RngSeed | None) -> dict:
@@ -142,7 +141,6 @@ def _angle_args(parser, names_defaults):
 
 def cmd_chsh(args) -> int:
     settings = ChshSettings(args.chi_a, args.chi_a_prime, args.chi_b, args.chi_b_prime)
-    bell = spin_orbit_bell_state()
     params = {
         "chi_a": settings.chi_a,
         "chi_a_prime": settings.chi_a_prime,
@@ -152,14 +150,14 @@ def cmd_chsh(args) -> int:
     }
     lines = []
     if args.mode == "exact":
-        e_values = [expectation(bell, a, b) for a, b in settings.pairs()]
+        e_values = correlation(pair_probabilities(settings)).tolist()
         s = chsh_combination(e_values)
         payload = {"e_values": e_values, "s": s}
         seed = None
     else:
         if args.shots is None:
             raise SystemExit("montecarlo mode requires --shots")
-        seed = RngSeed(args.seed, args.stream)
+        seed = _rng_seed(args)
         params.update({"shots": args.shots})
         result = chsh_monte_carlo(settings, args.shots, seed)
         e_values = list(result.e_estimates)
@@ -182,7 +180,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = RngSeed(args.seed, args.stream)
+    seed = _rng_seed(args)
     n = args.points
     grid = [-math.pi + 2 * math.pi * k / n for k in range(n)]
     rows = sweep(args.chi_b, grid, args.shots, seed)
@@ -222,8 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_nchv(args) -> int:
     settings = ChshSettings(args.chi_a, args.chi_a_prime, args.chi_b, args.chi_b_prime)
     result = nchv_max_S(settings)
-    bell = spin_orbit_bell_state()
-    quantum = chsh_S(settings, lambda a, b: expectation(bell, a, b))
+    quantum = chsh_combination(correlation(pair_probabilities(settings)).tolist())
     gap = quantum - result.max_s
 
     lines = [
@@ -232,33 +229,18 @@ def cmd_nchv(args) -> int:
         f"quantum S at these settings   = {_fmt(quantum)}",
         f"gap                           = {_fmt(gap)}",
     ]
-    seed = None
-    extra = {}
-    if args.random:
-        seed = RngSeed(args.seed, args.stream)
-        rng = seed.generator()
-        maxima = []
-        for _ in range(args.random):
-            draw = rng.uniform(-math.pi, math.pi, size=4)
-            maxima.append(nchv_max_S(ChshSettings(*draw)).max_s)
-        extra["random_settings_max"] = max(maxima)
-        lines.append(
-            f"classical max over {args.random} random settings = {_fmt(max(maxima))}"
-        )
     params = {
         "chi_a": settings.chi_a,
         "chi_a_prime": settings.chi_a_prime,
         "chi_b": settings.chi_b,
         "chi_b_prime": settings.chi_b_prime,
-        "random": args.random,
     }
     payload = {
         "classical_max": result.max_s,
         "quantum_s": quantum,
         "gap": gap,
         "assignment": result.argmax,
-        **extra,
-        "manifest": _manifest("nchv", params, seed),
+        "manifest": _manifest("nchv", params, None),
     }
     _emit(args, payload, lines)
     return 0
@@ -303,6 +285,10 @@ def cmd_run(args) -> int:
         print("cannot infer the analyzer OAM magnitude; pass --analyzer-m",
               file=sys.stderr)
         return 2
+    if m > result.bob.m_max:
+        raise ValueError(
+            f"--analyzer-m {m} exceeds the bench truncation m_max={result.bob.m_max}"
+        )
 
     probs = joint_probabilities(result.bob, args.chi_a, args.chi_b, m=m)
     e_exact = correlation(probs)
@@ -324,7 +310,7 @@ def cmd_run(args) -> int:
     if args.shots:
         from .chsh import estimate_E, sample_counts
 
-        seed = RngSeed(args.seed, args.stream)
+        seed = _rng_seed(args)
         counts = sample_counts(probs, args.shots, seed)
         e_est = estimate_E(counts)
         lines.append(
@@ -360,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default from ${SEED_ENV_VAR} or 0)")
         p.add_argument("--stream", type=int, default=0, help="RNG stream index")
 
@@ -385,10 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nchv", help="noncontextual bound vs quantum value")
     _angle_args(p, default_angles)
-    p.add_argument("--random", type=int, default=0,
-                   help="also check N random settings draws")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    add_seed(p)
+    # nchv draws nothing; --seed is accepted and ignored so existing command lines run.
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_nchv)
 
     p = sub.add_parser("field", help="sample a plate's optical-axis pattern")
@@ -420,9 +405,12 @@ def main(argv=None) -> int:
     except (ParseError, CompileError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except LostWeightError as exc:
+    except (LostWeightError, TruncationError) as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"spinorbit: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

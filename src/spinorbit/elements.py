@@ -33,9 +33,12 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, spin_op
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen, spin_op
 
 _HALF_TURN_TOL = 1e-9
+
+# Projectors onto |H> and |V> over (L, R): the two arms of a polarizing splitter.
+_P_H, _P_V = (_frozen(np.outer(k, k.conj())) for k in (SPIN_KETS["H"], SPIN_KETS["V"]))
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,8 @@ def dove_pair_op(alpha: float, m_max: int) -> ElementOp:
     e^{i 2 m alpha} while the |H> arm is untouched; for m = 0 the arms stay
     in phase regardless of alpha.  Polarization is unaffected.
     """
-    h, v = SPIN_KETS["H"], SPIN_KETS["V"]
-    p_h = np.outer(h, h.conj())[..., None]
-    p_v = np.outer(v, v.conj())[..., None]
-    blocks = p_h + np.exp(2j * np.arange(-m_max, m_max + 1) * alpha) * p_v
+    phases = np.exp(2j * np.arange(-m_max, m_max + 1) * alpha)
+    blocks = _P_H[..., None] + phases * _P_V[..., None]
     return ElementOp(blocks, m_max=m_max, name=f"dove_pair({alpha})")
 
 

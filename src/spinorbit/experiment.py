@@ -10,13 +10,16 @@ Measurement: Bob's photon is analyzed jointly in an OAM observable with
 phase chi_A and a polarization observable with phase chi_B.  Two routes
 are provided and must agree:
 
-* the projector shortcut (:func:`joint_probabilities`), built directly
-  from the dichotomic +-1 observables, and
-* the element-by-element optical chain (:func:`interferometer_detect`):
-  quarter-wave plate at 45 deg, polarizing splitter, Dove-prism pair at
-  relative angle alpha, non-polarizing recombiner, then per output port a
-  quarter-wave plate at -45 deg, two half-wave elements (0 and beta) and a
-  polarizing splitter feeding two detectors.
+* the closed-form kernel (:func:`joint_probabilities`): the outcome states
+  of both dichotomic observables are written down directly on the
+  spin x {-m, +m} subspace, and one einsum over arrays of settings gives
+  the four squared overlaps per setting, and
+* the element-by-element optical chain (:func:`interferometer_detect`),
+  one setting per call: quarter-wave plate at 45 deg, polarizing
+  splitter, Dove-prism pair at relative angle alpha, non-polarizing
+  recombiner, then per output port a quarter-wave plate at -45 deg, two
+  half-wave elements (0 and beta) and a polarizing splitter feeding two
+  detectors.
 
 The settings map as chi_A = 2*m*alpha (m the OAM magnitude, 2 by default)
 and chi_B = 2*beta; for the heralded Bell state the correlation is
@@ -30,11 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import QPlateSpec, dove_pair_op, qplate_op, smf_filter_op, waveplate_op
+from .elements import (
+    _P_H,
+    _P_V,
+    QPlateSpec,
+    dove_pair_op,
+    qplate_op,
+    smf_filter_op,
+    waveplate_op,
+)
 from .qstate import (
     BipartiteState,
     PhotonState,
     Projector,
+    TruncationError,
     apply,
     apply_bob,
     project,
@@ -42,6 +54,11 @@ from .qstate import (
 )
 
 LOST_WEIGHT_TOL = 1e-9
+
+# Fixed elements of the optical analyzer chain, built once.
+_QWP_IN = waveplate_op("qwp", math.pi / 4)
+_QWP_OUT = waveplate_op("qwp", -math.pi / 4)
+_HWP_0 = waveplate_op("hwp", 0.0)
 
 
 class LostWeightError(ValueError):
@@ -62,13 +79,6 @@ class Observable:
 
     plus: Projector
     minus: Projector
-
-    def projector(self, outcome: int) -> Projector:
-        if outcome == +1:
-            return self.plus
-        if outcome == -1:
-            return self.minus
-        raise ValueError("outcome must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,27 @@ def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
 
+def _outcome_pair(a, b) -> np.ndarray:
+    """Outcome states a|0> + b|1> (+1) and a|0> - b|1> (-1) as a (..., 2, 2) array."""
+    out = np.empty(np.shape(b) + (2, 2), dtype=complex)
+    out[..., 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 1] = -b
+    return out
+
+
+def _oam_outcomes(chi_a) -> np.ndarray:
+    """(1/2) [ (1+i)|-m> +- (1-i) e^{i chi_a} |+m> ] over (|-m>, |+m>)."""
+    return _outcome_pair((1 + 1j) / 2, (1 - 1j) * np.exp(1j * np.asarray(chi_a)) / 2)
+
+
+def _spin_outcomes(chi_b) -> np.ndarray:
+    """(|L> +- e^{i chi_b}|R>) / sqrt(2) over (L, R)."""
+    return _outcome_pair(math.sqrt(0.5), np.exp(1j * np.asarray(chi_b)) * math.sqrt(0.5))
+
+
 def observable_A(chi_a: float, m: int = 2) -> Observable:
-    """OAM observable on the {-m, +m} subspace.
+    """OAM observable on the {-m, +m} subspace at one setting.
 
     Outcome states are the unit-normalized
     (1/2) [ (1+i)|-m> +- (1-i) e^{i chi_a} |+m> ] ; eigenvalue +1 is the
@@ -159,65 +188,60 @@ def observable_A(chi_a: float, m: int = 2) -> Observable:
     """
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")
-    a = (1 + 1j) / 2
-    b = (1 - 1j) * np.exp(1j * chi_a) / 2
-    plus = Projector("oam", {-m: a, +m: b})
-    minus = Projector("oam", {-m: a, +m: -b})
+    plus, minus = (Projector("oam", {-m: a, +m: b}) for a, b in _oam_outcomes(chi_a))
     return Observable(plus=plus, minus=minus)
 
 
 def observable_B(chi_b: float) -> Observable:
     """Polarization observable with outcome states (|L> +- e^{i chi_b}|R>)/sqrt(2)."""
-    a = complex(math.sqrt(0.5))
-    b = np.exp(1j * chi_b) * math.sqrt(0.5)
-    plus = Projector("spin", {"L": a, "R": b})
-    minus = Projector("spin", {"L": a, "R": -b})
+    plus, minus = (Projector("spin", {"L": a, "R": b}) for a, b in _spin_outcomes(chi_b))
     return Observable(plus=plus, minus=minus)
 
 
-def _joint_amplitude(
-    bob: PhotonState, oam_proj: Projector, spin_proj: Projector
-) -> complex:
-    chi = spin_proj.target_vector(bob.m_max)
-    w = oam_proj.target_vector(bob.m_max)
-    joint = np.outer(chi, w)
-    return complex(np.vdot(joint.reshape(-1), bob.vector))
+def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarray:
+    """Joint outcome probabilities (p_pp, p_pm, p_mp, p_mm), shape (..., 4).
 
-
-def joint_probabilities(
-    bob: PhotonState, chi_a: float, chi_b: float, m: int = 2
-) -> tuple[float, float, float, float]:
-    """Joint outcome probabilities (p_pp, p_pm, p_mp, p_mm).
-
-    First index is the OAM outcome, second the polarization outcome.  The
-    input must be unit norm with support in spin x {-m, +m}; weight outside
-    that analyzer subspace beyond 1e-9 raises LostWeightError.
+    ``chi_a`` and ``chi_b`` broadcast together; scalar settings give shape
+    (4,).  First index is the OAM outcome, second the polarization outcome.
+    One einsum overlaps the outcome states of :func:`observable_A` and
+    :func:`observable_B` with Bob's grid columns m_max -+ m.  The input must
+    be unit norm with support in spin x {-m, +m}: weight outside it beyond
+    1e-9 at any setting raises LostWeightError.  Settings must be finite
+    and m >= 1; m > m_max raises TruncationError.
     """
     nrm = bob.norm()
     if abs(nrm - 1.0) > LOST_WEIGHT_TOL:
         raise ValueError(f"analyzer input must be unit norm, got {nrm}")
-    obs_a = observable_A(chi_a, m=m)
-    obs_b = observable_B(chi_b)
-    probs = tuple(
-        abs(_joint_amplitude(bob, obs_a.projector(sa), obs_b.projector(sb))) ** 2
-        for sa in (+1, -1)
-        for sb in (+1, -1)
+    if m < 1:
+        raise ValueError("analyzer OAM magnitude must be a positive integer")
+    if m > bob.m_max:
+        raise TruncationError(f"analyzer charge +-{m} exceeds truncation m_max={bob.m_max}")
+    chi_a = np.asarray(chi_a, dtype=float)
+    chi_b = np.asarray(chi_b, dtype=float)
+    if not (np.isfinite(chi_a).all() and np.isfinite(chi_b).all()):
+        raise ValueError("analyzer settings must be finite")
+    sub = bob.as_grid()[:, [bob.m_max - m, bob.m_max + m]]  # (spin, -m/+m)
+    amps = np.einsum(
+        "...ak,...bs,sk->...ab",
+        _oam_outcomes(chi_a).conj(), _spin_outcomes(chi_b).conj(), sub,
     )
-    lost = 1.0 - sum(probs)
-    if lost > LOST_WEIGHT_TOL:
+    probs = (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
+    lost = 1.0 - probs.sum(axis=-1)
+    if np.any(lost > LOST_WEIGHT_TOL):
         raise LostWeightError(
-            f"probability weight {lost:.3g} lies outside the +-{m} analyzer subspace"
+            f"probability weight {np.max(lost):.3g} lies outside the +-{m} analyzer subspace"
         )
-    return probs  # type: ignore[return-value]
+    return probs
 
 
-def correlation(outcomes) -> float:
-    """p_pp + p_mm - p_pm - p_mp from outcome weights (p_pp, p_pm, p_mp, p_mm)."""
-    return outcomes[0] + outcomes[3] - outcomes[1] - outcomes[2]
+def correlation(outcomes):
+    """p_pp + p_mm - p_pm - p_mp over the last axis of (p_pp, p_pm, p_mp, p_mm) weights."""
+    p = np.asarray(outcomes)
+    return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
 
 
-def expectation(bob: PhotonState, chi_a: float, chi_b: float, m: int = 2) -> float:
-    """Correlation E(chi_a, chi_b) of :func:`joint_probabilities`.
+def expectation(bob: PhotonState, chi_a, chi_b, m: int = 2):
+    """Correlation E(chi_a, chi_b) of :func:`joint_probabilities`, broadcast like it.
 
     Equals sin(chi_a + chi_b) for the heralded Bell state.
     """
@@ -239,41 +263,27 @@ def interferometer_detect(
     interferes, and every detector fires with probability 1/4.
     """
     m_max = bob.m_max
-    psi = apply(waveplate_op("qwp", math.pi / 4), bob)
-    grid = psi.as_grid()
-
-    h = spin_ket("H")
-    v = spin_ket("V")
-    arm_t = np.outer(h, h.conj()) @ grid
-    arm_r = np.outer(v, v.conj()) @ grid
+    grid = apply(_QWP_IN, bob).as_grid()
+    arm_t = _P_H @ grid
+    arm_r = _P_V @ grid
 
     arm_r = arm_r[:, ::-1]  # image inversion m -> -m
     arm_r = apply(
         dove_pair_op(alpha, m_max), PhotonState(m_max, arm_r.reshape(-1))
     ).as_grid()
 
-    # Symmetric 50/50 recombiner, phase i on reflection.
+    # Symmetric 50/50 recombiner, phase i on reflection: ports "plus", "minus".
     s = math.sqrt(0.5)
-    ports = {
-        "plus": s * (arm_t + 1j * arm_r),
-        "minus": s * (1j * arm_t + arm_r),
-    }
+    ports = (s * (arm_t + 1j * arm_r), s * (1j * arm_t + arm_r))
 
-    qwp_out = waveplate_op("qwp", -math.pi / 4)
-    hwp_pair = waveplate_op("hwp", beta).compose(waveplate_op("hwp", 0.0))
-    out = {}
-    for name, port_grid in ports.items():
+    hwp_pair = waveplate_op("hwp", beta).compose(_HWP_0)
+    out = []
+    for port_grid in ports:
         port = PhotonState(m_max, port_grid.reshape(-1))
-        port = apply(qwp_out, port)
+        port = apply(_QWP_OUT, port)
         port = apply(hwp_pair, port)
         pg = port.as_grid()
-        b_plus = h.conj() @ pg
-        b_minus = v.conj() @ pg
-        out[name, +1] = float(np.vdot(b_plus, b_plus).real)
-        out[name, -1] = float(np.vdot(b_minus, b_minus).real)
-    return (
-        out["plus", +1],
-        out["plus", -1],
-        out["minus", +1],
-        out["minus", -1],
-    )
+        for ket in (spin_ket("H"), spin_ket("V")):  # detectors +1, -1
+            b = ket.conj() @ pg
+            out.append(float(np.vdot(b, b).real))
+    return tuple(out)

@@ -44,10 +44,8 @@ SPIN_KETS: dict[str, np.ndarray] = {
 for _v in SPIN_KETS.values():
     _v.setflags(write=False)
 
-# Rows give (c_H, c_V) from (c_L, c_R).
-_CIRC_TO_LIN = np.array(
-    [[_SQRT_HALF, _SQRT_HALF], [1j * _SQRT_HALF, -1j * _SQRT_HALF]], dtype=complex
-)
+# Rows give (c_H, c_V) from (c_L, c_R): the conjugated H and V kets.
+_CIRC_TO_LIN = np.array([SPIN_KETS["H"].conj(), SPIN_KETS["V"].conj()])
 _CIRC_TO_LIN.setflags(write=False)
 
 
@@ -441,10 +439,10 @@ def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
 class Projector:
     """Rank-one projector onto a unit vector of one subsystem.
 
-    ``tag`` selects the subsystem: "spin" (coeffs keyed by "L"/"R"),
-    "oam" (keyed by integer charge) or "joint" (keyed by (spin, m)).
-    ``side`` matters only when projecting a bipartite state and must then
-    be "alice".
+    ``tag`` selects the subsystem: "spin" (coeffs keyed by "L"/"R") or
+    "oam" (keyed by integer charge).  Only spin projectors can be applied
+    with :func:`project`; ``side`` matters only when projecting a
+    bipartite state and must then be "alice".
     """
 
     tag: str
@@ -452,7 +450,7 @@ class Projector:
     side: str = "bob"
 
     def __post_init__(self):
-        if self.tag not in ("spin", "oam", "joint"):
+        if self.tag not in ("spin", "oam"):
             raise ValueError(f"unknown projector tag {self.tag!r}")
         pairs = tuple((k, complex(v)) for k, v in dict(self.coeffs).items())
         nrm = math.sqrt(sum(abs(v) ** 2 for _, v in pairs))
@@ -467,51 +465,33 @@ class Projector:
             for k, v in self.coeffs:
                 vec[SPIN_LABELS.index(k)] = v
             return vec
-        if self.tag == "oam":
-            vec = np.zeros(oam_dim(m_max), dtype=complex)
-            for k, v in self.coeffs:
-                if abs(int(k)) > m_max:
-                    raise TruncationError("projector target outside truncation")
-                vec[int(k) + m_max] = v
-            return vec
-        vec = np.zeros(state_dim(m_max), dtype=complex)
-        for (spin, m), v in self.coeffs:
-            vec[basis_index(spin, m, m_max)] = v
+        vec = np.zeros(oam_dim(m_max), dtype=complex)
+        for k, v in self.coeffs:
+            if abs(int(k)) > m_max:
+                raise TruncationError("projector target outside truncation")
+            vec[int(k) + m_max] = v
         return vec
 
 
 def project(state, projector: Projector):
-    """Measurement projection: (post-measurement state, probability).
+    """Spin measurement projection: (post-measurement state, probability).
 
     The returned state is renormalized; a zero-probability outcome comes
     back as a flagged zero state with probability 0.0.  Projecting a
-    bipartite state on Alice's spin returns Bob's reduced state.
+    bipartite state on Alice's spin returns Bob's reduced state; a single
+    photon is projected on its own spin.
     """
-    if isinstance(state, BipartiteState):
-        if projector.tag != "spin" or projector.side != "alice":
-            raise ValueError("bipartite projection must target Alice's spin")
-        chi = projector.target_vector(state.m_max)
-        bob_vec = chi.conj() @ state.matrix
-        prob = float(np.vdot(bob_vec, bob_vec).real)
-        if prob < NORM_TOL**2:
-            return PhotonState.zero(state.m_max), 0.0
-        return PhotonState(state.m_max, bob_vec / math.sqrt(prob)), prob
-
-    if not isinstance(state, PhotonState):
+    if not isinstance(state, (PhotonState, BipartiteState)):
         raise TypeError("project expects a PhotonState or BipartiteState")
-    grid = state.as_grid()
-    if projector.tag == "spin":
-        chi = projector.target_vector(state.m_max)
-        overlap = chi.conj() @ grid  # per-m amplitudes
-        out = np.outer(chi, overlap)
-    elif projector.tag == "oam":
-        w = projector.target_vector(state.m_max)
-        overlap = grid @ w.conj()  # per-spin amplitudes
-        out = np.outer(overlap, w)
+    if projector.tag != "spin":
+        raise ValueError("project takes spin projectors only")
+    chi = projector.target_vector(state.m_max)
+    if isinstance(state, BipartiteState):
+        if projector.side != "alice":
+            raise ValueError("bipartite projection must target Alice's spin")
+        out = chi.conj() @ state.matrix
     else:
-        v = projector.target_vector(state.m_max)
-        amp = np.vdot(v, state.vector)
-        out = (amp * v).reshape(2, -1)
+        out = np.outer(chi, chi.conj() @ state.as_grid())
     prob = float(np.vdot(out, out).real)
     if prob < NORM_TOL**2:
         return PhotonState.zero(state.m_max), 0.0

@@ -11,14 +11,21 @@ from spinorbit.chsh import (
     CountRecord,
     RngSeed,
     chsh_S,
+    chsh_combination,
     chsh_monte_carlo,
     enumerate_assignments,
     estimate_E,
     nchv_max_S,
+    pair_probabilities,
     sample_counts,
     sweep,
 )
-from spinorbit.experiment import expectation, spin_orbit_bell_state
+from spinorbit.experiment import (
+    correlation,
+    expectation,
+    joint_probabilities,
+    spin_orbit_bell_state,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,6 +63,18 @@ class TestChshS:
         peak = float(np.max(np.abs(s)))
         assert peak <= 2 * SQRT2 + 1e-9
         assert peak == pytest.approx(2 * SQRT2, abs=1e-12)  # attained on this grid
+
+    def test_pair_probabilities_follow_pair_order(self):
+        settings = ChshSettings(0.3, -2.1, 1.7, -0.4)
+        bob = spin_orbit_bell_state(m=3)
+        probs = pair_probabilities(settings, bob, m=3)
+        assert probs.shape == (4, 4)
+        for row, (a, b) in zip(probs, settings.pairs()):
+            np.testing.assert_allclose(row, joint_probabilities(bob, a, b, m=3), atol=1e-15)
+        s = chsh_S(settings, sine_law)
+        assert chsh_combination(correlation(pair_probabilities(settings))) == pytest.approx(
+            s, abs=1e-12
+        )
 
 
 class TestEstimateE:

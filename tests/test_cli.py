@@ -5,6 +5,7 @@ import os
 import pytest
 
 from spinorbit.cli import main, parse_angle
+from spinorbit.qstate import TruncationError
 
 FIG2 = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")
 
@@ -121,9 +122,22 @@ class TestNchvCommand:
         assert payload["gap"] == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-12)
 
     def test_random_settings_stay_capped(self, capsys):
-        assert main(["nchv", "--random", "25", "--seed", "7", "--json"]) == 0
+        settings = {"chi-a": 0.3, "chi-a-prime": -2.1, "chi-b": 1.7, "chi-b-prime": -0.4}
+        argv = ["nchv", "--json"]
+        for name, value in settings.items():
+            argv += [f"--{name}", str(value)]
+        assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["random_settings_max"] == 2.0
+        assert payload["classical_max"] == 2.0
+        a, ap, b, bp = settings.values()
+        s = math.sin(a + b) + math.sin(a + bp) - math.sin(ap + b) + math.sin(ap + bp)
+        assert payload["quantum_s"] == pytest.approx(s, abs=1e-12)
+
+    def test_draws_nothing_so_takes_no_stream(self, capsys):
+        assert main(["nchv", "--seed", "7"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["nchv", "--stream", "1"])
+        assert exc.value.code == 1
 
 
 class TestFieldCommand:
@@ -189,7 +203,72 @@ class TestRunCommand:
         assert main(["run", FIG2, "--analyzer-m", "4"]) == 3
         assert "numeric contract violation" in capsys.readouterr().err
 
+    def test_truncation_exits_3(self, monkeypatch, capsys):
+        def truncated(*args, **kwargs):
+            raise TruncationError("|m|=6 exceeds truncation m_max=4")
+
+        monkeypatch.setattr("spinorbit.cli.joint_probabilities", truncated)
+        assert main(["run", FIG2]) == 3
+        assert "numeric contract violation" in capsys.readouterr().err
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chsh", "--chi-a", "not-an-angle"])
         assert exc.value.code == 1
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chsh", "--mode", "montecarlo", "--shots", "1"],
+            ["chsh", "--mode", "montecarlo", "--shots", "100", "--seed", "-1"],
+            ["sweep", "--points", "0"],
+            ["sweep", "--seed", "-1"],
+            ["sweep", "--chi-b", "nan"],
+            ["sweep", "--shots", "-5"],
+            ["chsh", "--chi-a", "inf"],
+            ["field", "--q", "0.3"],
+            ["run", FIG2, "--analyzer-m", "9"],
+        ],
+    )
+    def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        if argv[0] in ("sweep", "field"):
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinorbit: error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestSeedEnvironment:
+    def test_invalid_seed_warns_once_and_falls_back_to_zero(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "4", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'abc'" in err[0] and "SPINORBIT_SEED" in err[0]
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["seed"] == 0
+
+    def test_valid_seed_is_silent(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("SPINORBIT_SEED", "11")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["seed"] == 11
+
+    def test_invalid_seed_is_silent_when_unused(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        assert main(["field", "--q", "1", "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["nchv"]) == 0
+        assert main(["sweep", "--points", "4", "--seed", "5",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["seed"] == 5

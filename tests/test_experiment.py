@@ -22,6 +22,7 @@ from spinorbit.experiment import (
 from spinorbit.qstate import (
     BipartiteState,
     PhotonState,
+    TruncationError,
     inner,
     project,
     states_equal_up_to_phase,
@@ -213,11 +214,52 @@ class TestJointProbabilities:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
         bell = spin_orbit_bell_state()
+        pairs = []
         for _ in range(25):
             chi_a, chi_b = rng.uniform(-math.pi, math.pi, size=2)
+            pairs.append((chi_a, chi_b))
             expected = brute_force_joint_probabilities(bell, chi_a, chi_b)
             actual = joint_probabilities(bell, chi_a, chi_b)
             np.testing.assert_allclose(actual, expected, atol=1e-12)
+        chi_a, chi_b = np.array(pairs).T
+        batched = joint_probabilities(bell, chi_a, chi_b)
+        assert batched.shape == (25, 4)
+        for row, (a, b) in zip(batched, pairs):
+            oracle = brute_force_joint_probabilities(bell, a, b)
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_batched_rows_equal_scalar_calls(self):
+        rng = np.random.default_rng(19)
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c /= np.linalg.norm(c)
+        state = PhotonState.from_amplitudes(4, {("L", -2): c[0], ("R", 2): c[1]})
+        chi_a, chi_b = rng.uniform(-math.pi, math.pi, size=(2, 40))
+        batched = joint_probabilities(state, chi_a, chi_b)
+        for row, a, b in zip(batched, chi_a, chi_b):
+            np.testing.assert_allclose(row, joint_probabilities(state, a, b), rtol=0, atol=1e-15)
+
+    def test_outer_broadcast_shape(self):
+        bell = spin_orbit_bell_state()
+        chi_a = np.linspace(-math.pi, math.pi, 5)[:, None]
+        chi_b = np.linspace(-1.0, 1.0, 3)[None, :]
+        probs = joint_probabilities(bell, chi_a, chi_b)
+        assert probs.shape == (5, 3, 4)
+        assert joint_probabilities(bell, 0.1, 0.2).shape == (4,)
+        np.testing.assert_allclose(
+            expectation(bell, chi_a, chi_b), np.sin(chi_a + chi_b), atol=1e-12
+        )
+
+    def test_charge_beyond_truncation_rejected(self):
+        bell = spin_orbit_bell_state(m=2, m_max=2)
+        with pytest.raises(TruncationError):
+            joint_probabilities(bell, 0.0, 0.0, m=3)
+
+    def test_non_finite_setting_rejected(self):
+        bell = spin_orbit_bell_state()
+        with pytest.raises(ValueError, match="finite"):
+            joint_probabilities(bell, [0.0, math.nan], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            joint_probabilities(bell, 0.0, math.inf)
 
     def test_uniform_at_zero_settings(self):
         bell = spin_orbit_bell_state()

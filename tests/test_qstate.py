@@ -227,6 +227,13 @@ class TestProject:
         with pytest.raises(ValueError):
             Projector("spin", {"L": 1.0, "R": 1.0})
 
+    def test_only_spin_projectors_apply(self):
+        s = PhotonState.basis_state("L", 2, 2)
+        with pytest.raises(ValueError):
+            project(s, Projector("oam", {2: 1.0}))
+        with pytest.raises(ValueError):
+            Projector("joint", {("L", 2): 1.0})
+
 
 class TestBasisChange:
     def test_h_expands_into_circular(self):
