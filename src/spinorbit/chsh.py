@@ -12,7 +12,10 @@ noncontextual assignment of +-1 outcomes is capped at |S| <= 2
 
 Counting statistics are multinomial draws from the exact four-outcome
 probabilities, reproducible bit for bit from an explicit (seed, stream)
-pair; the generator identity is recorded in :data:`GENERATOR_ID`.
+pair.  A sampled block of rows draws row k from its own generator on the
+(stream, first_row + k) lane, so distinct streams never share a draw and
+any one row can be reproduced on its own; the generator identity is
+recorded in :data:`GENERATOR_ID`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .qstate import PhotonState
 
 GENERATOR_ID = (
     "numpy.random.Generator(PCG64), seeded via "
-    "SeedSequence(entropy=seed, spawn_key=(stream, ...))"
+    "SeedSequence(entropy=seed, spawn_key=(stream, row)); one generator per sampled row"
 )
 
 #: The four (chi_A, chi_B) pairs at which |E| = sqrt(2)/2 and S peaks at 2*sqrt(2).
@@ -109,13 +112,11 @@ class RngSeed:
             raise ValueError("stream index must be non-negative")
 
     def generator(self, *lanes: int) -> np.random.Generator:
+        """PCG64 on spawn_key (stream, *lanes); the same stream as ``default_rng``."""
         ss = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream, *lanes)
         )
-        return np.random.default_rng(ss)
-
-    def substream(self, offset: int) -> "RngSeed":
-        return RngSeed(self.seed, self.stream + offset)
+        return np.random.Generator(np.random.PCG64(ss))
 
 
 @dataclass(frozen=True)
@@ -184,22 +185,42 @@ def estimate_E(counts: CountRecord) -> float:
     return correlation(counts.as_tuple()) / total
 
 
+def _sample_rows(
+    probs, shots: int, seed: RngSeed, first_lane: int | None = None
+) -> np.ndarray:
+    """Multinomial draws of ``shots`` per row of an (n, 4) block, int64 (n, 4).
+
+    Row k draws from ``seed.generator(first_lane + k)``, so each row can be
+    reproduced on its own.  Without ``first_lane`` the block must be one
+    row, drawn from ``seed.generator()``.  The block is checked once:
+    entries >= -1e-12, each row summing to 1 within 1e-9, shots >= 1.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValueError("expected exactly four outcome probabilities")
+    if np.any(p < -1e-12):
+        raise ValueError("probabilities must be non-negative")
+    sums = p.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-9
+    if np.any(bad):
+        raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    lanes = [()] if first_lane is None else [(first_lane + k,) for k in range(len(p))]
+    p = np.clip(p, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    out = np.empty(p.shape, dtype=np.int64)
+    for k, (lane, row) in enumerate(zip(lanes, p, strict=True)):
+        out[k] = seed.generator(*lane).multinomial(shots, row)
+    return out
+
+
 def sample_counts(
     probs: Sequence[float], shots: int, seed: RngSeed
 ) -> CountRecord:
     """Multinomial draw of ``shots`` coincidences over the four outcomes."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected exactly four outcome probabilities")
-    if np.any(p < -1e-12):
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    p = np.clip(p, 0.0, None)
-    draw = seed.generator().multinomial(shots, p / p.sum())
-    return CountRecord(*(int(n) for n in draw))
+    draw = _sample_rows(np.asarray(probs, dtype=float)[None], shots, seed)
+    return CountRecord(*draw[0].tolist())
 
 
 _ASSIGNMENT_KEYS = ("a", "a_prime", "b", "b_prime")
@@ -233,11 +254,13 @@ def nchv_max_S(settings: ChshSettings | None = None) -> NchvResult:
     return NchvResult(max_s=max_s, min_s=min_s, argmax=argmax)
 
 
-def _is_circle(chi_a: float, chi_b: float, tol: float = 1e-12) -> bool:
-    return any(
-        abs(chi_a - ca) <= tol and abs(chi_b - cb) <= tol
-        for ca, cb in CIRCLE_SETTINGS
+def _circle_mask(chi_a: np.ndarray, chi_b: float, tol: float = 1e-12) -> np.ndarray:
+    """Which grid points lie within ``tol`` of a :data:`CIRCLE_SETTINGS` pair."""
+    circle = np.array(CIRCLE_SETTINGS)
+    near = (np.abs(chi_a[:, None] - circle[:, 0]) <= tol) & (
+        np.abs(chi_b - circle[:, 1]) <= tol
     )
+    return near.any(axis=1)
 
 
 def sweep(
@@ -247,42 +270,44 @@ def sweep(
     seed: RngSeed,
     bob: PhotonState | None = None,
     m: int = 2,
+    first_row: int = 0,
 ) -> list[SweepRow]:
     """Scan chi_A at fixed chi_B: exact probabilities, counts, both E values.
 
-    One analyzer call covers the whole grid.  Each row samples from its own
-    RNG substream (stream + row index), so rows are reproducible
-    independently of evaluation order.  ``shots = 0`` skips sampling and
-    leaves the count fields empty.
+    One analyzer call covers the whole grid and one block draw samples it.
+    Row k draws from its own generator on the lane (stream, first_row + k),
+    so a one-point sweep with ``first_row=k`` reproduces row k, whatever the
+    evaluation order.  ``shots = 0`` skips sampling and leaves the count
+    fields empty.
     """
     if len(chi_a_grid) == 0:
         raise ValueError("chi_A grid must not be empty")
     if shots < 0:
         raise ValueError("shots must be non-negative")
+    if first_row < 0:
+        raise ValueError("first_row must be non-negative")
     if bob is None:
         bob = spin_orbit_bell_state(m=m)
-    grid_probs = joint_probabilities(bob, chi_a_grid, chi_b, m=m)
-    grid_e = correlation(grid_probs)
-    rows = []
-    for idx, chi_a in enumerate(chi_a_grid):
-        probs = tuple(grid_probs[idx].tolist())
-        counts = None
-        e_est = None
-        if shots > 0:
-            counts = sample_counts(probs, shots, seed.substream(idx))
-            e_est = estimate_E(counts)
-        rows.append(
-            SweepRow(
-                chi_a=float(chi_a),
-                chi_b=float(chi_b),
-                probabilities=probs,
-                counts=counts,
-                e_exact=float(grid_e[idx]),
-                e_estimated=e_est,
-                is_circle=_is_circle(chi_a, chi_b),
-            )
-        )
-    return rows
+    chi_a = np.asarray(chi_a_grid, dtype=float)
+    grid_probs = joint_probabilities(bob, chi_a, chi_b, m=m)
+    counts = e_est = [None] * len(chi_a)
+    if shots > 0:
+        draws = _sample_rows(grid_probs, shots, seed, first_row)
+        counts = [CountRecord(*row) for row in draws.tolist()]
+        e_est = (correlation(draws) / shots).tolist()
+    chi_b = float(chi_b)
+    columns = zip(
+        chi_a.tolist(),
+        grid_probs.tolist(),
+        counts,
+        correlation(grid_probs).tolist(),
+        e_est,
+        _circle_mask(chi_a, chi_b).tolist(),
+    )
+    return [
+        SweepRow(a, chi_b, tuple(p), c, e, est, flag)
+        for a, p, c, e, est, flag in columns
+    ]
 
 
 def chsh_monte_carlo(
@@ -294,15 +319,15 @@ def chsh_monte_carlo(
 ) -> McEstimate:
     """Estimate S from four independent simulated counting runs.
 
-    The standard error treats the four runs as independent multinomials:
-    SE = sqrt(sum_i (1 - E_i^2) / shots).
+    Setting k, in :meth:`ChshSettings.pairs` order, draws from the lane
+    (stream, k).  The standard error treats the four runs as independent
+    multinomials: SE = sqrt(sum_i (1 - E_i^2) / shots).
     """
     if shots_per_setting < 2:
         raise ValueError("need at least two shots per setting")
-    counts = [
-        sample_counts(probs, shots_per_setting, seed.substream(idx))
-        for idx, probs in enumerate(pair_probabilities(settings, bob, m))
-    ]
+    probs = pair_probabilities(settings, bob, m)
+    draws = _sample_rows(probs, shots_per_setting, seed, 0)
+    counts = [CountRecord(*row) for row in draws.tolist()]
     e_values = [estimate_E(rec) for rec in counts]
     s_est = chsh_combination(e_values)
     variance = sum((1.0 - e * e) / shots_per_setting for e in e_values)

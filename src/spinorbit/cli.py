@@ -280,6 +280,11 @@ def cmd_run(args) -> int:
     if result.bob is None:
         print("bench has no herald stage; nothing to analyze", file=sys.stderr)
         return 2
+    if result.herald_probability * result.filter_weight == 0:
+        raise ValueError(
+            "herald probability is 0: the bench's filters and herald leave no "
+            "photon to analyze"
+        )
     m = args.analyzer_m if args.analyzer_m else result.analyzer_m
     if m is None:
         print("cannot infer the analyzer OAM magnitude; pass --analyzer-m",

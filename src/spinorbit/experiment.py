@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -55,10 +56,15 @@ from .qstate import (
 
 LOST_WEIGHT_TOL = 1e-9
 
-# Fixed elements of the optical analyzer chain, built once.
-_QWP_IN = waveplate_op("qwp", math.pi / 4)
-_QWP_OUT = waveplate_op("qwp", -math.pi / 4)
-_HWP_0 = waveplate_op("hwp", 0.0)
+
+@cache
+def _fixed_plates():
+    """qwp(pi/4), qwp(-pi/4) and hwp(0) of the analyzer chain, built on first use."""
+    return (
+        waveplate_op("qwp", math.pi / 4),
+        waveplate_op("qwp", -math.pi / 4),
+        waveplate_op("hwp", 0.0),
+    )
 
 
 class LostWeightError(ValueError):
@@ -263,7 +269,8 @@ def interferometer_detect(
     interferes, and every detector fires with probability 1/4.
     """
     m_max = bob.m_max
-    grid = apply(_QWP_IN, bob).as_grid()
+    qwp_in, qwp_out, hwp_0 = _fixed_plates()
+    grid = apply(qwp_in, bob).as_grid()
     arm_t = _P_H @ grid
     arm_r = _P_V @ grid
 
@@ -276,11 +283,11 @@ def interferometer_detect(
     s = math.sqrt(0.5)
     ports = (s * (arm_t + 1j * arm_r), s * (1j * arm_t + arm_r))
 
-    hwp_pair = waveplate_op("hwp", beta).compose(_HWP_0)
+    hwp_pair = waveplate_op("hwp", beta).compose(hwp_0)
     out = []
     for port_grid in ports:
         port = PhotonState(m_max, port_grid.reshape(-1))
-        port = apply(_QWP_OUT, port)
+        port = apply(qwp_out, port)
         port = apply(hwp_pair, port)
         pg = port.as_grid()
         for ket in (spin_ket("H"), spin_ket("V")):  # detectors +1, -1

@@ -17,6 +17,7 @@ from spinorbit.chsh import (
     estimate_E,
     nchv_max_S,
     pair_probabilities,
+    _sample_rows,
     sample_counts,
     sweep,
 )
@@ -132,6 +133,52 @@ class TestSampleCounts:
             sample_counts((0.25,) * 4, 0, RngSeed(0))
 
 
+class TestSampleRows:
+    def test_one_generator_per_lane(self):
+        probs = joint_probabilities(spin_orbit_bell_state(), [0.3, -1.2, 2.0], 0.7)
+        seed = RngSeed(8, stream=4)
+        draws = _sample_rows(probs, 5000, seed, 10)
+        assert draws.dtype == np.int64 and draws.shape == (3, 4)
+        for k, p in enumerate(probs):
+            want = seed.generator(10 + k).multinomial(5000, p / p.sum())
+            np.testing.assert_array_equal(draws[k], want)
+
+    def test_generator_matches_default_rng(self):
+        seed = RngSeed(12, stream=3)
+        ss = np.random.SeedSequence(entropy=12, spawn_key=(3, 7))
+        a = seed.generator(7).integers(0, 2**62, size=16)
+        b = np.random.default_rng(ss).integers(0, 2**62, size=16)
+        np.testing.assert_array_equal(a, b)
+
+    def test_sample_counts_is_the_one_row_case(self):
+        probs = (0.4, 0.3, 0.2, 0.1)
+        seed = RngSeed(99, stream=3)
+        draw = _sample_rows([probs], 12345, seed)
+        assert sample_counts(probs, 12345, seed).as_tuple() == tuple(draw[0].tolist())
+        want = seed.generator().multinomial(12345, np.array(probs) / sum(probs))
+        assert tuple(draw[0].tolist()) == tuple(want.tolist())
+
+    @pytest.mark.parametrize(
+        "probs, shots",
+        [
+            ([[0.5, 0.5, 0.1, -0.1], [0.25] * 4], 10),
+            ([[0.25] * 4, [0.25, 0.25, 0.25, 0.25 + 1e-6]], 10),
+            ([[0.25] * 4, [0.25, 0.25, 0.25, 0.25 - 1e-6]], 10),
+            ([[0.25] * 4, [0.25] * 4], 0),
+            ([[1 / 3] * 3], 10),
+            ([0.25] * 4, 10),
+            ([[[0.25] * 4]], 10),
+        ],
+    )
+    def test_invalid_block_rejected(self, probs, shots):
+        with pytest.raises(ValueError):
+            _sample_rows(probs, shots, RngSeed(0), 0)
+
+    def test_several_rows_need_a_first_lane(self):
+        with pytest.raises(ValueError):
+            _sample_rows([[0.25] * 4] * 2, 10, RngSeed(0))
+
+
 class TestNchvBound:
     def test_paper_settings_capped_at_two(self):
         result = nchv_max_S(TSIRELSON_SETTINGS)
@@ -213,10 +260,35 @@ class TestSweep:
         rows_a = sweep(math.pi / 4, grid, shots=500, seed=RngSeed(77))
         rows_b = sweep(math.pi / 4, grid, shots=500, seed=RngSeed(77))
         assert [r.counts for r in rows_a] == [r.counts for r in rows_b]
-        # Row k draws from substream k, so a single-point sweep at the same
-        # stream offset reproduces that row's counts.
-        single = sweep(math.pi / 4, [grid[3]], shots=500, seed=RngSeed(77, stream=3))
+        # Row k draws from lane (stream, k), so a single-point sweep starting
+        # at row 3 reproduces that row's counts.
+        single = sweep(math.pi / 4, [grid[3]], shots=500, seed=RngSeed(77), first_row=3)
         assert single[0].counts == rows_a[3].counts
+
+    def test_adjacent_streams_never_share_a_draw(self):
+        # Equal rows at 10^6 shots: counts match only if two rows share a draw,
+        # as row k + 1 of stream 0 and row k of stream 1 once did.
+        grid = [0.1] * 8
+        rows_0 = sweep(math.pi / 4, grid, shots=10**6, seed=RngSeed(5, stream=0))
+        rows_1 = sweep(math.pi / 4, grid, shots=10**6, seed=RngSeed(5, stream=1))
+        assert not {r.counts for r in rows_0} & {r.counts for r in rows_1}
+        mc_0 = chsh_monte_carlo(TSIRELSON_SETTINGS, 10**6, RngSeed(5, stream=0))
+        mc_1 = chsh_monte_carlo(TSIRELSON_SETTINGS, 10**6, RngSeed(5, stream=1))
+        assert not set(mc_0.counts) & set(mc_1.counts)
+
+    def test_rows_drawn_from_their_own_lane(self):
+        grid = np.linspace(-math.pi, math.pi, 12, endpoint=False)
+        seed = RngSeed(31, stream=2)
+        rows = sweep(-math.pi / 4, grid, shots=777, seed=seed, first_row=5)
+        for k, row in enumerate(rows):
+            p = np.array(row.probabilities)
+            want = seed.generator(5 + k).multinomial(777, p / p.sum())
+            assert row.counts.as_tuple() == tuple(want.tolist())
+            assert row.e_estimated == estimate_E(row.counts)
+
+    def test_negative_first_row_rejected(self):
+        with pytest.raises(ValueError):
+            sweep(0.0, [0.1], shots=10, seed=RngSeed(0), first_row=-1)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -270,6 +342,13 @@ class TestMonteCarlo:
                 counts = sample_counts(probs, n, RngSeed(1000 + trial, stream=n % 97))
                 bound = 5 * math.sqrt((1 - e_exact**2) / n) + 1e-9
                 assert abs(estimate_E(counts) - e_exact) <= bound
+
+    def test_settings_drawn_from_lanes_zero_to_three(self):
+        seed = RngSeed(9, stream=2)
+        result = chsh_monte_carlo(TSIRELSON_SETTINGS, 10**4, seed)
+        for k, p in enumerate(pair_probabilities(TSIRELSON_SETTINGS)):
+            want = seed.generator(k).multinomial(10**4, p / p.sum())
+            assert result.counts[k].as_tuple() == tuple(want.tolist())
 
     def test_too_few_shots_rejected(self):
         with pytest.raises(ValueError):

@@ -203,6 +203,18 @@ class TestRunCommand:
         assert main(["run", FIG2, "--analyzer-m", "4"]) == 3
         assert "numeric contract violation" in capsys.readouterr().err
 
+    def test_zero_weight_herald_exits_1(self, tmp_path, capsys):
+        # A q-plate before the fiber filter moves every photon out of m = 0.
+        bench = tmp_path / "dark.bench"
+        bench.write_text(
+            "source spdc\nqplate q=1 side=bob\nfilter smf side=bob\n"
+            "herald basis=H side=alice\n"
+        )
+        assert main(["run", str(bench)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinorbit: error: herald probability is 0")
+        assert len(err.splitlines()) == 1
+
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
             raise TruncationError("|m|=6 exceeds truncation m_max=4")
