@@ -12,8 +12,8 @@ Angles accept plain radians, ``pi`` fractions (``pi/2``, ``-pi``, ``0.75pi``)
 or degrees (``22.5deg``).  Every file output gets a sidecar
 ``<name>.manifest.json`` recording the resolved parameters, seed, RNG
 identity and tool version; stdout commands embed the same manifest in
-their ``--json`` form.  Exit codes: 0 success, 1 usage error or invalid
-value, 2 bench parse/semantic error, 3 numeric contract violation.
+their ``--json`` form.  Exit codes: 0 success, 1 usage error, invalid
+value or file error, 2 bench parse/semantic error, 3 numeric contract violation.
 """
 
 from __future__ import annotations
@@ -268,12 +268,8 @@ def cmd_field(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.bench) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read bench file: {exc}", file=sys.stderr)
-        return 1
+    with open(args.bench) as fh:
+        text = fh.read()
     ast = parse(text)
     pipeline = compile_bench(ast)
     result = pipeline.run()
@@ -287,9 +283,7 @@ def cmd_run(args) -> int:
         )
     m = args.analyzer_m if args.analyzer_m else result.analyzer_m
     if m is None:
-        print("cannot infer the analyzer OAM magnitude; pass --analyzer-m",
-              file=sys.stderr)
-        return 2
+        raise ValueError("cannot infer the analyzer OAM magnitude; pass --analyzer-m")
     if m > result.bob.m_max:
         raise ValueError(
             f"--analyzer-m {m} exceeds the bench truncation m_max={result.bob.m_max}"
@@ -413,7 +407,7 @@ def main(argv=None) -> int:
     except (LostWeightError, TruncationError) as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"spinorbit: error: {exc}", file=sys.stderr)
         return 1
 

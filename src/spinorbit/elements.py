@@ -4,8 +4,10 @@ Every constructor except :func:`transmission_matrix` returns an immutable
 :class:`~spinorbit.qstate.ElementOp`: one 2x2 block over the circular
 polarization basis (L, R), either shared by every OAM charge m or given
 per charge, followed by an integer shift of the OAM charge.  Storage and
-application cost grow as O(m_max).  ``.matrix`` densifies an element for
-inspection only.  :func:`transmission_matrix` returns a dense
+application cost grow as O(m_max).  Angles broadcast: an array of angles
+gives one element whose blocks carry the angles' shape as leading axes.
+``.matrix`` densifies a single element for inspection only.
+:func:`transmission_matrix` returns a dense
 :class:`~spinorbit.qstate.LinearOp` over (R, L) for display.  Conventions
 fixed here:
 
@@ -33,7 +35,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen, spin_op
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen
 
 _HALF_TURN_TOL = 1e-9
 
@@ -89,41 +91,50 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
     return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _label(kind: str, angle) -> str:
+    """Element name with its angle; an element over many angles keeps the kind only."""
+    return f"{kind}({angle})" if np.ndim(angle) == 0 else kind
 
 
-def waveplate_op(kind: str, theta: float) -> ElementOp:
+def _rotation(theta: np.ndarray) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
+
+
+def waveplate_op(kind: str, theta) -> ElementOp:
     """Wave plate as a polarization operator over the circular basis.
 
     kind "qwp": quarter-wave retarder with fast axis at theta.
     kind "hwp": half-wave element imprinting circular phase theta (see the
     module docstring for the angle convention).
+    An array theta gives blocks of shape theta.shape + (2, 2, 1).
     """
     kind = kind.lower()
+    angle = np.asarray(theta, dtype=float)
     if kind == "qwp":
-        lin = _rotation(theta) @ np.diag([1.0, 1j]) @ _rotation(-theta)
+        lin = _rotation(angle) @ np.diag([1.0, 1j]) @ _rotation(-angle)
         circ = _CIRC_TO_LIN.conj().T @ lin @ _CIRC_TO_LIN
-        return spin_op(circ, name=f"qwp({theta})")
-    if kind == "hwp":
-        circ = np.array(
-            [[0.0, np.exp(1j * theta)], [np.exp(-1j * theta), 0.0]], dtype=complex
-        )
-        return spin_op(circ, name=f"hwp({theta})")
-    raise ValueError(f"unknown wave plate kind {kind!r}")
+    elif kind == "hwp":
+        circ = np.zeros(angle.shape + (2, 2), dtype=complex)
+        circ[..., 0, 1] = np.exp(1j * angle)
+        circ[..., 1, 0] = np.exp(-1j * angle)
+    else:
+        raise ValueError(f"unknown wave plate kind {kind!r}")
+    return ElementOp(circ[..., None], name=_label(kind, theta))
 
 
-def dove_pair_op(alpha: float, m_max: int) -> ElementOp:
+def dove_pair_op(alpha, m_max: int) -> ElementOp:
     """Two-arm Dove prism composite with relative rotation alpha.
 
     Per OAM charge m, the component carried on the |V> arm is advanced by
     e^{i 2 m alpha} while the |H> arm is untouched; for m = 0 the arms stay
-    in phase regardless of alpha.  Polarization is unaffected.
+    in phase regardless of alpha.  Polarization is unaffected.  An array
+    alpha gives blocks of shape alpha.shape + (2, 2, 2*m_max+1).
     """
-    phases = np.exp(2j * np.arange(-m_max, m_max + 1) * alpha)
+    angle = np.asarray(alpha, dtype=float)[..., None, None, None]
+    phases = np.exp(2j * np.arange(-m_max, m_max + 1) * angle)
     blocks = _P_H[..., None] + phases * _P_V[..., None]
-    return ElementOp(blocks, m_max=m_max, name=f"dove_pair({alpha})")
+    return ElementOp(blocks, m_max=m_max, name=_label("dove_pair", alpha))
 
 
 def smf_filter_op(m_max: int) -> ElementOp:

@@ -8,18 +8,19 @@ for q = 1.
 
 Measurement: Bob's photon is analyzed jointly in an OAM observable with
 phase chi_A and a polarization observable with phase chi_B.  Two routes
-are provided and must agree:
+are provided and must agree on the span of the q-plate outputs |L,-m>, |R,+m>:
 
 * the closed-form kernel (:func:`joint_probabilities`): the outcome states
   of both dichotomic observables are written down directly on the
   spin x {-m, +m} subspace, and one einsum over arrays of settings gives
   the four squared overlaps per setting, and
-* the element-by-element optical chain (:func:`interferometer_detect`),
-  one setting per call: quarter-wave plate at 45 deg, polarizing
-  splitter, Dove-prism pair at relative angle alpha, non-polarizing
-  recombiner, then per output port a quarter-wave plate at -45 deg, two
-  half-wave elements (0 and beta) and a polarizing splitter feeding two
-  detectors.
+* the element-by-element optical chain (:func:`interferometer_detect`)
+  over broadcast arrays of hardware angles (alpha, beta): quarter-wave
+  plate at 45 deg, polarizing splitter, Dove-prism pair at relative angle
+  alpha, non-polarizing recombiner, then per output port a quarter-wave
+  plate at -45 deg, two half-wave elements (0 and beta) and a polarizing
+  splitter feeding two detectors; the Dove pair and the half-wave pair
+  are built once per call over all settings.
 
 The settings map as chi_A = 2*m*alpha (m the OAM magnitude, 2 by default)
 and chi_B = 2*beta; for the heralded Bell state the correlation is
@@ -44,11 +45,11 @@ from .elements import (
     waveplate_op,
 )
 from .qstate import (
+    _CIRC_TO_LIN,
     BipartiteState,
     PhotonState,
     Projector,
     TruncationError,
-    apply,
     apply_bob,
     project,
     spin_ket,
@@ -254,43 +255,36 @@ def expectation(bob: PhotonState, chi_a, chi_b, m: int = 2):
     return correlation(joint_probabilities(bob, chi_a, chi_b, m=m))
 
 
-def interferometer_detect(
-    bob: PhotonState, alpha: float, beta: float
-) -> tuple[float, float, float, float]:
-    """Element-by-element simulation of the two-port analyzer.
+def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
+    """Element-by-element simulation of the two-port analyzer, shape (..., 4).
 
-    Returns detector probabilities (p_pp, p_pm, p_mp, p_mm) labeled as in
-    :func:`joint_probabilities`; with chi_a = 2*m*alpha and chi_b = 2*beta
-    the two routes agree on states prepared by the q-plate chain.
+    ``alpha`` and ``beta`` broadcast together; scalar settings give shape
+    (4,).  Returns detector probabilities (p_pp, p_pm, p_mp, p_mm) labeled
+    as in :func:`joint_probabilities`; with chi_a = 2*m*alpha and
+    chi_b = 2*beta the two routes agree on states prepared by the q-plate
+    chain.  Settings must be finite.
 
     The reflected path of the recombination loop carries one extra image
     inversion (odd mirror parity), applied before its Dove prism.  Without
     it the two arms reach the recombiner in orthogonal OAM modes, nothing
     interferes, and every detector fires with probability 1/4.
     """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("analyzer settings must be finite")
     m_max = bob.m_max
     qwp_in, qwp_out, hwp_0 = _fixed_plates()
-    grid = apply(qwp_in, bob).as_grid()
+    grid = qwp_in._apply_grid(bob.as_grid(), m_max)
     arm_t = _P_H @ grid
-    arm_r = _P_V @ grid
-
-    arm_r = arm_r[:, ::-1]  # image inversion m -> -m
-    arm_r = apply(
-        dove_pair_op(alpha, m_max), PhotonState(m_max, arm_r.reshape(-1))
-    ).as_grid()
+    arm_r = (_P_V @ grid)[:, ::-1]  # image inversion m -> -m
+    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r, m_max)
 
     # Symmetric 50/50 recombiner, phase i on reflection: ports "plus", "minus".
     s = math.sqrt(0.5)
-    ports = (s * (arm_t + 1j * arm_r), s * (1j * arm_t + arm_r))
-
-    hwp_pair = waveplate_op("hwp", beta).compose(hwp_0)
-    out = []
-    for port_grid in ports:
-        port = PhotonState(m_max, port_grid.reshape(-1))
-        port = apply(qwp_out, port)
-        port = apply(hwp_pair, port)
-        pg = port.as_grid()
-        for ket in (spin_ket("H"), spin_ket("V")):  # detectors +1, -1
-            b = ket.conj() @ pg
-            out.append(float(np.vdot(b, b).real))
-    return tuple(out)
+    ports = np.stack([s * (arm_t + 1j * arm_r), s * (1j * arm_t + arm_r)], axis=-3)
+    ports = qwp_out._apply_grid(ports, m_max)
+    hwp_pair = waveplate_op("hwp", beta[..., None]).compose(hwp_0)  # None: the port axis
+    ports = hwp_pair._apply_grid(ports, m_max)
+    det = _CIRC_TO_LIN @ ports  # rows: detectors H (+1) and V (-1) per port
+    probs = np.einsum("...k,...k->...", det.conj(), det).real
+    return probs.reshape(probs.shape[:-2] + (4,))

@@ -261,6 +261,7 @@ class ElementOp:
 
     ``blocks`` is a 2x2 array over (L, R), stored as (2, 2, 1), or a
     (2, 2, 2*m_max+1) array indexed last by the input charge m + m_max.
+    Leading axes, if any, index settings and broadcast against the grid's.
     Applying the element maps each column m of the (spin, m) grid through
     its block, then moves the L row to m - shift and the R row to m + shift.
     Amplitude above NORM_TOL carried past |m| <= m_max raises
@@ -277,7 +278,7 @@ class ElementOp:
         blocks = _frozen(self.blocks)
         blocks = blocks[..., None] if blocks.ndim == 2 else blocks
         n_oam = 1 if self.m_max is None else oam_dim(self.m_max)
-        if blocks.shape not in ((2, 2, 1), (2, 2, n_oam)):
+        if blocks.shape[-3:] not in ((2, 2, 1), (2, 2, n_oam)):
             raise ValueError(f"blocks {blocks.shape} do not fit m_max={self.m_max}")
         if self.shift and (self.m_max is None or abs(self.shift) > self.m_max):
             raise ValueError(f"m_max={self.m_max} cannot hold a +-{abs(self.shift)} OAM shift")
@@ -303,7 +304,7 @@ class ElementOp:
 
     def is_unitary(self, tol: float = NORM_TOL) -> bool:
         """Every block unitary and no amplitude shifted out of the truncation."""
-        gram = np.einsum("sto,suo->otu", self.blocks.conj(), self.blocks)
+        gram = np.einsum("...sto,...suo->...otu", self.blocks.conj(), self.blocks)
         return self.shift == 0 and bool(np.max(np.abs(gram - np.eye(2))) <= tol)
 
     def compose(self, other: "ElementOp") -> "ElementOp":
@@ -312,7 +313,7 @@ class ElementOp:
             raise ValueError("elements with an OAM shift do not compose")
         if None not in (self.m_max, other.m_max) and self.m_max != other.m_max:
             raise BasisMismatchError("cannot compose elements on different truncations")
-        blocks = np.einsum("sto,tuo->suo", self.blocks, other.blocks)
+        blocks = np.einsum("...sto,...tuo->...suo", self.blocks, other.blocks)
         return ElementOp(blocks, m_max=self.m_max if other.m_max is None else other.m_max)
 
     def _apply_grid(self, grid: np.ndarray, m_max: int) -> np.ndarray:
@@ -320,7 +321,7 @@ class ElementOp:
         name = self.name or "element"
         if self.m_max not in (None, m_max):
             raise BasisMismatchError(f"{name} is built for m_max={self.m_max}, not {m_max}")
-        out = np.einsum("sto,...to->...so", self.blocks, grid)
+        out = np.einsum("...sto,...to->...so", self.blocks, grid)
         k, n_oam = abs(self.shift), grid.shape[-1]
         if k == 0:
             return out
@@ -407,7 +408,7 @@ def apply_bob(op: LinearOp | ElementOp, state: BipartiteState) -> BipartiteState
 
 def apply_alice(op: ElementOp, state: BipartiteState) -> BipartiteState:
     """Apply a constant, unshifted element to Alice's photon, which carries no OAM."""
-    if not isinstance(op, ElementOp) or op.shift or op.blocks.shape[2] != 1:
+    if not isinstance(op, ElementOp) or op.shift or op.blocks.shape != (2, 2, 1):
         raise BasisMismatchError("Alice's photon takes polarization-only elements")
     return BipartiteState(state.m_max, op.blocks[..., 0] @ state.matrix)
 

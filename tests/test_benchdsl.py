@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorbit.benchdsl import (
     SCHEMAS,
@@ -250,3 +253,19 @@ class TestCompile:
         assert result.bob.amplitude("R", -2) == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_benches_conserve_norm(seed):
+    ast = random_bench(np.random.default_rng(seed))
+    two_q = sum(abs(2 * s.params["q"]) for s in ast.stages if s.keyword == "qplate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q-plate without a mode filter
+        result = compile_bench(ast, m_max=max(2, round(two_q))).run()
+    prob = result.herald_probability
+    if prob is not None:
+        assert 0.0 <= prob <= 1.0
+    if result.filter_weight > 0 and (prob is None or prob > 0):
+        final = result.bipartite if result.bob is None else result.bob
+        assert abs(final.norm() - 1.0) <= 1e-12

@@ -215,6 +215,19 @@ class TestRunCommand:
         assert err.startswith("spinorbit: error: herald probability is 0")
         assert len(err.splitlines()) == 1
 
+    def test_bench_without_oam_exits_1(self, tmp_path, capsys):
+        # No q-plate: Bob stays at m = 0, so no analyzer charge can be inferred.
+        bench = tmp_path / "flat.bench"
+        bench.write_text("source spdc\nfilter smf side=bob\nherald basis=H side=alice\n")
+        assert main(["run", str(bench)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "spinorbit: error: cannot infer the analyzer OAM magnitude; pass --analyzer-m\n"
+        )
+        # --analyzer-m still overrides: the analyzer runs and finds no weight at +-1.
+        assert main(["run", str(bench), "--analyzer-m", "1"]) == 3
+        assert "numeric contract violation" in capsys.readouterr().err
+
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
             raise TruncationError("|m|=6 exceeds truncation m_max=4")
@@ -253,6 +266,27 @@ class TestInvalidValues:
         assert err.startswith("spinorbit: error: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--points", "4", "--out"],
+            ["field", "--q", "1", "--out"],
+            ["run"],
+        ],
+    )
+    def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        target = missing / ("in.bench" if argv[0] == "run" else "out.csv")
+        assert main(argv + [str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinorbit: error: ")
+        assert str(target) in err
+        assert len(err.splitlines()) == 1
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeedEnvironment:

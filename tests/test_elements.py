@@ -176,6 +176,17 @@ class TestWavePlates:
         with pytest.raises(ValueError):
             waveplate_op("twp", 0.0)
 
+    @pytest.mark.parametrize("kind", ["qwp", "hwp"])
+    def test_angle_array_stacks_scalar_blocks(self, kind):
+        theta = np.random.default_rng(47).uniform(-7, 7, size=(3, 4))
+        op = waveplate_op(kind, theta)
+        assert op.blocks.shape == (3, 4, 2, 2, 1)
+        for idx in np.ndindex(theta.shape):
+            np.testing.assert_array_equal(
+                op.blocks[idx], waveplate_op(kind, float(theta[idx])).blocks
+            )
+        assert op.is_unitary(1e-12)
+
 
 class TestDovePair:
     def test_rotated_arm_phase_on_twisted_light(self):
@@ -192,6 +203,15 @@ class TestDovePair:
     def test_zero_rotation_is_identity(self):
         op = dove_pair_op(0.0, 2)
         np.testing.assert_allclose(op.matrix, np.eye(10), atol=1e-15)
+
+    @pytest.mark.parametrize("m_max", [1, 4])
+    def test_angle_array_stacks_scalar_blocks(self, m_max):
+        alpha = np.random.default_rng(53).uniform(-7, 7, size=6)
+        op = dove_pair_op(alpha, m_max)
+        assert op.blocks.shape == (6, 2, 2, 2 * m_max + 1)
+        for a, blocks in zip(alpha, op.blocks):
+            np.testing.assert_array_equal(blocks, dove_pair_op(float(a), m_max).blocks)
+        assert op.is_unitary(1e-12)
 
     def test_unitary_and_polarization_preserving(self):
         op = dove_pair_op(0.77, 3)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import (
@@ -351,14 +354,11 @@ class TestInterferometer:
     def test_equivalence_on_angle_grid(self):
         bell = spin_orbit_bell_state()
         grid = np.linspace(-math.pi / 2, math.pi / 2, 16)
-        worst = 0.0
-        for alpha in grid:
-            for beta in grid:
-                detected = interferometer_detect(bell, alpha, beta)
-                shortcut = joint_probabilities(bell, 4 * alpha, 2 * beta)
-                worst = max(
-                    worst, max(abs(d - s) for d, s in zip(detected, shortcut))
-                )
+        alpha, beta = grid[:, None], grid[None, :]
+        detected = interferometer_detect(bell, alpha, beta)
+        shortcut = joint_probabilities(bell, 4 * alpha, 2 * beta)
+        assert detected.shape == (16, 16, 4)
+        worst = np.max(np.abs(detected - shortcut))
         assert worst <= 1e-10
 
     def test_equivalence_for_complex_amplitudes(self):
@@ -377,15 +377,84 @@ class TestInterferometer:
     def test_zero_oam_input_ignores_prism_rotation(self):
         state = tensor("L", 0, m_max=2)
         reference = interferometer_detect(state, 0.0, 0.3)
-        for alpha in np.linspace(-math.pi, math.pi, 17):
-            probs = interferometer_detect(state, alpha, 0.3)
-            np.testing.assert_allclose(probs, reference, atol=1e-12)
+        probs = interferometer_detect(state, np.linspace(-math.pi, math.pi, 17), 0.3)
+        np.testing.assert_allclose(probs, np.broadcast_to(reference, (17, 4)), atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         bell = spin_orbit_bell_state()
         assert sum(interferometer_detect(bell, 0.4, -0.9)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_batched_rows_equal_scalar_calls(self):
+        bell = spin_orbit_bell_state()
+        rng = np.random.default_rng(43)
+        alpha, beta = rng.uniform(-math.pi, math.pi, size=(2, 25))
+        batched = interferometer_detect(bell, alpha, beta)
+        assert batched.shape == (25, 4)
+        for row, a, b in zip(batched, alpha, beta):
+            scalar = interferometer_detect(bell, a, b)
+            assert scalar.shape == (4,)
+            np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-15)
+
+    def test_outer_broadcast_shape(self):
+        bell = spin_orbit_bell_state()
+        alpha = np.linspace(-1.0, 1.0, 5)[:, None]
+        beta = np.linspace(-2.0, 2.0, 3)[None, :]
+        grid = interferometer_detect(bell, alpha, beta)
+        assert grid.shape == (5, 3, 4)
+        for i in range(5):
+            for j in range(3):
+                np.testing.assert_allclose(
+                    grid[i, j], interferometer_detect(bell, alpha[i, 0], beta[0, j]),
+                    rtol=0, atol=1e-15,
+                )
+
+    @pytest.mark.parametrize("bad", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, bad, value):
+        bell = spin_orbit_bell_state()
+        angles = {"alpha": np.array([0.1, 0.2, 0.3]), "beta": np.array([0.4, 0.5, 0.6])}
+        angles[bad][1] = value
+        with pytest.raises(ValueError, match="analyzer settings must be finite"):
+            interferometer_detect(bell, angles["alpha"], angles["beta"])
+
+
+_ANGLE_ARRAYS = hnp.arrays(
+    float, st.integers(1, 8), elements=st.floats(-2 * math.pi, 2 * math.pi)
+)
+
+
+_AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4,
+).filter(lambda c: abs(c[0]) ** 2 + abs(c[3]) ** 2 > 1e-3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m_max=st.integers(2, 6), amps=_AMPLITUDES, alpha=_ANGLE_ARRAYS, beta=_ANGLE_ARRAYS)
+def test_chain_matches_kernel_on_random_states(m_max, amps, alpha, beta):
+    """Random states on spin x {-2, +2} at random settings.
+
+    The chain is a complete measurement on the whole subspace, and equals
+    the kernel on the q-plate output span {|L,-2>, |R,+2>}.  Off that span
+    the two are different measurements: |R,-2> + i|R,+2> gives 1/4 at every
+    detector of the chain but (0, 0, 1/2, 1/2) from the kernel at (0, 0).
+    """
+    alpha, beta = alpha[:, None], beta[None, :]
+    labels = (("L", -2), ("L", 2), ("R", -2), ("R", 2))
+    c = np.array(amps) / np.linalg.norm(amps)
+    full = PhotonState.from_amplitudes(m_max, dict(zip(labels, c)))
+    np.testing.assert_allclose(
+        interferometer_detect(full, alpha, beta).sum(axis=-1), 1.0, rtol=0, atol=1e-12
+    )
+    c = c[[0, 3]] / np.linalg.norm(c[[0, 3]])
+    state = PhotonState.from_amplitudes(m_max, {("L", -2): c[0], ("R", 2): c[1]})
+    detected = interferometer_detect(state, alpha, beta)
+    assert detected.shape == (alpha.size, beta.size, 4)
+    np.testing.assert_allclose(
+        detected, joint_probabilities(state, 4 * alpha, 2 * beta), rtol=0, atol=1e-10
+    )
 
 
 class TestAnalyzerSettings:
