@@ -22,6 +22,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import experiment
 from .elements import (
     QPlateSpec,
@@ -31,7 +33,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import BipartiteState, PhotonState, apply, apply_alice, apply_bob
+from .qstate import NORM_TOL, BipartiteState, PhotonState
 
 _TWO_PI = 2 * math.pi
 
@@ -256,23 +258,32 @@ def parse(text: str) -> BenchAst:
             continue
         stages.append(_parse_stage(tokens, line_no))
 
-    if not stages:
-        raise ParseError(1, 1, "missing-param", "bench has no source stage")
-    if stages[0].keyword != "source":
-        raise ParseError(
-            stages[0].line, 1, "misplaced-stage", "first stage must be the source"
-        )
-    for stage in stages[1:]:
-        if stage.keyword == "source":
-            raise ParseError(
-                stage.line, 1, "misplaced-stage", "only one source stage is allowed"
-            )
-    heralds = [s for s in stages if s.keyword == "herald"]
-    if len(heralds) > 1:
-        raise ParseError(
-            heralds[1].line, 1, "misplaced-stage", "at most one herald stage is allowed"
-        )
+    fault = _order_fault(stages)
+    if fault is not None:
+        line, kind, message = fault
+        raise ParseError(line, 1, kind, message)
     return BenchAst(stages=tuple(stages))
+
+
+def _order_fault(stages) -> tuple[int, str, str] | None:
+    """(line, kind, message) of the first unknown or misplaced stage, else None.
+
+    Exactly one source must come first and at most one herald may follow.
+    """
+    if not stages:
+        return 1, "missing-param", "bench has no source stage"
+    heralds = 0
+    for i, stage in enumerate(stages):
+        heralds += stage.keyword == "herald"
+        if stage.keyword not in SCHEMAS:
+            return stage.line, "unknown-keyword", f"unknown stage {stage.keyword!r}"
+        if i == 0 and stage.keyword != "source":
+            return stage.line, "misplaced-stage", "first stage must be the source"
+        if i > 0 and stage.keyword == "source":
+            return stage.line, "misplaced-stage", "only one source stage is allowed"
+        if heralds > 1:
+            return stage.line, "misplaced-stage", "at most one herald stage is allowed"
+    return None
 
 
 def _fmt_value(value) -> str:
@@ -298,9 +309,17 @@ def serialize(ast: BenchAst) -> str:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of running a bench: the prepared states and bookkeeping."""
+    """Outcome of running a bench: the prepared states and bookkeeping.
 
-    bipartite: BipartiteState | None
+    ``bipartite`` is the two-photon state just before the herald (the final
+    state if the bench has none); ``bob`` is Bob's heralded and further
+    processed photon, None without a herald, as is ``herald_probability``.
+    ``filter_weight`` is the product of the filters' transmitted weights.
+    ``analyzer_m`` is the single nonzero |m| of the final state's OAM
+    support (charges whose largest amplitude exceeds NORM_TOL), else None.
+    """
+
+    bipartite: BipartiteState
     bob: PhotonState | None
     herald_probability: float | None
     filter_weight: float
@@ -309,62 +328,43 @@ class PipelineResult:
 
 @dataclass(frozen=True)
 class BenchPipeline:
-    """A semantically checked bench, ready to execute."""
+    """A bench checked by :func:`compile_bench`, ready to execute; build it there."""
 
     ast: BenchAst
     m_max: int
 
     def run(self) -> PipelineResult:
-        state: BipartiteState | None = None
-        bob: PhotonState | None = None
-        herald_prob: float | None = None
+        """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
+        up to the herald and (Bob spin, m + m_max) after it, through the stages."""
+        grid = experiment.spdc_source(self.m_max).matrix.reshape(2, 2, -1)
+        bipartite = bob = herald_prob = None
         weight = 1.0
-
-        for stage in self.ast.stages:
-            if stage.keyword == "source":
-                state = experiment.spdc_source(self.m_max)
-                continue
+        for stage in self.ast.stages[1:]:
             if stage.keyword == "herald":
-                outcome = experiment.herald(state, stage.params["basis"])
-                bob = outcome.state
-                herald_prob = outcome.probability
+                bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
+                outcome = experiment.herald(bipartite, stage.params["basis"])
+                grid, herald_prob = outcome.state.as_grid(), outcome.probability
                 continue
             op = _stage_op(stage, self.m_max)
-            if bob is not None:
-                bob = apply(op, bob)
-                if stage.keyword == "filter":
-                    w = bob.norm() ** 2
-                    weight *= w
-                    if w > 0:
-                        bob = bob.normalize()
-                continue
             if stage.side == "alice":
-                state = apply_alice(op, state)
+                grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
             else:
-                state = apply_bob(op, state)
+                grid = op._apply_grid(grid, self.m_max)
             if stage.keyword == "filter":
-                w = state.norm() ** 2
-                weight *= w
-                if w > 0:
-                    state = state.normalize()
+                norm = float(np.linalg.norm(grid))
+                weight *= norm**2
+                if 0 < norm < NORM_TOL:
+                    raise ValueError("cannot normalize a zero state")
+                grid = grid / norm if norm else grid
 
-        analyzer_m = None
-        probe = bob if bob is not None else None
-        if probe is None and state is not None:
-            # Bob-side OAM support of the bipartite state.
-            probe = PhotonState(self.m_max, state.matrix.sum(axis=0))
-        if probe is not None and probe.norm() > 0:
-            magnitudes = {abs(m) for m in probe.oam_support()}
-            if len(magnitudes) == 1:
-                only = magnitudes.pop()
-                analyzer_m = only if only > 0 else None
-        return PipelineResult(
-            bipartite=state,
-            bob=bob,
-            herald_probability=herald_prob,
-            filter_weight=weight,
-            analyzer_m=analyzer_m,
-        )
+        peaks = np.abs(grid).reshape(-1, grid.shape[-1]).max(axis=0)
+        magnitudes = {abs(int(m) - self.m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
+        analyzer_m = magnitudes.pop() if len(magnitudes) == 1 else None
+        if herald_prob is None:
+            bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
+        else:
+            bob = PhotonState(self.m_max, grid.reshape(-1))
+        return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
 
 
 def _stage_op(stage: Stage, m_max: int):
@@ -376,9 +376,7 @@ def _stage_op(stage: Stage, m_max: int):
         return waveplate_op(stage.keyword, stage.params["theta"])
     if stage.keyword == "dove":
         return dove_pair_op(stage.params["alpha"], m_max)
-    if stage.keyword == "mirror":
-        return mirror_op(m_max)
-    raise CompileError(stage.line, f"stage {stage.keyword!r} is not an element")
+    return mirror_op(m_max)
 
 
 _SPIN_ONLY = ("qwp", "hwp", "mirror")
@@ -390,12 +388,13 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
     The truncation defaults to the widest single-pass bound over the
     bench's q-plates.
     """
+    fault = _order_fault(ast.stages)
+    if fault is not None:
+        raise CompileError(fault[0], fault[2])
     herald_seen = False
     qplate_bounds = []
     has_filter = False
-    for stage in ast.stages:
-        if stage.keyword == "source":
-            continue
+    for stage in ast.stages[1:]:
         if stage.keyword == "herald":
             if stage.side != "alice":
                 raise CompileError(stage.line, "herald must act on side=alice")

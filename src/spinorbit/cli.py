@@ -34,8 +34,10 @@ from .chsh import (
     RngSeed,
     chsh_combination,
     chsh_monte_carlo,
+    estimate_E,
     nchv_max_S,
     pair_probabilities,
+    sample_counts,
     sweep,
 )
 from .elements import QPlateSpec, orientation_field, symmetry_order
@@ -307,8 +309,6 @@ def cmd_run(args) -> int:
     }
     seed = None
     if args.shots:
-        from .chsh import estimate_E, sample_counts
-
         seed = _rng_seed(args)
         counts = sample_counts(probs, args.shots, seed)
         e_est = estimate_E(counts)

@@ -51,6 +51,7 @@ from .qstate import (
     Projector,
     TruncationError,
     apply_bob,
+    oam_dim,
     project,
     spin_ket,
 )
@@ -127,8 +128,9 @@ def spdc_source(m_max: int = 4) -> BipartiteState:
     """Photon-pair source in (|H>_A |H>_B + |V>_A |V>_B)/sqrt(2), Bob m = 0."""
     h = spin_ket("H")
     v = spin_ket("V")
-    pair = (np.outer(h, h) + np.outer(v, v)) / math.sqrt(2)
-    return BipartiteState.from_spin_pair(pair, m=0, m_max=m_max)
+    amps = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)  # (Alice, Bob spin, m)
+    amps[:, :, m_max] = (np.outer(h, h) + np.outer(v, v)) / math.sqrt(2)
+    return BipartiteState(m_max, amps.reshape(2, -1))
 
 
 def prepare_hybrid(

@@ -153,12 +153,6 @@ class PhotonState:
             if abs(a) > tol:
                 yield label, complex(a)
 
-    def oam_support(self, tol: float = NORM_TOL) -> set[int]:
-        """OAM charges carrying more than tol amplitude."""
-        grid = self.vector.reshape(2, oam_dim(self.m_max))
-        weights = np.abs(grid).max(axis=0)
-        return {int(m) - self.m_max for m in np.nonzero(weights > tol)[0]}
-
     def as_grid(self) -> np.ndarray:
         """View as a (2, 2*m_max+1) array indexed by (spin, m + m_max)."""
         return self.vector.reshape(2, oam_dim(self.m_max))
@@ -190,20 +184,6 @@ class BipartiteState:
             mat[SPIN_LABELS.index(a_spin), basis_index(b_spin, m, m_max)] = a
         return cls(m_max, mat)
 
-    @classmethod
-    def from_spin_pair(
-        cls, pair: np.ndarray, m: int, m_max: int
-    ) -> "BipartiteState":
-        """Attach a definite Bob OAM charge to a 2x2 two-spin amplitude table."""
-        pair = np.asarray(pair, dtype=complex)
-        if pair.shape != (2, 2):
-            raise ValueError("spin pair must be a 2x2 amplitude table")
-        mat = np.zeros((2, state_dim(m_max)), dtype=complex)
-        col = m + m_max
-        mat[:, col] = pair[:, 0]
-        mat[:, oam_dim(m_max) + col] = pair[:, 1]
-        return cls(m_max, mat)
-
     def amplitude(self, alice_spin: str, bob_spin: str, m: int) -> complex:
         return complex(
             self.matrix[
@@ -213,12 +193,6 @@ class BipartiteState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
-
-    def normalize(self) -> "BipartiteState":
-        n = self.norm()
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize a zero state")
-        return BipartiteState(self.m_max, self.matrix / n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,6 +190,32 @@ class TestCompile:
         assert result.analyzer_m == 2
         assert result.filter_weight == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("basis", ["H", "V", "L", "R"])
+    def test_herald_basis_matches_direct_construction(self, basis):
+        text = FIG2.replace("basis=H", f"basis={basis}")
+        result = compile_bench(parse(text)).run()
+        direct = herald(prepare_hybrid(), basis)
+        assert result.herald_probability == pytest.approx(
+            direct.probability, abs=1e-12
+        )
+        np.testing.assert_allclose(result.bob.vector, direct.state.vector, atol=1e-12)
+
+    def test_bipartite_is_the_pre_herald_state(self):
+        result = compile_bench(parse(FIG2)).run()
+        np.testing.assert_allclose(
+            result.bipartite.matrix, prepare_hybrid().matrix, atol=1e-12
+        )
+
+    def test_bench_without_herald(self):
+        text = "source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n"
+        result = compile_bench(parse(text)).run()
+        assert result.bob is None
+        assert result.herald_probability is None
+        assert result.analyzer_m == 2
+        np.testing.assert_allclose(
+            result.bipartite.matrix, prepare_hybrid().matrix, atol=1e-12
+        )
+
     def test_wider_charge_bench(self):
         text = "source spdc\nfilter smf side=bob\nqplate q=2 side=bob\nherald basis=H\n"
         result = compile_bench(parse(text)).run()
@@ -245,6 +271,39 @@ class TestCompile:
         for chi_a, chi_b in [(0.3, -1.1), (math.pi / 2, math.pi / 4)]:
             e = expectation(result.bob, chi_a, chi_b, m=result.analyzer_m)
             assert e == pytest.approx(math.sin(chi_a + chi_b), abs=1e-12)
+
+    def test_filter_of_roundoff_is_not_renormalized(self):
+        # The two q-plate paths into m = 0 cancel up to roundoff after the herald.
+        text = (
+            "source spdc\nqplate q=0.5 side=bob\nqwp theta=22.5deg side=bob\n"
+            "herald basis=V\nqwp theta=22.5deg side=bob\nqplate q=0.5 side=bob\n"
+            "filter smf side=bob\n"
+        )
+        try:
+            result = compile_bench(parse(text)).run()
+        except ValueError as err:
+            assert "zero state" in str(err)
+        else:
+            assert result.filter_weight == 0.0
+
+    @pytest.mark.parametrize(
+        "stages,line",
+        [
+            ((), 1),
+            ((make_stage("qwp", line=1, theta=0.5), make_stage("herald", line=2)), 1),
+            ((make_stage("qwp", line=1, theta=0.5), make_stage("source", line=2)), 1),
+            ((make_stage("source", line=1), make_stage("source", line=2)), 2),
+            ((make_stage("source", line=1), make_stage("herald", line=2),
+              make_stage("herald", line=3)), 3),
+            ((make_stage("source", line=1), Stage("laser", {}, "bob", 2)), 2),
+        ],
+        ids=["empty", "missing-source", "misplaced-source", "repeated-source",
+             "repeated-herald", "unknown-keyword"],
+    )
+    def test_hand_built_ast_rejected_at_compile(self, stages, line):
+        with pytest.raises(CompileError) as err:
+            compile_bench(BenchAst(stages))
+        assert err.value.line == line
 
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"

@@ -228,6 +228,13 @@ class TestRunCommand:
         assert main(["run", str(bench), "--analyzer-m", "1"]) == 3
         assert "numeric contract violation" in capsys.readouterr().err
 
+    def test_bench_without_herald_exits_2(self, tmp_path, capsys):
+        bench = tmp_path / "open.bench"
+        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n")
+        assert main(["run", str(bench)]) == 2
+        err = capsys.readouterr().err
+        assert err == "bench has no herald stage; nothing to analyze\n"
+
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
             raise TruncationError("|m|=6 exceeds truncation m_max=4")
