@@ -13,6 +13,8 @@ canonical heralded-preparation bench reads::
 Exactly one ``source`` stage must come first and at most one ``herald``
 is allowed.  Parsing resolves defaults, so :func:`serialize` followed by
 :func:`parse` reproduces the AST structurally; comments are not preserved.
+:func:`compile_bench` builds each element once; Alice takes only spin-only
+elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, PhotonState
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState
 
 _TWO_PI = 2 * math.pi
 
@@ -328,34 +330,33 @@ class PipelineResult:
 
 @dataclass(frozen=True)
 class BenchPipeline:
-    """A bench checked by :func:`compile_bench`, ready to execute; build it there."""
+    """Each stage after the source with the element :func:`compile_bench`
+    built for it once at ``m_max`` (None for the herald); :meth:`run` applies them."""
 
-    ast: BenchAst
+    steps: tuple[tuple[Stage, ElementOp | None], ...]
     m_max: int
 
     def run(self) -> PipelineResult:
         """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
-        up to the herald and (Bob spin, m + m_max) after it, through the stages."""
+        up to the herald and (Bob spin, m + m_max) after it, through the steps.
+        A filter output of norm below NORM_TOL has weight 0, as a herald's has."""
         grid = experiment.spdc_source(self.m_max).matrix.reshape(2, 2, -1)
         bipartite = bob = herald_prob = None
         weight = 1.0
-        for stage in self.ast.stages[1:]:
-            if stage.keyword == "herald":
+        for stage, op in self.steps:
+            if op is None:
                 bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
                 outcome = experiment.herald(bipartite, stage.params["basis"])
                 grid, herald_prob = outcome.state.as_grid(), outcome.probability
                 continue
-            op = _stage_op(stage, self.m_max)
             if stage.side == "alice":
                 grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
             else:
                 grid = op._apply_grid(grid, self.m_max)
             if stage.keyword == "filter":
                 norm = float(np.linalg.norm(grid))
-                weight *= norm**2
-                if 0 < norm < NORM_TOL:
-                    raise ValueError("cannot normalize a zero state")
-                grid = grid / norm if norm else grid
+                weight *= norm**2 if norm >= NORM_TOL else 0.0
+                grid = grid / norm if norm >= NORM_TOL else np.zeros_like(grid)
 
         peaks = np.abs(grid).reshape(-1, grid.shape[-1]).max(axis=0)
         magnitudes = {abs(int(m) - self.m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
@@ -367,7 +368,7 @@ class BenchPipeline:
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
 
 
-def _stage_op(stage: Stage, m_max: int):
+def _stage_op(stage: Stage, m_max: int) -> ElementOp:
     if stage.keyword == "filter":
         return smf_filter_op(m_max)
     if stage.keyword == "qplate":
@@ -379,52 +380,47 @@ def _stage_op(stage: Stage, m_max: int):
     return mirror_op(m_max)
 
 
-_SPIN_ONLY = ("qwp", "hwp", "mirror")
-
-
 def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
-    """Check stage semantics and fix the truncation; raises CompileError.
+    """Check stage semantics, fix the truncation and build each element once.
 
     The truncation defaults to the widest single-pass bound over the
-    bench's q-plates.
+    bench's q-plates.  A misplaced stage raises CompileError; an element
+    that cannot be built at the truncation raises its ValueError.
     """
     fault = _order_fault(ast.stages)
     if fault is not None:
         raise CompileError(fault[0], fault[2])
-    herald_seen = False
-    qplate_bounds = []
-    has_filter = False
+    bounds = [experiment.default_m_max(stage.params["q"])
+              for stage in ast.stages if stage.keyword == "qplate"]
+    if m_max is None:
+        m_max = max(bounds, default=2)
+    steps = []
     for stage in ast.stages[1:]:
         if stage.keyword == "herald":
             if stage.side != "alice":
                 raise CompileError(stage.line, "herald must act on side=alice")
-            herald_seen = True
+            steps.append((stage, None))
             continue
         if stage.side == "both":
             raise CompileError(
                 stage.line, f"element stage {stage.keyword!r} needs side=alice or side=bob"
             )
-        if herald_seen and stage.side != "bob":
+        if stage.side == "alice" and any(op is None for _, op in steps):
             raise CompileError(
                 stage.line, "stages after the herald act on Bob's photon only"
             )
-        if stage.side == "alice" and stage.keyword not in _SPIN_ONLY:
+        op = _stage_op(stage, m_max)
+        if stage.side == "alice" and not op.spin_only:
             raise CompileError(
                 stage.line,
                 f"{stage.keyword!r} involves OAM and cannot act on Alice's photon",
             )
-        if stage.keyword == "filter":
-            has_filter = True
-        if stage.keyword == "qplate":
-            spec = QPlateSpec(stage.params["q"], stage.params["alpha0"])
-            qplate_bounds.append(experiment.default_m_max(spec.q))
+        steps.append((stage, op))
 
-    if qplate_bounds and not has_filter:
+    if bounds and not any(stage.keyword == "filter" for stage, _ in steps):
         warnings.warn(
             "bench has a q-plate but no mode filter; an ideal source carries "
             "no OAM, so the output is unchanged",
             stacklevel=2,
         )
-    if m_max is None:
-        m_max = max(qplate_bounds, default=2)
-    return BenchPipeline(ast=ast, m_max=m_max)
+    return BenchPipeline(tuple(steps), m_max)

@@ -35,14 +35,6 @@ GENERATOR_ID = (
     "SeedSequence(entropy=seed, spawn_key=(stream, row)); one generator per sampled row"
 )
 
-#: The four (chi_A, chi_B) pairs at which |E| = sqrt(2)/2 and S peaks at 2*sqrt(2).
-CIRCLE_SETTINGS: tuple[tuple[float, float], ...] = (
-    (math.pi / 2, math.pi / 4),
-    (math.pi / 2, -math.pi / 4),
-    (-math.pi, math.pi / 4),
-    (-math.pi, -math.pi / 4),
-)
-
 
 @dataclass(frozen=True)
 class ChshSettings:
@@ -70,6 +62,9 @@ class ChshSettings:
 
 #: Settings at which the heralded state's sine-law correlations reach 2*sqrt(2).
 TSIRELSON_SETTINGS = ChshSettings(math.pi / 2, -math.pi, math.pi / 4, -math.pi / 4)
+
+#: The four (chi_A, chi_B) pairs at which |E| = sqrt(2)/2 and S peaks at 2*sqrt(2).
+CIRCLE_SETTINGS = TSIRELSON_SETTINGS.pairs()
 
 
 @dataclass(frozen=True)

@@ -143,13 +143,7 @@ def _angle_args(parser, names_defaults):
 
 def cmd_chsh(args) -> int:
     settings = ChshSettings(args.chi_a, args.chi_a_prime, args.chi_b, args.chi_b_prime)
-    params = {
-        "chi_a": settings.chi_a,
-        "chi_a_prime": settings.chi_a_prime,
-        "chi_b": settings.chi_b,
-        "chi_b_prime": settings.chi_b_prime,
-        "mode": args.mode,
-    }
+    params = {**vars(settings), "mode": args.mode}
     lines = []
     if args.mode == "exact":
         e_values = correlation(pair_probabilities(settings)).tolist()
@@ -158,7 +152,8 @@ def cmd_chsh(args) -> int:
         seed = None
     else:
         if args.shots is None:
-            raise SystemExit("montecarlo mode requires --shots")
+            print("spinorbit: error: montecarlo mode requires --shots", file=sys.stderr)
+            raise SystemExit(1)
         seed = _rng_seed(args)
         params.update({"shots": args.shots})
         result = chsh_monte_carlo(settings, args.shots, seed)
@@ -231,18 +226,12 @@ def cmd_nchv(args) -> int:
         f"quantum S at these settings   = {_fmt(quantum)}",
         f"gap                           = {_fmt(gap)}",
     ]
-    params = {
-        "chi_a": settings.chi_a,
-        "chi_a_prime": settings.chi_a_prime,
-        "chi_b": settings.chi_b,
-        "chi_b_prime": settings.chi_b_prime,
-    }
     payload = {
         "classical_max": result.max_s,
         "quantum_s": quantum,
         "gap": gap,
         "assignment": result.argmax,
-        "manifest": _manifest("nchv", params, None),
+        "manifest": _manifest("nchv", dict(vars(settings)), None),
     }
     _emit(args, payload, lines)
     return 0

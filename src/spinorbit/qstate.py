@@ -268,6 +268,11 @@ class ElementOp:
         return len(self.basis)
 
     @property
+    def spin_only(self) -> bool:
+        """Acts on polarization alone: one 2x2 block for every charge, no shift."""
+        return self.shift == 0 and self.blocks.shape == (2, 2, 1)
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense matrix over :attr:`basis`, built on demand for inspection."""
         n_oam = self.dim // 2
@@ -381,8 +386,8 @@ def apply_bob(op: LinearOp | ElementOp, state: BipartiteState) -> BipartiteState
 
 
 def apply_alice(op: ElementOp, state: BipartiteState) -> BipartiteState:
-    """Apply a constant, unshifted element to Alice's photon, which carries no OAM."""
-    if not isinstance(op, ElementOp) or op.shift or op.blocks.shape != (2, 2, 1):
+    """Apply a polarization-only element to Alice's photon, which carries no OAM."""
+    if not isinstance(op, ElementOp) or not op.spin_only:
         raise BasisMismatchError("Alice's photon takes polarization-only elements")
     return BipartiteState(state.m_max, op.blocks[..., 0] @ state.matrix)
 

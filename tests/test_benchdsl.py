@@ -287,6 +287,49 @@ class TestCompile:
             assert result.filter_weight == 0.0
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            # The bench of the roundoff test above: only roundoff reaches m = 0.
+            "source spdc\nqplate q=0.5 side=bob\nqwp theta=22.5deg side=bob\n"
+            "herald basis=V\nqwp theta=22.5deg side=bob\nqplate q=0.5 side=bob\n"
+            "filter smf side=bob\n",
+            "source spdc\nqplate q=1 side=bob\nfilter smf side=bob\nherald basis=H\n",
+        ],
+        ids=["roundoff", "exact-zero"],
+    )
+    def test_filter_without_weight_gives_zero(self, text):
+        result = compile_bench(parse(text)).run()
+        assert result.filter_weight == 0.0
+        assert not result.bob.vector.any()
+        assert result.analyzer_m is None
+
+    def test_steps_are_the_elements_after_the_source(self):
+        pipeline = compile_bench(parse(FIG2))
+        assert pipeline.m_max == 4
+        assert [stage.keyword for stage, _ in pipeline.steps] == ["filter", "qplate", "herald"]
+        filt, plate, herald_op = (op for _, op in pipeline.steps)
+        assert herald_op is None
+        assert filt.name == "smf" and plate.shift == 2 and plate.m_max == 4
+
+    def test_element_that_cannot_be_built_fails_at_compile(self):
+        # A q = 1 plate shifts by 2, which m_max = 1 cannot hold.
+        with pytest.raises(ValueError, match="cannot hold"):
+            compile_bench(parse(FIG2), m_max=1)
+
+    @pytest.mark.parametrize("keyword", ["filter smf", "dove alpha=0.4"])
+    def test_oam_elements_act_on_alice_at_m_max_0(self, keyword):
+        # At m_max = 0 these are spin-only: the identity on Alice's m = 0 photon.
+        text = f"source spdc\n{keyword} side=alice\nherald\n"
+        result = compile_bench(parse(text), m_max=0).run()
+        assert result.herald_probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_q_is_checked_before_stage_sides(self):
+        # The truncation is fixed from every q before any stage is checked.
+        text = "source spdc\nmirror side=both\nqplate q=0.3\n"
+        with pytest.raises(ValueError, match="2q must be an integer"):
+            compile_bench(parse(text))
+
+    @pytest.mark.parametrize(
         "stages,line",
         [
             ((), 1),

@@ -69,6 +69,14 @@ class TestChshCommand:
         with pytest.raises(SystemExit):
             main(["chsh", "--mode", "montecarlo"])
 
+    def test_montecarlo_without_shots_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chsh", "--mode", "montecarlo"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "spinorbit: error: montecarlo mode requires --shots\n"
+        )
+
 
 class TestSweepCommand:
     def test_csv_columns_and_values(self, tmp_path, capsys):
@@ -213,6 +221,19 @@ class TestRunCommand:
         assert main(["run", str(bench)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("spinorbit: error: herald probability is 0")
+        assert len(err.splitlines()) == 1
+
+    def test_roundoff_filter_bench_exits_1(self, tmp_path, capsys):
+        # Only roundoff reaches the filter's m = 0 mode, so it transmits weight 0.
+        bench = tmp_path / "roundoff.bench"
+        bench.write_text(
+            "source spdc\nqplate q=0.5 side=bob\nqwp theta=22.5deg side=bob\n"
+            "herald basis=V\nqwp theta=22.5deg side=bob\nqplate q=0.5 side=bob\n"
+            "filter smf side=bob\n"
+        )
+        assert main(["run", str(bench)]) == 1
+        err = capsys.readouterr().err
+        assert "herald probability is 0" in err
         assert len(err.splitlines()) == 1
 
     def test_bench_without_oam_exits_1(self, tmp_path, capsys):

@@ -19,15 +19,18 @@ from spinorbit.elements import (
     waveplate_op,
 )
 from spinorbit.qstate import (
+    BasisMismatchError,
     BipartiteState,
     PhotonState,
     TruncationError,
     apply,
+    apply_alice,
     apply_bob,
     basis_change_circular_linear,
     basis_labels,
     inner,
     spin_ket,
+    spin_op,
     states_equal_up_to_phase,
     tensor,
 )
@@ -304,6 +307,35 @@ class TestSymmetry:
 def test_mirror_is_identity():
     op = mirror_op(2)
     np.testing.assert_allclose(op.matrix, np.eye(10), atol=1e-15)
+
+
+class TestSpinOnly:
+    @pytest.mark.parametrize(
+        "op",
+        [mirror_op(2), spin_op(np.eye(2)), waveplate_op("qwp", 0.3), waveplate_op("hwp", 0.3),
+         smf_filter_op(0), dove_pair_op(0.3, 0)],
+        ids=["mirror", "spin_op", "qwp", "hwp", "smf-m0", "dove-m0"],
+    )
+    def test_polarization_elements_are_spin_only(self, op):
+        assert op.spin_only
+        state = BipartiteState.from_amplitudes(2, {("L", "L", 0): 1.0})
+        np.testing.assert_array_equal(
+            apply_alice(op, state).matrix, op.blocks[..., 0] @ state.matrix
+        )
+
+    @pytest.mark.parametrize(
+        "op",
+        [waveplate_op("qwp", np.array([0.1, 0.2])), waveplate_op("hwp", np.array([0.1])),
+         qplate_op(QPlateSpec(1), 4), qplate_op(QPlateSpec(0.5), 1),
+         smf_filter_op(1), smf_filter_op(2), dove_pair_op(0.3, 1), dove_pair_op(0.3, 2)],
+        ids=["qwp-array", "hwp-array", "qplate-q1", "qplate-q0.5", "smf-m1", "smf-m2",
+             "dove-m1", "dove-m2"],
+    )
+    def test_oam_or_batched_elements_are_not(self, op):
+        assert not op.spin_only
+        state = BipartiteState.from_amplitudes(2, {("L", "L", 0): 1.0})
+        with pytest.raises(BasisMismatchError):
+            apply_alice(op, state)
 
 
 # Projectors onto |H> and |V> over (L, R), from the kets in the qstate docstring.
