@@ -331,10 +331,15 @@ class PipelineResult:
 @dataclass(frozen=True)
 class BenchPipeline:
     """Each stage after the source with the element :func:`compile_bench`
-    built for it once at ``m_max`` (None for the herald); :meth:`run` applies them."""
+    built for it once at ``m_max`` (None for the herald); :meth:`run` applies them.
+    Steps built by hand meet the same per-step checks (:func:`_check_step`)."""
 
     steps: tuple[tuple[Stage, ElementOp | None], ...]
     m_max: int
+
+    def __post_init__(self):
+        for stage, op in self.steps:
+            _check_step(stage, op, self.m_max)
 
     def run(self) -> PipelineResult:
         """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
@@ -366,6 +371,21 @@ class BenchPipeline:
         else:
             bob = PhotonState(self.m_max, grid.reshape(-1))
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
+
+
+def _check_step(stage: Stage, op: ElementOp | None, m_max: int) -> None:
+    """Reject a step :meth:`BenchPipeline.run` would misapply: a herald with an
+    element or an element stage without one, an Alice element that involves
+    OAM, or per-charge blocks of another truncation."""
+    if (op is None) != (stage.keyword == "herald"):
+        fault = "step has an element" if op is not None else "step has no element"
+    elif op is not None and stage.side == "alice" and not op.spin_only:
+        fault = "involves OAM and cannot act on Alice's photon"
+    elif op is not None and op.blocks.shape[-1] not in (1, 2 * m_max + 1):
+        fault = f"blocks {op.blocks.shape} do not fit m_max={m_max}"
+    else:
+        return
+    raise CompileError(stage.line, f"{stage.keyword!r} {fault}")
 
 
 def _stage_op(stage: Stage, m_max: int) -> ElementOp:
@@ -410,11 +430,7 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
                 stage.line, "stages after the herald act on Bob's photon only"
             )
         op = _stage_op(stage, m_max)
-        if stage.side == "alice" and not op.spin_only:
-            raise CompileError(
-                stage.line,
-                f"{stage.keyword!r} involves OAM and cannot act on Alice's photon",
-            )
+        _check_step(stage, op, m_max)
         steps.append((stage, op))
 
     if bounds and not any(stage.keyword == "filter" for stage, _ in steps):

@@ -15,13 +15,17 @@ probabilities, reproducible bit for bit from an explicit (seed, stream)
 pair.  A sampled block of rows draws row k from its own generator on the
 (stream, first_row + k) lane, so distinct streams never share a draw and
 any one row can be reproduced on its own; the generator identity is
-recorded in :data:`GENERATOR_ID`.
+recorded in :data:`GENERATOR_ID`.  The lanes' PCG64 seed words come from
+one vectorised port of NumPy's SeedSequence hash (after M. O'Neill's
+``seed_seq_fe``) over the whole block; the words, and so every count, are
+the ones ``SeedSequence`` itself gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -107,7 +111,11 @@ class RngSeed:
             raise ValueError("stream index must be non-negative")
 
     def generator(self, *lanes: int) -> np.random.Generator:
-        """PCG64 on spawn_key (stream, *lanes); the same stream as ``default_rng``."""
+        """PCG64 on spawn_key (stream, *lanes); the same stream as ``default_rng``.
+
+        The one-lane reference: a sampled block seeds its rows from the same
+        words, computed for every row at once (see :func:`_lane_states`).
+        """
         ss = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream, *lanes)
         )
@@ -180,14 +188,116 @@ def estimate_E(counts: CountRecord) -> float:
     return correlation(counts.as_tuple()) / total
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator, pool size 4).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits an int: little-endian 32-bit words, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: list) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` per column, (n, 4) uint64.
+
+    ``entropy`` is SeedSequence's assembled entropy, at least the four pool
+    words long; each word is an int or an (n,) uint32 array of one word per
+    column.  The hash constants follow a fixed schedule, so they stay ints.
+    """
+    entropy = [np.asarray(word, dtype=np.uint32).reshape(-1) for word in entropy]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+
+
+def _lane_states(seed: RngSeed, first_lane: int | None, n: int) -> np.ndarray:
+    """PCG64 seed words of lanes first_lane .. first_lane + n - 1, (n, 4) uint64.
+
+    Row k is ``SeedSequence(seed.seed, spawn_key=(seed.stream, first_lane + k))
+    .generate_state(4, np.uint64)``; without ``first_lane`` it is one row, for
+    the spawn key (seed.stream,).  The seed is zero-padded to four words and
+    each spawn entry is split into words, as SeedSequence assembles its
+    entropy.  Lanes are hashed in groups split at multiples of 2**32, so all
+    lanes of a group share every word but the lowest, and their word count.
+    """
+    seed_words = _uint32_words(seed.seed)
+    key = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(seed.stream)
+    if first_lane is None:
+        return _seed_sequence_state(key)
+    groups = []
+    lane, end = first_lane, first_lane + n
+    while lane < end:
+        high, low = lane >> 32, lane & _MASK32
+        stop = min(end, (high + 1) << 32)
+        low_words = np.arange(low, low + stop - lane, dtype=np.uint32)
+        high_words = _uint32_words(high) if high else []
+        groups.append(_seed_sequence_state([*key, low_words, *high_words]))
+        lane = stop
+    return np.concatenate(groups)
+
+
+@cache
+def _lane_seed_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 one lane's precomputed words.
+
+    Made on first use, because numpy.random is imported lazily and commands
+    that never sample should not load it.
+    """
+
+    class LaneSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return LaneSeed
+
+
 def _sample_rows(
     probs, shots: int, seed: RngSeed, first_lane: int | None = None
 ) -> np.ndarray:
     """Multinomial draws of ``shots`` per row of an (n, 4) block, int64 (n, 4).
 
-    Row k draws from ``seed.generator(first_lane + k)``, so each row can be
-    reproduced on its own.  Without ``first_lane`` the block must be one
-    row, drawn from ``seed.generator()``.  The block is checked once:
+    Row k is the draw ``seed.generator(first_lane + k)`` makes, so each row
+    can be reproduced on its own.  Without ``first_lane`` the block must be
+    one row, the draw ``seed.generator()`` makes.  Each row's PCG64 is seeded
+    from the same words, which one vectorised SeedSequence hash computes for
+    the whole block (:func:`_lane_states`).  The block is checked once:
     entries >= -1e-12, each row summing to 1 within 1e-9, shots >= 1.
     """
     p = np.asarray(probs, dtype=float)
@@ -201,12 +311,14 @@ def _sample_rows(
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    lanes = [()] if first_lane is None else [(first_lane + k,) for k in range(len(p))]
+    states = _lane_states(seed, first_lane, len(p))
+    lane_seed = _lane_seed_type()
     p = np.clip(p, 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
     out = np.empty(p.shape, dtype=np.int64)
-    for k, (lane, row) in enumerate(zip(lanes, p, strict=True)):
-        out[k] = seed.generator(*lane).multinomial(shots, row)
+    for k, (words, row) in enumerate(zip(states, p, strict=True)):
+        bits = np.random.PCG64(lane_seed(words))
+        out[k] = np.random.Generator(bits).multinomial(shots, row)
     return out
 
 

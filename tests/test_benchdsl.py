@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinorbit.benchdsl import (
     SCHEMAS,
     BenchAst,
+    BenchPipeline,
     CompileError,
     ParseError,
     Stage,
@@ -17,6 +18,7 @@ from spinorbit.benchdsl import (
     reduce_angle,
     serialize,
 )
+from spinorbit.elements import QPlateSpec, qplate_op, smf_filter_op, waveplate_op
 from spinorbit.experiment import expectation, herald, prepare_hybrid
 from spinorbit.qstate import states_equal_up_to_phase
 
@@ -347,6 +349,29 @@ class TestCompile:
         with pytest.raises(CompileError) as err:
             compile_bench(BenchAst(stages))
         assert err.value.line == line
+
+    def test_hand_built_alice_qplate_rejected(self):
+        # run() would contract the q-plate through its charge-0 block alone,
+        # drop its +-2 shift and report herald probability 0.5.
+        plate = make_stage("qplate", side="alice", line=2, q=1.0)
+        steps = ((plate, qplate_op(QPlateSpec(1), 4)), (make_stage("herald", line=3), None))
+        with pytest.raises(CompileError, match="cannot act on Alice") as err:
+            BenchPipeline(steps, 4)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            (make_stage("qwp", side="bob", line=2, theta=0.5), None),
+            (make_stage("herald", line=2), waveplate_op("qwp", 0.5)),
+            (make_stage("filter", side="bob", line=2), smf_filter_op(2)),
+        ],
+        ids=["element-missing", "herald-with-element", "wrong-truncation"],
+    )
+    def test_hand_built_steps_rejected(self, step):
+        with pytest.raises(CompileError) as err:
+            BenchPipeline((step,), 4)
+        assert err.value.line == 2
 
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"

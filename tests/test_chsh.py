@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinorbit.chsh import (
     CIRCLE_SETTINGS,
@@ -17,6 +19,7 @@ from spinorbit.chsh import (
     estimate_E,
     nchv_max_S,
     pair_probabilities,
+    _lane_states,
     _sample_rows,
     sample_counts,
     sweep,
@@ -177,6 +180,40 @@ class TestSampleRows:
     def test_several_rows_need_a_first_lane(self):
         with pytest.raises(ValueError):
             _sample_rows([[0.25] * 4] * 2, 10, RngSeed(0))
+
+
+def seed_sequence_words(seed, stream, first_lane, n):
+    lanes = [()] if first_lane is None else [(first_lane + k,) for k in range(n)]
+    return np.array([
+        np.random.SeedSequence(seed, spawn_key=(stream, *lane)).generate_state(4, np.uint64)
+        for lane in lanes
+    ])
+
+
+class TestLaneStates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**40),
+        first_lane=st.none() | st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32 + 4),
+        n=st.integers(1, 6),
+    )
+    @example(seed=2**64 - 1, stream=2**70, first_lane=2**64 - 2, n=4)  # three-word entries
+    def test_matches_seed_sequence(self, seed, stream, first_lane, n):
+        states = _lane_states(RngSeed(seed, stream), first_lane, n)
+        assert states.dtype == np.uint64
+        np.testing.assert_array_equal(states, seed_sequence_words(seed, stream, first_lane, n))
+
+    def test_sweep_rows_across_the_32_bit_word_boundary(self):
+        # Rows 2**32 - 2 and 2**32 - 1 have one-word lanes, the next two have
+        # two-word lanes; the stream is a two-word entry as well.
+        seed = RngSeed(41, stream=2**33)
+        grid = [0.3, -0.4, 1.1, 2.5]
+        rows = sweep(math.pi / 4, grid, shots=1000, seed=seed, first_row=2**32 - 2)
+        for k, row in enumerate(rows):
+            p = np.array(row.probabilities)
+            want = seed.generator(2**32 - 2 + k).multinomial(1000, p / p.sum())
+            assert row.counts.as_tuple() == tuple(want.tolist())
 
 
 class TestNchvBound:
