@@ -24,7 +24,6 @@ the ones ``SeedSequence`` itself gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Callable, Sequence
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .experiment import correlation, joint_probabilities, spin_orbit_bell_state
-from .qstate import PhotonState
+from .qstate import PhotonState, _Record
 
 GENERATOR_ID = (
     "numpy.random.Generator(PCG64), seeded via "
@@ -40,19 +39,19 @@ GENERATOR_ID = (
 )
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(_Record):
     """The four analyzer phases entering S."""
 
-    chi_a: float
-    chi_a_prime: float
-    chi_b: float
-    chi_b_prime: float
+    __slots__ = ("chi_a", "chi_a_prime", "chi_b", "chi_b_prime")
 
-    def __post_init__(self):
-        for v in (self.chi_a, self.chi_a_prime, self.chi_b, self.chi_b_prime):
+    def __init__(self, chi_a: float, chi_a_prime: float, chi_b: float, chi_b_prime: float):
+        for v in (chi_a, chi_a_prime, chi_b, chi_b_prime):
             if not math.isfinite(v):
                 raise ValueError("all CHSH settings must be finite")
+        object.__setattr__(self, "chi_a", chi_a)
+        object.__setattr__(self, "chi_a_prime", chi_a_prime)
+        object.__setattr__(self, "chi_b", chi_b)
+        object.__setattr__(self, "chi_b_prime", chi_b_prime)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in S order: (a,b), (a,b'), (a',b), (a',b')."""
@@ -71,19 +70,18 @@ TSIRELSON_SETTINGS = ChshSettings(math.pi / 2, -math.pi, math.pi / 4, -math.pi /
 CIRCLE_SETTINGS = TSIRELSON_SETTINGS.pairs()
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(_Record):
     """Coincidence counts for the four detector-port pairs."""
 
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
+    __slots__ = ("n_pp", "n_pm", "n_mp", "n_mm")
 
-    def __post_init__(self):
-        for n in self.as_tuple():
-            if n < 0:
-                raise ValueError("counts must be non-negative")
+    def __init__(self, n_pp: int, n_pm: int, n_mp: int, n_mm: int):
+        if n_pp < 0 or n_pm < 0 or n_mp < 0 or n_mm < 0:
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "n_pp", n_pp)
+        object.__setattr__(self, "n_pm", n_pm)
+        object.__setattr__(self, "n_mp", n_mp)
+        object.__setattr__(self, "n_mm", n_mm)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
@@ -93,22 +91,22 @@ class CountRecord:
         return sum(self.as_tuple())
 
 
-@dataclass(frozen=True)
-class RngSeed:
+class RngSeed(_Record):
     """Seed plus stream index for reproducible, parallel-safe sampling.
 
     Identical (seed, stream) values reproduce identical draws bit for bit;
     distinct streams are statistically independent.
     """
 
-    seed: int
-    stream: int = 0
+    __slots__ = ("seed", "stream")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+    def __init__(self, seed: int, stream: int = 0):
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.stream < 0:
+        if stream < 0:
             raise ValueError("stream index must be non-negative")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
 
     def generator(self, *lanes: int) -> np.random.Generator:
         """PCG64 on spawn_key (stream, *lanes); the same stream as ``default_rng``.
@@ -122,36 +120,47 @@ class RngSeed:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One grid point of a phase sweep: exact probabilities plus sampled counts."""
 
-    chi_a: float
-    chi_b: float
-    probabilities: tuple[float, float, float, float]
-    counts: CountRecord | None
-    e_exact: float
-    e_estimated: float | None
-    is_circle: bool
+    __slots__ = ("chi_a", "chi_b", "probabilities", "counts", "e_exact", "e_estimated",
+                 "is_circle")
+
+    def __init__(self, chi_a: float, chi_b: float,
+                 probabilities: tuple[float, float, float, float], counts: CountRecord | None,
+                 e_exact: float, e_estimated: float | None, is_circle: bool):
+        object.__setattr__(self, "chi_a", chi_a)
+        object.__setattr__(self, "chi_b", chi_b)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "e_exact", e_exact)
+        object.__setattr__(self, "e_estimated", e_estimated)
+        object.__setattr__(self, "is_circle", is_circle)
 
 
-@dataclass(frozen=True)
-class NchvResult:
+class NchvResult(_Record):
     """Extremal S over deterministic noncontextual assignments."""
 
-    max_s: float
-    min_s: float
-    argmax: dict[str, int]
+    __slots__ = ("max_s", "min_s", "argmax")
+
+    def __init__(self, max_s: float, min_s: float, argmax: dict[str, int]):
+        object.__setattr__(self, "max_s", max_s)
+        object.__setattr__(self, "min_s", min_s)
+        object.__setattr__(self, "argmax", argmax)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """Monte-Carlo CHSH estimate with its standard error."""
 
-    s_estimate: float
-    standard_error: float
-    e_estimates: tuple[float, float, float, float]
-    counts: tuple[CountRecord, CountRecord, CountRecord, CountRecord]
+    __slots__ = ("s_estimate", "standard_error", "e_estimates", "counts")
+
+    def __init__(self, s_estimate: float, standard_error: float,
+                 e_estimates: tuple[float, float, float, float],
+                 counts: tuple[CountRecord, CountRecord, CountRecord, CountRecord]):
+        object.__setattr__(self, "s_estimate", s_estimate)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "e_estimates", e_estimates)
+        object.__setattr__(self, "counts", counts)
 
 
 def chsh_combination(e_values: Sequence[float]) -> float:
@@ -297,16 +306,19 @@ def _sample_rows(
     can be reproduced on its own.  Without ``first_lane`` the block must be
     one row, the draw ``seed.generator()`` makes.  Each row's PCG64 is seeded
     from the same words, which one vectorised SeedSequence hash computes for
-    the whole block (:func:`_lane_states`).  The block is checked once:
-    entries >= -1e-12, each row summing to 1 within 1e-9, shots >= 1.
+    the whole block (:func:`_lane_states`).  The block is checked once,
+    before any draw: entries >= -1e-12, each row summing to 1 within 1e-9
+    (so a NaN entry fails), shots >= 1.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError("expected exactly four outcome probabilities")
-    if np.any(p < -1e-12):
+    if first_lane is None and len(p) != 1:
+        raise ValueError(f"a block of {len(p)} rows needs a first_lane")
+    if not np.all(p >= -1e-12):
         raise ValueError("probabilities must be non-negative")
     sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-9
+    bad = ~(np.abs(sums - 1.0) <= 1e-9)
     if np.any(bad):
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
     if shots < 1:

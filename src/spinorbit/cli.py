@@ -26,7 +26,6 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .benchdsl import CompileError, ParseError, compile_bench, parse
 from .chsh import (
     GENERATOR_ID,
     TSIRELSON_SETTINGS,
@@ -124,6 +123,10 @@ def _write_manifest(path: str, manifest: dict) -> str:
     return man_path
 
 
+def _settings_params(settings: ChshSettings) -> dict:
+    return {name: getattr(settings, name) for name in ChshSettings.__slots__}
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -143,7 +146,7 @@ def _angle_args(parser, names_defaults):
 
 def cmd_chsh(args) -> int:
     settings = ChshSettings(args.chi_a, args.chi_a_prime, args.chi_b, args.chi_b_prime)
-    params = {**vars(settings), "mode": args.mode}
+    params = {**_settings_params(settings), "mode": args.mode}
     lines = []
     if args.mode == "exact":
         e_values = correlation(pair_probabilities(settings)).tolist()
@@ -231,7 +234,7 @@ def cmd_nchv(args) -> int:
         "quantum_s": quantum,
         "gap": gap,
         "assignment": result.argmax,
-        "manifest": _manifest("nchv", dict(vars(settings)), None),
+        "manifest": _manifest("nchv", _settings_params(settings), None),
     }
     _emit(args, payload, lines)
     return 0
@@ -259,10 +262,16 @@ def cmd_field(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # Imported here, so that the commands that run no bench never load the DSL.
+    from .benchdsl import CompileError, ParseError, compile_bench, parse
+
     with open(args.bench) as fh:
         text = fh.read()
-    ast = parse(text)
-    pipeline = compile_bench(ast)
+    try:
+        pipeline = compile_bench(parse(text))
+    except (ParseError, CompileError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     result = pipeline.run()
     if result.bob is None:
         print("bench has no herald stage; nothing to analyze", file=sys.stderr)
@@ -390,9 +399,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CompileError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (LostWeightError, TruncationError) as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return 3

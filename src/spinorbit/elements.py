@@ -30,12 +30,11 @@ fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TextIO, Union
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen, _Record
 
 _HALF_TURN_TOL = 1e-9
 
@@ -43,21 +42,19 @@ _HALF_TURN_TOL = 1e-9
 _P_H, _P_V = (_frozen(np.outer(k, k.conj())) for k in (SPIN_KETS["H"], SPIN_KETS["V"]))
 
 
-@dataclass(frozen=True)
-class QPlateSpec:
+class QPlateSpec(_Record):
     """Geometry of a q-plate: axis pattern alpha(r, phi) = q*phi + alpha0."""
 
-    q: float
-    alpha0: float = 0.0
+    __slots__ = ("q", "alpha0")
 
-    def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q) or not math.isfinite(float(self.alpha0)):
+    def __init__(self, q: float, alpha0: float = 0.0):
+        q, alpha0 = float(q), float(alpha0)
+        if not math.isfinite(q) or not math.isfinite(alpha0):
             raise ValueError("q-plate parameters must be finite")
         if abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
             raise ValueError(f"2q must be an integer, got q={q}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha0", float(self.alpha0))
+        object.__setattr__(self, "alpha0", alpha0)
 
     @property
     def two_q(self) -> int:
@@ -156,14 +153,19 @@ def mirror_op(m_max: int) -> ElementOp:
     return ElementOp(np.eye(2), m_max=m_max, name="mirror")
 
 
-@dataclass(frozen=True)
-class OrientationField:
-    """Sampled optical-axis angles alpha(r, phi) of a plate, mod pi."""
+class OrientationField(_Record):
+    """Sampled optical-axis angles alpha(r, phi) of a plate, mod pi.
 
-    spec: QPlateSpec
-    r: np.ndarray
-    phi: np.ndarray
-    alpha: np.ndarray  # shape (n_r, n_phi), values in [0, pi)
+    ``alpha`` has shape (n_r, n_phi), with values in [0, pi).
+    """
+
+    __slots__ = ("spec", "r", "phi", "alpha")
+
+    def __init__(self, spec: QPlateSpec, r: np.ndarray, phi: np.ndarray, alpha: np.ndarray):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "alpha", alpha)
 
     def to_csv(self, out: Union[str, TextIO]) -> None:
         """Write (r, phi, alpha) rows with 17-significant-digit floats."""

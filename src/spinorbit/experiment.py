@@ -30,7 +30,6 @@ E(chi_A, chi_B) = sin(chi_A + chi_B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -50,6 +49,7 @@ from .qstate import (
     PhotonState,
     Projector,
     TruncationError,
+    _Record,
     apply_bob,
     oam_dim,
     project,
@@ -73,24 +73,27 @@ class LostWeightError(ValueError):
     """State support fell outside the analyzer subspace by more than tolerance."""
 
 
-@dataclass(frozen=True)
-class HeraldOutcome:
+class HeraldOutcome(_Record):
     """Bob's post-herald state and the probability of the heralding click."""
 
-    state: PhotonState
-    probability: float
+    __slots__ = ("state", "probability")
+
+    def __init__(self, state: PhotonState, probability: float):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "probability", probability)
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Record):
     """Dichotomic observable: +1 and -1 outcome projectors."""
 
-    plus: Projector
-    minus: Projector
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: Projector, minus: Projector):
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
 
-@dataclass(frozen=True)
-class AnalyzerSettings:
+class AnalyzerSettings(_Record):
     """Analyzer phases and their hardware angles.
 
     chi_a = 2*m*alpha (Dove-pair relative rotation alpha, OAM magnitude m)
@@ -98,13 +101,14 @@ class AnalyzerSettings:
     exact multiplications and divisions by powers of two when m = 2.
     """
 
-    chi_a: float
-    chi_b: float
-    m: int = 2
+    __slots__ = ("chi_a", "chi_b", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, chi_a: float, chi_b: float, m: int = 2):
+        if m < 1:
             raise ValueError("analyzer OAM magnitude must be a positive integer")
+        object.__setattr__(self, "chi_a", chi_a)
+        object.__setattr__(self, "chi_b", chi_b)
+        object.__setattr__(self, "m", m)
 
     @property
     def alpha(self) -> float:
@@ -219,7 +223,7 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     and m >= 1; m > m_max raises TruncationError.
     """
     nrm = bob.norm()
-    if abs(nrm - 1.0) > LOST_WEIGHT_TOL:
+    if not abs(nrm - 1.0) <= LOST_WEIGHT_TOL:  # written so that a NaN norm fails
         raise ValueError(f"analyzer input must be unit norm, got {nrm}")
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")

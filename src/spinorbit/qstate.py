@@ -23,7 +23,6 @@ use :func:`states_equal_up_to_phase` when a ray-level comparison is wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -97,19 +96,56 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonState:
+class _Record:
+    """Immutable record whose fields are its ``__slots__``, in order.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its
+    ``__init__`` through ``object.__setattr__``.  Records compare equal to
+    records of the same type with equal fields and hash by their fields;
+    the states and operators below take ``object``'s identity
+    ``__eq__``/``__hash__`` instead.  ``__reduce__`` rebuilds a record
+    through ``__init__``, so ``copy`` and ``pickle`` work without assignment.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class PhotonState(_Record):
     """Single-photon amplitude vector over the (spin, m) basis."""
 
-    m_max: int
-    vector: np.ndarray
+    __slots__ = ("m_max", "vector")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        vec = _frozen(self.vector)
-        if vec.shape != (state_dim(self.m_max),):
-            raise ValueError(
-                f"vector length {vec.shape} does not match m_max={self.m_max}"
-            )
+    def __init__(self, m_max: int, vector: np.ndarray):
+        vec = _frozen(vector)
+        if vec.shape != (state_dim(m_max),):
+            raise ValueError(f"vector length {vec.shape} does not match m_max={m_max}")
+        object.__setattr__(self, "m_max", m_max)
         object.__setattr__(self, "vector", vec)
 
     @classmethod
@@ -158,21 +194,23 @@ class PhotonState:
         return self.vector.reshape(2, oam_dim(self.m_max))
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
+class BipartiteState(_Record):
     """Two-photon amplitudes: Alice spin only, Bob spin and OAM.
 
     Alice's photon is analyzed in polarization alone (her OAM is fixed at
-    zero by the source and never stored).
+    zero by the source and never stored).  ``matrix`` has shape
+    (2, state_dim): rows Alice L/R, columns Bob's labels.
     """
 
-    m_max: int
-    matrix: np.ndarray  # shape (2, state_dim): rows Alice L/R, cols Bob labels
+    __slots__ = ("m_max", "matrix")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        mat = _frozen(self.matrix)
-        if mat.shape != (2, state_dim(self.m_max)):
+    def __init__(self, m_max: int, matrix: np.ndarray):
+        mat = _frozen(matrix)
+        if mat.shape != (2, state_dim(m_max)):
             raise ValueError("matrix shape does not match m_max")
+        object.__setattr__(self, "m_max", m_max)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -195,8 +233,7 @@ class BipartiteState:
         return float(np.linalg.norm(self.matrix))
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOp:
+class LinearOp(_Record):
     """Dense complex matrix over the full (spin, m) basis of one truncation.
 
     For arbitrary operators, such as random unitaries; the optical elements
@@ -204,17 +241,18 @@ class LinearOp:
     state's label tuple, so a 2x2 dense matrix is never appliable.
     """
 
-    basis: tuple
-    matrix: np.ndarray
-    name: str = ""
+    __slots__ = ("basis", "matrix", "name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        mat = _frozen(self.matrix)
-        n = len(self.basis)
+    def __init__(self, basis: tuple, matrix: np.ndarray, name: str = ""):
+        mat = _frozen(matrix)
+        n = len(basis)
         if mat.shape != (n, n):
             raise ValueError("matrix must be square over the declared basis")
+        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "name", name)
 
     @property
     def dim(self) -> int:
@@ -229,8 +267,7 @@ class LinearOp:
         return LinearOp(self.basis, self.matrix.conj().T, name=name)
 
 
-@dataclass(frozen=True, eq=False)
-class ElementOp:
+class ElementOp(_Record):
     """Optical element: a 2x2 spin block per OAM charge, then an OAM shift.
 
     ``blocks`` is a 2x2 array over (L, R), stored as (2, 2, 1), or a
@@ -243,21 +280,23 @@ class ElementOp:
     acts on any truncation and on bare spin states.
     """
 
-    blocks: np.ndarray
-    shift: int = 0
-    m_max: int | None = None
-    name: str = ""
+    __slots__ = ("blocks", "shift", "m_max", "name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        blocks = _frozen(self.blocks)
+    def __init__(self, blocks: np.ndarray, shift: int = 0, m_max: int | None = None,
+                 name: str = ""):
+        blocks = _frozen(blocks)
         blocks = blocks[..., None] if blocks.ndim == 2 else blocks
-        n_oam = 1 if self.m_max is None else oam_dim(self.m_max)
+        n_oam = 1 if m_max is None else oam_dim(m_max)
         if blocks.shape[-3:] not in ((2, 2, 1), (2, 2, n_oam)):
-            raise ValueError(f"blocks {blocks.shape} do not fit m_max={self.m_max}")
-        if self.shift and (self.m_max is None or abs(self.shift) > self.m_max):
-            raise ValueError(f"m_max={self.m_max} cannot hold a +-{abs(self.shift)} OAM shift")
+            raise ValueError(f"blocks {blocks.shape} do not fit m_max={m_max}")
+        if shift and (m_max is None or abs(shift) > m_max):
+            raise ValueError(f"m_max={m_max} cannot hold a +-{abs(shift)} OAM shift")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "shift", int(self.shift))
+        object.__setattr__(self, "shift", int(shift))
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "name", name)
 
     @property
     def basis(self) -> tuple:
@@ -415,28 +454,28 @@ def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
     return abs(ip / (na * nb) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(_Record):
     """Rank-one projector onto a unit vector of one subsystem.
 
     ``tag`` selects the subsystem: "spin" (coeffs keyed by "L"/"R") or
     "oam" (keyed by integer charge).  Only spin projectors can be applied
     with :func:`project`; ``side`` matters only when projecting a
-    bipartite state and must then be "alice".
+    bipartite state and must then be "alice".  ``coeffs`` is kept as a
+    tuple of (key, complex amplitude) pairs of unit norm.
     """
 
-    tag: str
-    coeffs: tuple  # ((key, amplitude), ...) pairs, normalized
-    side: str = "bob"
+    __slots__ = ("tag", "coeffs", "side")
 
-    def __post_init__(self):
-        if self.tag not in ("spin", "oam"):
-            raise ValueError(f"unknown projector tag {self.tag!r}")
-        pairs = tuple((k, complex(v)) for k, v in dict(self.coeffs).items())
+    def __init__(self, tag: str, coeffs: tuple, side: str = "bob"):
+        if tag not in ("spin", "oam"):
+            raise ValueError(f"unknown projector tag {tag!r}")
+        pairs = tuple((k, complex(v)) for k, v in dict(coeffs).items())
         nrm = math.sqrt(sum(abs(v) ** 2 for _, v in pairs))
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"projector target must have unit norm, got {nrm}")
+        object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "coeffs", pairs)
+        object.__setattr__(self, "side", side)
 
     def target_vector(self, m_max: int) -> np.ndarray:
         """Dense target over the tagged subsystem's basis."""

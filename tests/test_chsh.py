@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinorbit import chsh
 from spinorbit.chsh import (
     CIRCLE_SETTINGS,
     TSIRELSON_SETTINGS,
@@ -177,9 +178,20 @@ class TestSampleRows:
         with pytest.raises(ValueError):
             _sample_rows(probs, shots, RngSeed(0), 0)
 
-    def test_several_rows_need_a_first_lane(self):
-        with pytest.raises(ValueError):
+    def test_several_rows_need_a_first_lane(self, monkeypatch):
+        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
+        with pytest.raises(ValueError, match="^a block of 2 rows needs a first_lane$"):
             _sample_rows([[0.25] * 4] * 2, 10, RngSeed(0))
+
+    @pytest.mark.parametrize("row", [[math.nan, 0.5, 0.25, 0.25], [0.5, 0.5, 0.0, math.nan]])
+    def test_nan_rejected_before_the_lane_hash(self, row, monkeypatch):
+        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
+        with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+            _sample_rows([[0.25] * 4, row], 10, RngSeed(0), 0)
+
+
+def no_lane_hash(*args):
+    raise AssertionError("the block was hashed before it was checked")
 
 
 def seed_sequence_words(seed, stream, first_lane, n):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,14 @@ from spinorbit.cli import main, parse_angle
 from spinorbit.qstate import TruncationError
 
 FIG2 = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process with the package's sources on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
 
 
 class TestAngleParsing:
@@ -346,3 +356,26 @@ class TestSeedEnvironment:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["seed"] == 5
+
+
+class TestColdStart:
+    def test_import_loads_neither_benchdsl_nor_numpy_random(self):
+        code = ("import sys, spinorbit.cli; "
+                "print([m for m in ('spinorbit.benchdsl', 'numpy.random') if m in sys.modules])")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("source spdc\nqplate q=banana\n", "line 2, column 10: expected a number"),
+            ("source spdc\nherald basis=H side=bob\n", "line 2: herald must act on side=alice"),
+        ],
+    )
+    def test_bad_bench_exits_2_in_a_fresh_process(self, tmp_path, text, message):
+        bench = tmp_path / "bad.bench"
+        bench.write_text(text)
+        proc = fresh_python("-m", "spinorbit.cli", "run", str(bench))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(message)

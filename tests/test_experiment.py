@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spinorbit.chsh import RngSeed, sweep
 from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import (
     AnalyzerSettings,
@@ -230,6 +231,16 @@ class TestJointProbabilities:
         for row, (a, b) in zip(batched, pairs):
             oracle = brute_force_joint_probabilities(bell, a, b)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_nan_state_rejected(self):
+        bell = spin_orbit_bell_state()
+        vec = bell.vector.copy()
+        vec[0] = math.nan
+        bob = PhotonState(bell.m_max, vec)
+        with pytest.raises(ValueError, match="^analyzer input must be unit norm, got nan$"):
+            joint_probabilities(bob, 0.0, 0.0)
+        with pytest.raises(ValueError, match="unit norm"):
+            sweep(0.0, [0.0, 1.0], 0, RngSeed(0), bob=bob)
 
     def test_batched_rows_equal_scalar_calls(self):
         rng = np.random.default_rng(19)

@@ -284,6 +284,10 @@ class TestBasisChange:
 
 
 class TestValueSemantics:
+    def test_nan_projector_target_rejected(self):
+        with pytest.raises(ValueError, match="unit norm, got nan"):
+            Projector("spin", (("L", math.nan),))
+
     def test_vectors_are_frozen(self):
         s = PhotonState.basis_state("L", 0, 1)
         with pytest.raises(ValueError):

@@ -159,6 +159,11 @@ def test_one_field_apart_is_unequal(a, b):
     assert a != b and not a == b
 
 
+def test_records_of_another_type_with_equal_fields_are_unequal():
+    assert RngSeed(7, 3) != QPlateSpec(7, 3)
+    assert QPlateSpec(7, 3).q == 7 and QPlateSpec(7, 3).alpha0 == 3
+
+
 def test_count_record_is_not_a_tuple():
     assert CountRecord(1, 2, 3, 4) != (1, 2, 3, 4)
     assert (1, 2, 3, 4) != CountRecord(1, 2, 3, 4)
