@@ -146,9 +146,10 @@ def _parse_number(token: str, line: int, column: int) -> float:
     m = _NUMBER_RE.match(token)
     if not m:
         raise ParseError(line, column, "bad-number", f"expected a number, got {token!r}")
-    if m.group(3) == "deg":
-        return math.radians(float(token[:-3]))
-    return float(token)
+    value = math.radians(float(token[:-3])) if m.group(3) == "deg" else float(token)
+    if not math.isfinite(value):
+        raise ParseError(line, column, "bad-number", f"expected a finite number, got {token!r}")
+    return value
 
 
 def _tokenize(raw_line: str) -> list[tuple[str, int]]:
@@ -259,33 +260,26 @@ def parse(text: str) -> BenchAst:
         if not tokens:
             continue
         stages.append(_parse_stage(tokens, line_no))
-
-    fault = _order_fault(stages)
-    if fault is not None:
-        line, kind, message = fault
-        raise ParseError(line, 1, kind, message)
+    _check_order(stages)
     return BenchAst(stages=tuple(stages))
 
 
-def _order_fault(stages) -> tuple[int, str, str] | None:
-    """(line, kind, message) of the first unknown or misplaced stage, else None.
-
-    Exactly one source must come first and at most one herald may follow.
-    """
+def _check_order(stages: list[Stage]) -> None:
+    """Raise ParseError unless one source comes first and at most one herald follows."""
     if not stages:
-        return 1, "missing-param", "bench has no source stage"
+        raise ParseError(1, 1, "missing-param", "bench has no source stage")
     heralds = 0
     for i, stage in enumerate(stages):
         heralds += stage.keyword == "herald"
-        if stage.keyword not in SCHEMAS:
-            return stage.line, "unknown-keyword", f"unknown stage {stage.keyword!r}"
         if i == 0 and stage.keyword != "source":
-            return stage.line, "misplaced-stage", "first stage must be the source"
-        if i > 0 and stage.keyword == "source":
-            return stage.line, "misplaced-stage", "only one source stage is allowed"
-        if heralds > 1:
-            return stage.line, "misplaced-stage", "at most one herald stage is allowed"
-    return None
+            message = "first stage must be the source"
+        elif i > 0 and stage.keyword == "source":
+            message = "only one source stage is allowed"
+        elif heralds > 1:
+            message = "at most one herald stage is allowed"
+        else:
+            continue
+        raise ParseError(stage.line, 1, "misplaced-stage", message)
 
 
 def _fmt_value(value) -> str:
@@ -332,14 +326,17 @@ class PipelineResult:
 class BenchPipeline:
     """Each stage after the source with the element :func:`compile_bench`
     built for it once at ``m_max`` (None for the herald); :meth:`run` applies them.
-    Steps built by hand meet the same per-step checks (:func:`_check_step`)."""
+    Construction checks each step, compiled or built by hand (:func:`_step_fault`)."""
 
     steps: tuple[tuple[Stage, ElementOp | None], ...]
     m_max: int
 
     def __post_init__(self):
+        after_herald = False
         for stage, op in self.steps:
-            _check_step(stage, op, self.m_max)
+            if (fault := _step_fault(stage, op, self.m_max, after_herald)) is not None:
+                raise CompileError(stage.line, fault)
+            after_herald = after_herald or stage.keyword == "herald"
 
     def run(self) -> PipelineResult:
         """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
@@ -373,22 +370,31 @@ class BenchPipeline:
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
 
 
-def _check_step(stage: Stage, op: ElementOp | None, m_max: int) -> None:
-    """Reject a step :meth:`BenchPipeline.run` would misapply: a herald with an
-    element or an element stage without one, an Alice element that involves
-    OAM, or per-charge blocks of another truncation."""
-    if (op is None) != (stage.keyword == "herald"):
-        fault = "step has an element" if op is not None else "step has no element"
-    elif op is not None and stage.side == "alice" and not op.spin_only:
-        fault = "involves OAM and cannot act on Alice's photon"
-    elif op is not None and op.blocks.shape[-1] not in (1, 2 * m_max + 1):
-        fault = f"blocks {op.blocks.shape} do not fit m_max={m_max}"
-    else:
-        return
-    raise CompileError(stage.line, f"{stage.keyword!r} {fault}")
+def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bool):
+    """Why :meth:`BenchPipeline.run` would misapply a step, else None."""
+    keyword, side = stage.keyword, stage.side
+    if keyword not in SCHEMAS:
+        return f"unknown stage {keyword!r}"
+    if keyword == "source":
+        return "only one source stage is allowed"
+    if keyword == "herald" and after_herald:
+        return "at most one herald stage is allowed"
+    if (op is None) != (keyword == "herald"):
+        return f"{keyword!r} step has {'an' if op is not None else 'no'} element"
+    if keyword == "herald":
+        return None if side == "alice" else "herald must act on side=alice"
+    if side not in ("alice", "bob"):
+        return f"element stage {keyword!r} needs side=alice or side=bob"
+    if side == "alice" and after_herald:
+        return "stages after the herald act on Bob's photon only"
+    if side == "alice" and not op.spin_only:
+        return f"{keyword!r} involves OAM and cannot act on Alice's photon"
+    if op.blocks.shape[-1] not in (1, 2 * m_max + 1):
+        return f"{keyword!r} blocks {op.blocks.shape} do not fit m_max={m_max}"
+    return None
 
 
-def _stage_op(stage: Stage, m_max: int) -> ElementOp:
+def _stage_op(stage: Stage, m_max: int) -> ElementOp | None:
     if stage.keyword == "filter":
         return smf_filter_op(m_max)
     if stage.keyword == "qplate":
@@ -397,41 +403,28 @@ def _stage_op(stage: Stage, m_max: int) -> ElementOp:
         return waveplate_op(stage.keyword, stage.params["theta"])
     if stage.keyword == "dove":
         return dove_pair_op(stage.params["alpha"], m_max)
-    return mirror_op(m_max)
+    if stage.keyword == "mirror":
+        return mirror_op(m_max)
+    return None
 
 
 def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
-    """Check stage semantics, fix the truncation and build each element once.
+    """Fix the truncation, build each element once and check the pipeline.
 
-    The truncation defaults to the widest single-pass bound over the
-    bench's q-plates.  A misplaced stage raises CompileError; an element
-    that cannot be built at the truncation raises its ValueError.
+    The truncation defaults to the widest single-pass bound over the bench's
+    q-plates.  A missing source or a step :class:`BenchPipeline` rejects
+    raises CompileError; an element that cannot be built raises its ValueError.
     """
-    fault = _order_fault(ast.stages)
-    if fault is not None:
-        raise CompileError(fault[0], fault[2])
     bounds = [experiment.default_m_max(stage.params["q"])
               for stage in ast.stages if stage.keyword == "qplate"]
     if m_max is None:
         m_max = max(bounds, default=2)
-    steps = []
-    for stage in ast.stages[1:]:
-        if stage.keyword == "herald":
-            if stage.side != "alice":
-                raise CompileError(stage.line, "herald must act on side=alice")
-            steps.append((stage, None))
-            continue
-        if stage.side == "both":
-            raise CompileError(
-                stage.line, f"element stage {stage.keyword!r} needs side=alice or side=bob"
-            )
-        if stage.side == "alice" and any(op is None for _, op in steps):
-            raise CompileError(
-                stage.line, "stages after the herald act on Bob's photon only"
-            )
-        op = _stage_op(stage, m_max)
-        _check_step(stage, op, m_max)
-        steps.append((stage, op))
+    if not ast.stages:
+        raise CompileError(1, "bench has no source stage")
+    if ast.stages[0].keyword != "source":
+        raise CompileError(ast.stages[0].line, "first stage must be the source")
+    steps = tuple((stage, _stage_op(stage, m_max)) for stage in ast.stages[1:])
+    pipeline = BenchPipeline(steps, m_max)
 
     if bounds and not any(stage.keyword == "filter" for stage, _ in steps):
         warnings.warn(
@@ -439,4 +432,4 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
             "no OAM, so the output is unchanged",
             stacklevel=2,
         )
-    return BenchPipeline(tuple(steps), m_max)
+    return pipeline

@@ -44,7 +44,6 @@ from .experiment import LostWeightError, correlation, joint_probabilities
 from .qstate import TruncationError
 
 SEED_ENV_VAR = "SPINORBIT_SEED"
-_SQRT2 = math.sqrt(2.0)
 
 
 def parse_angle(text: str) -> float:
@@ -69,7 +68,7 @@ def parse_angle(text: str) -> float:
                 value /= float(post[1:])
             return sign * value * math.pi
         return sign * float(s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 

@@ -156,7 +156,8 @@ def mirror_op(m_max: int) -> ElementOp:
 class OrientationField(_Record):
     """Sampled optical-axis angles alpha(r, phi) of a plate, mod pi.
 
-    ``alpha`` has shape (n_r, n_phi), with values in [0, pi).
+    ``alpha`` has shape (n_r, n_phi), with values in [0, pi).  Fields compare
+    by value, the arrays element-wise, and the record is unhashable.
     """
 
     __slots__ = ("spec", "r", "phi", "alpha")
@@ -166,6 +167,12 @@ class OrientationField(_Record):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spec == other.spec and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("r", "phi", "alpha"))
 
     def to_csv(self, out: Union[str, TextIO]) -> None:
         """Write (r, phi, alpha) rows with 17-significant-digit floats."""

@@ -217,13 +217,13 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     ``chi_a`` and ``chi_b`` broadcast together; scalar settings give shape
     (4,).  First index is the OAM outcome, second the polarization outcome.
     One einsum overlaps the outcome states of :func:`observable_A` and
-    :func:`observable_B` with Bob's grid columns m_max -+ m.  The input must
-    be unit norm with support in spin x {-m, +m}: weight outside it beyond
-    1e-9 at any setting raises LostWeightError.  Settings must be finite
-    and m >= 1; m > m_max raises TruncationError.
+    :func:`observable_B` with Bob's grid columns m_max -+ m.  The input's
+    squared norm must be 1 within 1e-9, with support in spin x {-m, +m}:
+    weight outside it beyond 1e-9 at any setting raises LostWeightError.
+    Settings must be finite and m >= 1; m > m_max raises TruncationError.
     """
     nrm = bob.norm()
-    if not abs(nrm - 1.0) <= LOST_WEIGHT_TOL:  # written so that a NaN norm fails
+    if not abs(nrm**2 - 1.0) <= LOST_WEIGHT_TOL:  # written so that a NaN norm fails
         raise ValueError(f"analyzer input must be unit norm, got {nrm}")
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")

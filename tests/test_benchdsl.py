@@ -78,6 +78,17 @@ class TestParse:
         assert err.value.line == 1
         assert err.value.column == 10
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("qwp theta=1e400", 11), ("dove alpha=1e999deg", 12),
+         ("qplate alpha0=1e309 q=1", 15), ("qplate q=1e400", 10)],
+    )
+    def test_overflowing_number_is_a_bad_number(self, text, column):
+        with pytest.raises(ParseError, match="expected a finite number") as err:
+            parse(f"source spdc\n{text}\n")
+        assert err.value.kind == "bad-number"
+        assert (err.value.line, err.value.column) == (2, column)
+
     def test_empty_input_missing_source(self):
         with pytest.raises(ParseError) as err:
             parse("")
@@ -365,13 +376,33 @@ class TestCompile:
             (make_stage("qwp", side="bob", line=2, theta=0.5), None),
             (make_stage("herald", line=2), waveplate_op("qwp", 0.5)),
             (make_stage("filter", side="bob", line=2), smf_filter_op(2)),
+            (make_stage("hwp", side="both", line=2, theta=0.5), waveplate_op("hwp", 0.5)),
+            (make_stage("herald", side="bob", line=2), None),
+            (make_stage("source", line=2), smf_filter_op(4)),
+            (Stage("laser", {}, "bob", 2), smf_filter_op(4)),
         ],
-        ids=["element-missing", "herald-with-element", "wrong-truncation"],
+        ids=["element-missing", "herald-with-element", "wrong-truncation",
+             "element-on-both", "herald-on-bob", "source-as-step", "unknown-keyword"],
     )
     def test_hand_built_steps_rejected(self, step):
         with pytest.raises(CompileError) as err:
             BenchPipeline((step,), 4)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "step,message",
+        [
+            ((make_stage("hwp", side="alice", line=5, theta=0.5), waveplate_op("hwp", 0.5)),
+             "stages after the herald act on Bob's photon only"),
+            ((make_stage("herald", line=5), None), "at most one herald stage is allowed"),
+        ],
+        ids=["alice-after-herald", "second-herald"],
+    )
+    def test_hand_built_step_after_the_herald_rejected(self, step, message):
+        steps = compile_bench(parse(FIG2)).steps + (step,)
+        with pytest.raises(CompileError) as err:
+            BenchPipeline(steps, 4)
+        assert (err.value.line, err.value.message) == (5, message)
 
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"

@@ -31,6 +31,7 @@ from spinorbit.experiment import (
     joint_probabilities,
     spin_orbit_bell_state,
 )
+from spinorbit.qstate import PhotonState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -402,6 +403,17 @@ class TestMonteCarlo:
     def test_too_few_shots_rejected(self):
         with pytest.raises(ValueError):
             chsh_monte_carlo(TSIRELSON_SETTINGS, 1, RngSeed(0))
+
+    def test_kernel_and_sampler_share_the_unit_probability_rule(self):
+        # The squared norm is the total probability the sampler checks, so a
+        # state the analyzer accepts is one the sampler accepts.
+        bell = spin_orbit_bell_state()
+        near = PhotonState(bell.m_max, bell.vector * (1 + 0.4e-9))
+        result = chsh_monte_carlo(TSIRELSON_SETTINGS, 100, RngSeed(0), bob=near)
+        assert sum(result.counts[0].as_tuple()) == 100
+        far = PhotonState(bell.m_max, bell.vector * (1 + 0.9e-9))
+        with pytest.raises(ValueError, match="^analyzer input must be unit norm"):
+            chsh_monte_carlo(TSIRELSON_SETTINGS, 100, RngSeed(0), bob=far)
 
 
 class TestSettingsValidation:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -39,9 +40,9 @@ class TestAngleParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "deg", "1..2"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "deg", "1..2", "pi/0", "pi/0.0"])
     def test_rejected_forms(self, text):
-        with pytest.raises(Exception):
+        with pytest.raises((ValueError, argparse.ArgumentTypeError)):
             parse_angle(text)
 
 
@@ -279,6 +280,12 @@ class TestRunCommand:
             main(["chsh", "--chi-a", "not-an-angle"])
         assert exc.value.code == 1
 
+    def test_zero_denominator_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chsh", "--chi-a", "pi/0"])
+        assert exc.value.code == 1
+        assert "cannot parse angle 'pi/0'" in capsys.readouterr().err
+
 
 class TestInvalidValues:
     @pytest.mark.parametrize(
@@ -371,6 +378,7 @@ class TestColdStart:
         [
             ("source spdc\nqplate q=banana\n", "line 2, column 10: expected a number"),
             ("source spdc\nherald basis=H side=bob\n", "line 2: herald must act on side=alice"),
+            ("source spdc\nqwp theta=1e400\n", "line 2, column 11: expected a finite number"),
         ],
     )
     def test_bad_bench_exits_2_in_a_fresh_process(self, tmp_path, text, message):

@@ -266,6 +266,11 @@ class TestOrientationField:
         fld = orientation_field(QPlateSpec(3, 0.1), 7, 24)
         assert np.max(np.abs(fld.alpha - fld.alpha[0:1, :])) == 0.0
 
+    def test_equal_by_value(self):
+        fld = orientation_field(QPlateSpec(1), 2, 4)
+        assert fld == orientation_field(QPlateSpec(1), 2, 4)
+        assert fld != orientation_field(QPlateSpec(1, 0.3), 2, 4)
+
     def test_csv_export(self):
         fld = orientation_field(QPlateSpec(1, 0.0), 2, 4)
         buf = io.StringIO()
