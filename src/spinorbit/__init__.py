@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -36,21 +36,16 @@ from .elements import (
     qplate_op,
     smf_filter_op,
     symmetry_order,
-    transmission_matrix,
     waveplate_op,
 )
 from .experiment import (
-    AnalyzerSettings,
     HeraldOutcome,
     LostWeightError,
-    Observable,
     default_m_max,
     expectation,
     herald,
     interferometer_detect,
     joint_probabilities,
-    observable_A,
-    observable_B,
     prepare_hybrid,
     spdc_source,
     spin_orbit_bell_state,
@@ -58,35 +53,28 @@ from .experiment import (
 from .qstate import (
     BipartiteState,
     ElementOp,
-    LinearOp,
     PhotonState,
-    Projector,
     apply,
     apply_alice,
     apply_bob,
     basis_change_circular_linear,
     inner,
-    project,
     spin_ket,
     states_equal_up_to_phase,
     tensor,
 )
 
 __all__ = [
-    "AnalyzerSettings",
     "BipartiteState",
     "CIRCLE_SETTINGS",
     "ChshSettings",
     "CountRecord",
     "ElementOp",
     "HeraldOutcome",
-    "LinearOp",
     "LostWeightError",
     "McEstimate",
-    "Observable",
     "OrientationField",
     "PhotonState",
-    "Projector",
     "QPlateSpec",
     "RngSeed",
     "SweepRow",
@@ -107,12 +95,9 @@ __all__ = [
     "joint_probabilities",
     "mirror_op",
     "nchv_max_S",
-    "observable_A",
-    "observable_B",
     "orientation_field",
     "pair_probabilities",
     "prepare_hybrid",
-    "project",
     "qplate_op",
     "sample_counts",
     "smf_filter_op",
@@ -123,6 +108,5 @@ __all__ = [
     "sweep",
     "symmetry_order",
     "tensor",
-    "transmission_matrix",
     "waveplate_op",
 ]

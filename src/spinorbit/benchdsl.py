@@ -20,6 +20,7 @@ elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald do
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -370,11 +371,31 @@ class BenchPipeline:
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
 
 
+def _params_fault(stage: Stage):
+    """Why a stage's params break its schema, else None: a parameter missing,
+    a number not finite or an identifier outside its choices."""
+    schema = SCHEMAS.get(stage.keyword)
+    if schema is None:
+        return None  # the step check names the unknown stage
+    for spec in schema.params:
+        if spec.name not in stage.params:
+            return f"stage {stage.keyword!r} is missing parameter {spec.name!r}"
+        value = stage.params[spec.name]
+        if spec.kind == "number":
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                return f"{spec.name!r} must be a finite number, got {value!r}"
+        elif spec.choices is not None and value not in spec.choices:
+            return f"{spec.name!r} must be one of {spec.choices}, got {value!r}"
+    return None
+
+
 def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bool):
     """Why :meth:`BenchPipeline.run` would misapply a step, else None."""
     keyword, side = stage.keyword, stage.side
     if keyword not in SCHEMAS:
         return f"unknown stage {keyword!r}"
+    if (fault := _params_fault(stage)) is not None:
+        return fault
     if keyword == "source":
         return "only one source stage is allowed"
     if keyword == "herald" and after_herald:
@@ -413,8 +434,12 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
 
     The truncation defaults to the widest single-pass bound over the bench's
     q-plates.  A missing source or a step :class:`BenchPipeline` rejects
-    raises CompileError; an element that cannot be built raises its ValueError.
+    raises CompileError, as does a stage whose params break its schema, before
+    any element is built; an element that cannot be built raises its ValueError.
     """
+    for stage in ast.stages:
+        if (fault := _params_fault(stage)) is not None:
+            raise CompileError(stage.line, fault)
     bounds = [experiment.default_m_max(stage.params["q"])
               for stage in ast.stages if stage.keyword == "qplate"]
     if m_max is None:

@@ -1,15 +1,12 @@
 """Optical elements as per-charge 2x2 spin blocks plus an OAM shift.
 
-Every constructor except :func:`transmission_matrix` returns an immutable
-:class:`~spinorbit.qstate.ElementOp`: one 2x2 block over the circular
-polarization basis (L, R), either shared by every OAM charge m or given
-per charge, followed by an integer shift of the OAM charge.  Storage and
-application cost grow as O(m_max).  Angles broadcast: an array of angles
-gives one element whose blocks carry the angles' shape as leading axes.
-``.matrix`` densifies a single element for inspection only.
-:func:`transmission_matrix` returns a dense
-:class:`~spinorbit.qstate.LinearOp` over (R, L) for display.  Conventions
-fixed here:
+Every constructor returns an immutable :class:`~spinorbit.qstate.ElementOp`:
+one 2x2 block over the circular polarization basis (L, R), either shared
+by every OAM charge m or given per charge, followed by an integer shift
+of the OAM charge.  Storage and application cost grow as O(m_max).  Angles
+broadcast: an array of angles gives one element whose blocks carry the
+angles' shape as leading axes.  ``.matrix`` densifies a single element for
+inspection only.  Conventions fixed here:
 
 * A q-plate with axis pattern alpha(r, phi) = q*phi + alpha0 flips the
   circular polarization and shifts m by +-2q, with transition phases
@@ -34,11 +31,11 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, LinearOp, _frozen, _Record
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, _frozen, _Record
 
 _HALF_TURN_TOL = 1e-9
 
-# Projectors onto |H> and |V> over (L, R): the two arms of a polarizing splitter.
+# Projections |H><H| and |V><V| over (L, R): the two arms of a polarizing splitter.
 _P_H, _P_V = (_frozen(np.outer(k, k.conj())) for k in (SPIN_KETS["H"], SPIN_KETS["V"]))
 
 
@@ -60,20 +57,6 @@ class QPlateSpec(_Record):
     def two_q(self) -> int:
         """Integer OAM shift 2q."""
         return round(2 * self.q)
-
-
-def transmission_matrix(spec: QPlateSpec, phi: float) -> LinearOp:
-    """Local 2x2 polarization action of the plate at azimuth phi.
-
-    The matrix is expressed over the basis ordered (R, L), so that the
-    antidiagonal entries are the transition phases: entry [0, 1] is the
-    L -> R phase e^{i 2 alpha}, entry [1, 0] the R -> L phase e^{-i 2 alpha},
-    with alpha = q*phi + alpha0.
-    """
-    alpha = spec.q * phi + spec.alpha0
-    ph = np.exp(2j * alpha)
-    mat = np.array([[0.0, ph], [np.conj(ph), 0.0]], dtype=complex)
-    return LinearOp(("R", "L"), mat, name=f"qplate_t(q={spec.q}, phi={phi})")
 
 
 def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:

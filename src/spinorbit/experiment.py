@@ -46,13 +46,12 @@ from .elements import (
 from .qstate import (
     _CIRC_TO_LIN,
     BipartiteState,
+    NORM_TOL,
     PhotonState,
-    Projector,
     TruncationError,
     _Record,
     apply_bob,
     oam_dim,
-    project,
     spin_ket,
 )
 
@@ -81,46 +80,6 @@ class HeraldOutcome(_Record):
     def __init__(self, state: PhotonState, probability: float):
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "probability", probability)
-
-
-class Observable(_Record):
-    """Dichotomic observable: +1 and -1 outcome projectors."""
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: Projector, minus: Projector):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-
-
-class AnalyzerSettings(_Record):
-    """Analyzer phases and their hardware angles.
-
-    chi_a = 2*m*alpha (Dove-pair relative rotation alpha, OAM magnitude m)
-    and chi_b = 2*beta (half-wave element angle beta).  Conversions are
-    exact multiplications and divisions by powers of two when m = 2.
-    """
-
-    __slots__ = ("chi_a", "chi_b", "m")
-
-    def __init__(self, chi_a: float, chi_b: float, m: int = 2):
-        if m < 1:
-            raise ValueError("analyzer OAM magnitude must be a positive integer")
-        object.__setattr__(self, "chi_a", chi_a)
-        object.__setattr__(self, "chi_b", chi_b)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def alpha(self) -> float:
-        return self.chi_a / (2 * self.m)
-
-    @property
-    def beta(self) -> float:
-        return self.chi_b / 2
-
-    @classmethod
-    def from_angles(cls, alpha: float, beta: float, m: int = 2) -> "AnalyzerSettings":
-        return cls(chi_a=2 * m * alpha, chi_b=2 * beta, m=m)
 
 
 def default_m_max(q: float) -> int:
@@ -155,14 +114,19 @@ def prepare_hybrid(
 def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
     """Project Alice onto a polarization state and return Bob's reduced state.
 
-    A zero-probability herald comes back flagged: zero state, probability 0.
+    ``alice_basis`` is a label or a unit (c_L, c_R) vector; any other norm
+    raises ValueError.  A zero-probability herald comes back flagged: zero
+    state, probability 0.
     """
     chi = spin_ket(alice_basis)
-    proj = Projector(
-        "spin", {"L": complex(chi[0]), "R": complex(chi[1])}, side="alice"
-    )
-    bob, prob = project(state, proj)
-    return HeraldOutcome(state=bob, probability=prob)
+    nrm = math.sqrt(sum(abs(v) ** 2 for v in chi))
+    if not abs(nrm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
+        raise ValueError(f"herald basis must have unit norm, got {nrm}")
+    bob = chi.conj() @ state.matrix
+    prob = float(np.vdot(bob, bob).real)
+    if prob < NORM_TOL**2:
+        return HeraldOutcome(state=PhotonState.zero(state.m_max), probability=0.0)
+    return HeraldOutcome(state=PhotonState(state.m_max, bob / math.sqrt(prob)), probability=prob)
 
 
 def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
@@ -183,32 +147,17 @@ def _outcome_pair(a, b) -> np.ndarray:
 
 
 def _oam_outcomes(chi_a) -> np.ndarray:
-    """(1/2) [ (1+i)|-m> +- (1-i) e^{i chi_a} |+m> ] over (|-m>, |+m>)."""
+    """OAM observable on the {-m, +m} subspace: unit outcome states
+    (1/2) [ (1+i)|-m> +- (1-i) e^{i chi_a} |+m> ] over (|-m>, |+m>).
+
+    Eigenvalue +1 is the detector port fed by the + superposition.
+    """
     return _outcome_pair((1 + 1j) / 2, (1 - 1j) * np.exp(1j * np.asarray(chi_a)) / 2)
 
 
 def _spin_outcomes(chi_b) -> np.ndarray:
-    """(|L> +- e^{i chi_b}|R>) / sqrt(2) over (L, R)."""
+    """Polarization observable: outcome states (|L> +- e^{i chi_b}|R>) / sqrt(2) over (L, R)."""
     return _outcome_pair(math.sqrt(0.5), np.exp(1j * np.asarray(chi_b)) * math.sqrt(0.5))
-
-
-def observable_A(chi_a: float, m: int = 2) -> Observable:
-    """OAM observable on the {-m, +m} subspace at one setting.
-
-    Outcome states are the unit-normalized
-    (1/2) [ (1+i)|-m> +- (1-i) e^{i chi_a} |+m> ] ; eigenvalue +1 is the
-    detector port fed by the + superposition.
-    """
-    if m < 1:
-        raise ValueError("analyzer OAM magnitude must be a positive integer")
-    plus, minus = (Projector("oam", {-m: a, +m: b}) for a, b in _oam_outcomes(chi_a))
-    return Observable(plus=plus, minus=minus)
-
-
-def observable_B(chi_b: float) -> Observable:
-    """Polarization observable with outcome states (|L> +- e^{i chi_b}|R>)/sqrt(2)."""
-    plus, minus = (Projector("spin", {"L": a, "R": b}) for a, b in _spin_outcomes(chi_b))
-    return Observable(plus=plus, minus=minus)
 
 
 def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarray:
@@ -216,8 +165,8 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
 
     ``chi_a`` and ``chi_b`` broadcast together; scalar settings give shape
     (4,).  First index is the OAM outcome, second the polarization outcome.
-    One einsum overlaps the outcome states of :func:`observable_A` and
-    :func:`observable_B` with Bob's grid columns m_max -+ m.  The input's
+    One einsum overlaps the outcome states of :func:`_oam_outcomes` and
+    :func:`_spin_outcomes` with Bob's grid columns m_max -+ m.  The input's
     squared norm must be 1 within 1e-9, with support in spin x {-m, +m}:
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
     Settings must be finite and m >= 1; m > m_max raises TruncationError.

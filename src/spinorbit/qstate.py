@@ -233,40 +233,6 @@ class BipartiteState(_Record):
         return float(np.linalg.norm(self.matrix))
 
 
-class LinearOp(_Record):
-    """Dense complex matrix over the full (spin, m) basis of one truncation.
-
-    For arbitrary operators, such as random unitaries; the optical elements
-    are :class:`ElementOp`.  Applying one checks that ``basis`` is the
-    state's label tuple, so a 2x2 dense matrix is never appliable.
-    """
-
-    __slots__ = ("basis", "matrix", "name")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, basis: tuple, matrix: np.ndarray, name: str = ""):
-        mat = _frozen(matrix)
-        n = len(basis)
-        if mat.shape != (n, n):
-            raise ValueError("matrix must be square over the declared basis")
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "name", name)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def is_unitary(self, tol: float = NORM_TOL) -> bool:
-        eye = self.matrix.conj().T @ self.matrix
-        return bool(np.max(np.abs(eye - np.eye(self.dim))) <= tol)
-
-    def dagger(self) -> "LinearOp":
-        name = f"{self.name}^dag" if self.name else ""
-        return LinearOp(self.basis, self.matrix.conj().T, name=name)
-
-
 class ElementOp(_Record):
     """Optical element: a 2x2 spin block per OAM charge, then an OAM shift.
 
@@ -395,33 +361,25 @@ def tensor(a, b, m_max: int | None = None):
     return PhotonState.from_amplitudes(m_max, amps)
 
 
-def apply(op: LinearOp | ElementOp, state):
-    """Apply an operator to a state; preserves norm iff the op is unitary.
+def apply(op: ElementOp, state):
+    """Apply an element to a state; preserves norm iff the element is unitary.
 
     Elements map the (spin, m) grid; a constant unshifted element also maps
-    a bare spin state.  Dense operators must share the state's basis.
+    a bare spin state.
     """
     if isinstance(state, BipartiteState):
         raise TypeError("use apply_bob or apply_alice for bipartite states")
-    if isinstance(op, ElementOp):
-        if isinstance(state, PhotonState):
-            grid = op._apply_grid(state.as_grid(), state.m_max)
-            return PhotonState(state.m_max, grid.reshape(-1))
-        return op._apply_grid(spin_ket(state)[:, None], 0)[:, 0]
-    if not isinstance(state, PhotonState) or op.basis != basis_labels(state.m_max):
-        raise BasisMismatchError("operator basis does not match state basis")
-    return PhotonState(state.m_max, op.matrix @ state.vector)
+    if isinstance(state, PhotonState):
+        grid = op._apply_grid(state.as_grid(), state.m_max)
+        return PhotonState(state.m_max, grid.reshape(-1))
+    return op._apply_grid(spin_ket(state)[:, None], 0)[:, 0]
 
 
-def apply_bob(op: LinearOp | ElementOp, state: BipartiteState) -> BipartiteState:
-    """Apply an operator to Bob's photon, leaving Alice untouched."""
-    if isinstance(op, ElementOp):
-        grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
-        out = op._apply_grid(grids, state.m_max)
-        return BipartiteState(state.m_max, out.reshape(2, -1))
-    if op.basis != basis_labels(state.m_max):
-        raise BasisMismatchError("operator basis does not match state basis")
-    return BipartiteState(state.m_max, state.matrix @ op.matrix.T)
+def apply_bob(op: ElementOp, state: BipartiteState) -> BipartiteState:
+    """Apply an element to Bob's photon, leaving Alice untouched."""
+    grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
+    out = op._apply_grid(grids, state.m_max)
+    return BipartiteState(state.m_max, out.reshape(2, -1))
 
 
 def apply_alice(op: ElementOp, state: BipartiteState) -> BipartiteState:
@@ -452,69 +410,6 @@ def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
     if na < tol or nb < tol:
         return na < tol and nb < tol
     return abs(ip / (na * nb) - 1.0) <= tol
-
-
-class Projector(_Record):
-    """Rank-one projector onto a unit vector of one subsystem.
-
-    ``tag`` selects the subsystem: "spin" (coeffs keyed by "L"/"R") or
-    "oam" (keyed by integer charge).  Only spin projectors can be applied
-    with :func:`project`; ``side`` matters only when projecting a
-    bipartite state and must then be "alice".  ``coeffs`` is kept as a
-    tuple of (key, complex amplitude) pairs of unit norm.
-    """
-
-    __slots__ = ("tag", "coeffs", "side")
-
-    def __init__(self, tag: str, coeffs: tuple, side: str = "bob"):
-        if tag not in ("spin", "oam"):
-            raise ValueError(f"unknown projector tag {tag!r}")
-        pairs = tuple((k, complex(v)) for k, v in dict(coeffs).items())
-        nrm = math.sqrt(sum(abs(v) ** 2 for _, v in pairs))
-        if not abs(nrm - 1.0) <= NORM_TOL:
-            raise ValueError(f"projector target must have unit norm, got {nrm}")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "coeffs", pairs)
-        object.__setattr__(self, "side", side)
-
-    def target_vector(self, m_max: int) -> np.ndarray:
-        """Dense target over the tagged subsystem's basis."""
-        if self.tag == "spin":
-            vec = np.zeros(2, dtype=complex)
-            for k, v in self.coeffs:
-                vec[SPIN_LABELS.index(k)] = v
-            return vec
-        vec = np.zeros(oam_dim(m_max), dtype=complex)
-        for k, v in self.coeffs:
-            if abs(int(k)) > m_max:
-                raise TruncationError("projector target outside truncation")
-            vec[int(k) + m_max] = v
-        return vec
-
-
-def project(state, projector: Projector):
-    """Spin measurement projection: (post-measurement state, probability).
-
-    The returned state is renormalized; a zero-probability outcome comes
-    back as a flagged zero state with probability 0.0.  Projecting a
-    bipartite state on Alice's spin returns Bob's reduced state; a single
-    photon is projected on its own spin.
-    """
-    if not isinstance(state, (PhotonState, BipartiteState)):
-        raise TypeError("project expects a PhotonState or BipartiteState")
-    if projector.tag != "spin":
-        raise ValueError("project takes spin projectors only")
-    chi = projector.target_vector(state.m_max)
-    if isinstance(state, BipartiteState):
-        if projector.side != "alice":
-            raise ValueError("bipartite projection must target Alice's spin")
-        out = chi.conj() @ state.matrix
-    else:
-        out = np.outer(chi, chi.conj() @ state.as_grid())
-    prob = float(np.vdot(out, out).real)
-    if prob < NORM_TOL**2:
-        return PhotonState.zero(state.m_max), 0.0
-    return PhotonState(state.m_max, out.reshape(-1) / math.sqrt(prob)), prob
 
 
 def basis_change_circular_linear(state, to: str = "linear") -> np.ndarray:

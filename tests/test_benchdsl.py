@@ -390,6 +390,28 @@ class TestCompile:
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
+        "stage,op,message",
+        [
+            (Stage("qplate", {"q": 1.0}, "bob", 2), qplate_op(QPlateSpec(1), 4),
+             "stage 'qplate' is missing parameter 'alpha0'"),
+            (Stage("herald", {}, "alice", 2), None, "stage 'herald' is missing parameter 'basis'"),
+            (Stage("qwp", {"theta": math.nan}, "bob", 2), waveplate_op("qwp", math.nan),
+             "'theta' must be a finite number, got nan"),
+        ],
+        ids=["qplate-without-alpha0", "herald-without-basis", "qwp-nan-theta"],
+    )
+    def test_hand_built_params_checked_against_schema(self, stage, op, message):
+        # Before the check these raised KeyError or ran to a NaN herald probability.
+        herald_after = () if stage.keyword == "herald" else (make_stage("herald", line=3),)
+        for build in (
+            lambda: compile_bench(BenchAst((make_stage("source", line=1), stage) + herald_after)),
+            lambda: BenchPipeline(((stage, op),), 4),
+        ):
+            with pytest.raises(CompileError) as err:
+                build()
+            assert (err.value.line, err.value.message) == (2, message)
+
+    @pytest.mark.parametrize(
         "step,message",
         [
             ((make_stage("hwp", side="alice", line=5, theta=0.5), waveplate_op("hwp", 0.5)),

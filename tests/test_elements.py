@@ -15,7 +15,6 @@ from spinorbit.elements import (
     qplate_op,
     smf_filter_op,
     symmetry_order,
-    transmission_matrix,
     waveplate_op,
 )
 from spinorbit.qstate import (
@@ -51,21 +50,34 @@ class TestQPlateSpec:
             QPlateSpec(float("nan"))
 
 
+def local_transmission(spec, phi):
+    """Local 2x2 polarization action of the plate at azimuth phi over (L, R).
+
+    The axis angle there is alpha = q*phi + alpha0; the plate sends
+    L -> R with phase e^{i 2 alpha} and R -> L with e^{-i 2 alpha}.
+    """
+    ph = np.exp(2j * (spec.q * phi + spec.alpha0))
+    return np.array([[0.0, np.conj(ph)], [ph, 0.0]])
+
+
 class TestTransmissionMatrix:
+    """The q-plate block at axis offset alpha is the local transmission at alpha."""
+
     def test_at_zero_angle(self):
-        op = transmission_matrix(QPlateSpec(1, 0.0), 0.0)
-        np.testing.assert_allclose(op.matrix, [[0, 1], [1, 0]], atol=1e-15)
+        block = qplate_op(QPlateSpec(1, 0.0), 2).blocks[..., 0]
+        np.testing.assert_allclose(block, [[0, 1], [1, 0]], atol=1e-15)
 
     def test_at_quarter_turn(self):
-        # alpha = pi/4 substituted by hand: phases e^{+-i pi/2} = +-i.
-        op = transmission_matrix(QPlateSpec(1, 0.0), math.pi / 4)
-        np.testing.assert_allclose(op.matrix, [[0, 1j], [-1j, 0]], atol=1e-15)
+        # alpha = pi/4 substituted by hand: L -> R phase i, R -> L phase -i.
+        block = qplate_op(QPlateSpec(1, math.pi / 4), 2).blocks[..., 0]
+        np.testing.assert_allclose(block, [[0, -1j], [1j, 0]], atol=1e-15)
 
     @pytest.mark.parametrize("q,alpha0,phi", [(1, 0.0, 0.3), (-2, 1.1, 2.0), (0.5, 0.2, 4.4)])
     def test_unitary_and_antidiagonal(self, q, alpha0, phi):
-        op = transmission_matrix(QPlateSpec(q, alpha0), phi)
-        assert op.is_unitary(1e-12)
-        assert op.matrix[0, 0] == 0 and op.matrix[1, 1] == 0
+        spec = QPlateSpec(q, q * phi + alpha0)
+        block = qplate_op(spec, abs(spec.two_q)).blocks[..., 0]
+        np.testing.assert_allclose(block.conj().T @ block, np.eye(2), atol=1e-12)
+        assert block[0, 0] == 0 and block[1, 1] == 0
 
     @pytest.mark.parametrize("q,alpha0", [(1, 0.0), (2, 0.7), (-1, 0.4), (0.5, 1.2)])
     def test_consistent_with_quantum_operator(self, q, alpha0):
@@ -85,13 +97,10 @@ class TestTransmissionMatrix:
             PhotonState.basis_state("L", m - spec.two_q, m_max), apply(full, right_in)
         )
         for phi in np.linspace(0, 2 * math.pi, 9):
-            local = transmission_matrix(spec, phi)
-            assert local.basis == ("R", "L")
+            local = local_transmission(spec, phi)
             shift_phase = np.exp(2j * spec.q * phi)
-            assert local.matrix[0, 1] == pytest.approx(to_r * shift_phase, abs=1e-12)
-            assert local.matrix[1, 0] == pytest.approx(
-                to_l * np.conj(shift_phase), abs=1e-12
-            )
+            assert local[1, 0] == pytest.approx(to_r * shift_phase, abs=1e-12)
+            assert local[0, 1] == pytest.approx(to_l * np.conj(shift_phase), abs=1e-12)
 
 
 class TestQPlateOp:

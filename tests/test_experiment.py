@@ -10,15 +10,14 @@ from hypothesis.extra import numpy as hnp
 from spinorbit.chsh import RngSeed, sweep
 from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import (
-    AnalyzerSettings,
     LostWeightError,
+    _oam_outcomes,
+    _spin_outcomes,
     default_m_max,
     expectation,
     herald,
     interferometer_detect,
     joint_probabilities,
-    observable_A,
-    observable_B,
     prepare_hybrid,
     spdc_source,
     spin_orbit_bell_state,
@@ -28,7 +27,6 @@ from spinorbit.qstate import (
     PhotonState,
     TruncationError,
     inner,
-    project,
     states_equal_up_to_phase,
     tensor,
 )
@@ -138,6 +136,15 @@ class TestHerald:
         assert outcome.probability == 0.0
         assert outcome.state.is_zero
 
+    @pytest.mark.parametrize(
+        "basis,shown", [([1, 1], "1.414"), ([math.nan, 0], "nan")], ids=["1-1", "nan-0"]
+    )
+    def test_basis_must_have_unit_norm(self, basis, shown):
+        message = f"^herald basis must have unit norm, got {shown}"
+        with pytest.raises(ValueError, match=message) as err:
+            herald(prepare_hybrid(), basis)
+        assert "\n" not in str(err.value)
+
     def test_idempotent_on_product_extension(self):
         bob = herald(prepare_hybrid()).state
         extended = BipartiteState.from_amplitudes(
@@ -157,49 +164,41 @@ class TestHerald:
 
 
 class TestObservables:
+    """Outcome states: row 0 is the +1 outcome, row 1 the -1 outcome."""
+
     def test_oam_plus_state_at_zero_phase(self):
-        obs = observable_A(0.0)
-        coeffs = dict(obs.plus.coeffs)
-        assert coeffs[-2] == pytest.approx((1 + 1j) / 2)
-        assert coeffs[2] == pytest.approx((1 - 1j) / 2)
+        plus = _oam_outcomes(0.0)[0]
+        assert plus[0] == pytest.approx((1 + 1j) / 2)  # |-2>
+        assert plus[1] == pytest.approx((1 - 1j) / 2)  # |+2>
 
     def test_oam_outcomes_orthogonal(self):
         for chi in np.linspace(-math.pi, math.pi, 7):
-            obs = observable_A(chi)
-            v1 = obs.plus.target_vector(2)
-            v2 = obs.minus.target_vector(2)
+            v1, v2 = _oam_outcomes(chi)
             assert abs(np.vdot(v1, v2)) < 1e-12
 
     def test_oam_plus_state_at_quarter_phase(self):
         # (1+i) = sqrt(2) e^{i pi/4} and (1-i) e^{i pi/2} = sqrt(2) e^{i pi/4},
         # so the state is (|-2> + |+2>)/sqrt(2) times a global e^{i pi/4}.
-        obs = observable_A(math.pi / 2)
-        v = obs.plus.target_vector(2)
-        expected = np.zeros(5, dtype=complex)
-        expected[0] = SQRT_HALF
-        expected[4] = SQRT_HALF
+        v = _oam_outcomes(math.pi / 2)[0]
+        expected = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
         assert abs(np.vdot(expected, v)) == pytest.approx(1.0, abs=1e-12)
         assert np.vdot(expected, v) / abs(np.vdot(expected, v)) == pytest.approx(
             cmath.exp(1j * math.pi / 4), abs=1e-12
         )
 
     def test_spin_plus_state_at_zero_phase_is_horizontal(self):
-        obs = observable_B(0.0)
-        v = obs.plus.target_vector(0)
+        v = _spin_outcomes(0.0)[0]
         np.testing.assert_allclose(v, [SQRT_HALF, SQRT_HALF], atol=1e-12)
 
     def test_spin_plus_state_at_half_turn_is_vertical(self):
-        obs = observable_B(math.pi)
-        v = obs.plus.target_vector(0)
+        v = _spin_outcomes(math.pi)[0]
         vert = np.array([-1j * SQRT_HALF, 1j * SQRT_HALF])
         assert abs(np.vdot(vert, v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_spin_outcomes_orthogonal(self):
         for chi in np.linspace(-math.pi, math.pi, 7):
-            obs = observable_B(chi)
-            assert abs(
-                np.vdot(obs.plus.target_vector(0), obs.minus.target_vector(0))
-            ) < 1e-12
+            plus, minus = _spin_outcomes(chi)
+            assert abs(np.vdot(plus, minus)) < 1e-12
 
 
 class TestJointProbabilities:
@@ -466,23 +465,3 @@ def test_chain_matches_kernel_on_random_states(m_max, amps, alpha, beta):
     np.testing.assert_allclose(
         detected, joint_probabilities(state, 4 * alpha, 2 * beta), rtol=0, atol=1e-10
     )
-
-
-class TestAnalyzerSettings:
-    def test_angle_round_trip_is_exact(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            chi_a, chi_b = rng.uniform(-math.pi, math.pi, size=2)
-            settings = AnalyzerSettings(chi_a, chi_b)
-            assert AnalyzerSettings.from_angles(settings.alpha, settings.beta) == settings
-            assert 4 * settings.alpha == chi_a
-            assert 2 * settings.beta == chi_b
-
-    def test_paper_hardware_angles(self):
-        settings = AnalyzerSettings(math.pi / 2, math.pi / 4)
-        assert settings.alpha == pytest.approx(math.radians(22.5))
-        assert settings.beta == pytest.approx(math.radians(22.5))
-
-    def test_wider_charge_conversion(self):
-        settings = AnalyzerSettings(math.pi, 0.0, m=4)
-        assert settings.alpha == pytest.approx(math.pi / 8)

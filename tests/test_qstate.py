@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from spinorbit.experiment import herald
 from spinorbit.qstate import (
     BasisMismatchError,
     BipartiteState,
     ElementOp,
-    LinearOp,
     PhotonState,
-    Projector,
     TruncationError,
     apply,
     apply_alice,
     basis_change_circular_linear,
     basis_labels,
     inner,
-    project,
     spin_ket,
     spin_op,
     states_equal_up_to_phase,
@@ -35,11 +33,18 @@ def random_state(m_max, rng):
 
 
 def random_unitary_op(m_max, rng):
-    dim = 2 * (2 * m_max + 1)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    """Element with an independent random 2x2 unitary block per OAM charge."""
+    n_oam = 2 * m_max + 1
+    z = rng.normal(size=(n_oam, 2, 2)) + 1j * rng.normal(size=(n_oam, 2, 2))
     q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return LinearOp(basis_labels(m_max), q)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return ElementOp(np.moveaxis(q, 0, -1), m_max=m_max)
+
+
+def dagger(op):
+    """Adjoint of an unshifted element: each block conjugate-transposed."""
+    return ElementOp(op.blocks.conj().swapaxes(0, 1), m_max=op.m_max)
 
 
 class TestTensor:
@@ -79,7 +84,7 @@ class TestApply:
     def test_identity_leaves_state(self):
         rng = np.random.default_rng(3)
         s = random_state(2, rng)
-        eye = LinearOp(basis_labels(2), np.eye(10))
+        eye = ElementOp(np.eye(2), m_max=2)
         np.testing.assert_allclose(apply(eye, s).vector, s.vector, atol=1e-15)
 
     def test_spin_flip_on_basis_state(self):
@@ -89,16 +94,9 @@ class TestApply:
         assert out.norm() == pytest.approx(1.0)
 
     def test_basis_mismatch_rejected(self):
-        op = LinearOp(basis_labels(1), np.eye(6))
+        op = ElementOp(np.eye(2), m_max=1)
         with pytest.raises(BasisMismatchError):
             apply(op, PhotonState.basis_state("L", 0, 2))
-
-    def test_dense_spin_matrix_rejected(self):
-        op = LinearOp(("L", "R"), np.array([[0, 1], [1, 0]]))
-        with pytest.raises(BasisMismatchError):
-            apply(op, PhotonState.basis_state("L", 0, 2))
-        with pytest.raises(BasisMismatchError):
-            apply(op, spin_ket("L"))
 
     def test_norm_preserved_by_random_unitaries(self):
         rng = np.random.default_rng(11)
@@ -114,7 +112,7 @@ class TestApply:
             op = random_unitary_op(1, rng)
             a, b = random_state(1, rng), random_state(1, rng)
             lhs = inner(a, apply(op, b))
-            rhs = inner(apply(op.dagger(), a), b)
+            rhs = inner(apply(dagger(op), a), b)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -205,51 +203,52 @@ class TestInner:
 
 
 class TestProject:
+    """Alice's spin projection, made by herald."""
+
     def test_matching_spin_projection_is_certain(self):
-        s = PhotonState.basis_state("L", 0, 2)
-        out, prob = project(s, Projector("spin", {"L": 1.0}))
-        assert prob == pytest.approx(1.0)
-        assert states_equal_up_to_phase(out, s)
+        bob = PhotonState.basis_state("L", 0, 2)
+        s = BipartiteState(2, np.outer(spin_ket("L"), bob.vector))
+        out = herald(s, "L")
+        assert out.probability == pytest.approx(1.0)
+        assert states_equal_up_to_phase(out.state, bob)
 
     def test_orthogonal_projection_flags_empty(self):
-        s = PhotonState.basis_state("L", 0, 2)
-        out, prob = project(s, Projector("spin", {"R": 1.0}))
-        assert prob == 0.0
-        assert out.is_zero
+        bob = PhotonState.basis_state("L", 0, 2)
+        s = BipartiteState(2, np.outer(spin_ket("L"), bob.vector))
+        out = herald(s, "R")
+        assert out.probability == 0.0
+        assert out.state.is_zero
 
     def test_alice_projection_collapses_bob(self):
         # Hand expansion: rewriting Alice's circular components in the
         # H/V basis puts weight 1/2 on |H>_A, and conditioning on it
-        # leaves Bob in (|L,-2> + |R,+2>)/sqrt(2).
+        # leaves Bob in (|L,-2> + |R,+2>)/sqrt(2); |V>_A flips the relative
+        # sign, and |L>_A or |R>_A keeps one branch.
         hybrid = BipartiteState.from_amplitudes(
             2, {("L", "L", -2): SQRT_HALF, ("R", "R", 2): SQRT_HALF}
         )
-        proj = Projector("spin", {"L": SQRT_HALF, "R": SQRT_HALF}, side="alice")
-        bob, prob = project(hybrid, proj)
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        assert bob.amplitude("L", -2) == pytest.approx(SQRT_HALF, abs=1e-12)
-        assert bob.amplitude("R", 2) == pytest.approx(SQRT_HALF, abs=1e-12)
+        expected = {
+            "H": {("L", -2): SQRT_HALF, ("R", 2): SQRT_HALF},
+            "V": {("L", -2): SQRT_HALF, ("R", 2): -SQRT_HALF},
+            "L": {("L", -2): 1.0},
+            "R": {("R", 2): 1.0},
+        }
+        for basis, amps in expected.items():
+            out = herald(hybrid, basis)
+            assert out.probability == pytest.approx(0.5, abs=1e-12)
+            assert states_equal_up_to_phase(
+                out.state, PhotonState.from_amplitudes(2, amps)
+            )
 
     def test_completeness_of_dichotomic_pair(self):
         rng = np.random.default_rng(5)
-        plus = Projector("spin", {"L": SQRT_HALF, "R": SQRT_HALF * 1j})
-        minus = Projector("spin", {"L": SQRT_HALF, "R": -SQRT_HALF * 1j})
         for _ in range(10):
-            s = random_state(2, rng)
-            _, p1 = project(s, plus)
-            _, p2 = project(s, minus)
-            assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_projector_requires_unit_norm(self):
-        with pytest.raises(ValueError):
-            Projector("spin", {"L": 1.0, "R": 1.0})
-
-    def test_only_spin_projectors_apply(self):
-        s = PhotonState.basis_state("L", 2, 2)
-        with pytest.raises(ValueError):
-            project(s, Projector("oam", {2: 1.0}))
-        with pytest.raises(ValueError):
-            Projector("joint", {("L", 2): 1.0})
+            s = BipartiteState(2, rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10)))
+            s = BipartiteState(2, s.matrix / s.norm())
+            for plus, minus in (("H", "V"), ("L", "R")):
+                p1 = herald(s, plus).probability
+                p2 = herald(s, minus).probability
+                assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBasisChange:
@@ -284,10 +283,6 @@ class TestBasisChange:
 
 
 class TestValueSemantics:
-    def test_nan_projector_target_rejected(self):
-        with pytest.raises(ValueError, match="unit norm, got nan"):
-            Projector("spin", (("L", math.nan),))
-
     def test_vectors_are_frozen(self):
         s = PhotonState.basis_state("L", 0, 1)
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """The contract of the package's immutable record types.
 
-Every record is immutable.  The four array-holding types compare and hash by
+Every record is immutable.  The three array-holding types compare and hash by
 identity; every other record compares by value with instances of its own
 type only, hashes by value when its fields are hashable, shows its field
 values in ``repr`` and survives ``copy`` and ``pickle``.
@@ -16,15 +16,8 @@ import pytest
 
 from spinorbit.chsh import ChshSettings, CountRecord, McEstimate, NchvResult, RngSeed, SweepRow
 from spinorbit.elements import OrientationField, QPlateSpec
-from spinorbit.experiment import AnalyzerSettings, HeraldOutcome, Observable
-from spinorbit.qstate import (
-    BipartiteState,
-    ElementOp,
-    LinearOp,
-    PhotonState,
-    Projector,
-    basis_labels,
-)
+from spinorbit.experiment import HeraldOutcome
+from spinorbit.qstate import BipartiteState, ElementOp, PhotonState
 
 _STATE = PhotonState(1, np.eye(6)[1])
 _GRID = np.linspace(0.0, 1.0, 3)
@@ -33,18 +26,12 @@ _COUNTS = CountRecord(1, 2, 3, 4)
 
 # name -> (factory, field names in order); each call builds a fresh instance.
 VALUE_RECORDS = {
-    "Projector": (lambda: Projector("spin", (("L", 1.0),)), ("tag", "coeffs", "side")),
     "QPlateSpec": (lambda: QPlateSpec(1, 0.5), ("q", "alpha0")),
     "OrientationField": (
         lambda: OrientationField(QPlateSpec(1), _GRID, _GRID, _ALPHA),
         ("spec", "r", "phi", "alpha"),
     ),
     "HeraldOutcome": (lambda: HeraldOutcome(_STATE, 0.5), ("state", "probability")),
-    "Observable": (
-        lambda: Observable(Projector("spin", (("L", 1.0),)), Projector("spin", (("R", 1.0),))),
-        ("plus", "minus"),
-    ),
-    "AnalyzerSettings": (lambda: AnalyzerSettings(0.5, 0.25, 3), ("chi_a", "chi_b", "m")),
     "ChshSettings": (
         lambda: ChshSettings(0.1, 0.2, 0.3, 0.4),
         ("chi_a", "chi_a_prime", "chi_b", "chi_b_prime"),
@@ -66,7 +53,6 @@ UNHASHABLE = {"OrientationField", "NchvResult"}  # a field holds an array or a d
 IDENTITY_RECORDS = {
     "PhotonState": (lambda: PhotonState(1, np.eye(6)[1]), ("m_max", "vector")),
     "BipartiteState": (lambda: BipartiteState(1, np.zeros((2, 6))), ("m_max", "matrix")),
-    "LinearOp": (lambda: LinearOp(basis_labels(1), np.eye(6)), ("basis", "matrix", "name")),
     "ElementOp": (lambda: ElementOp(np.eye(2)), ("blocks", "shift", "m_max", "name")),
 }
 ALL_RECORDS = {**VALUE_RECORDS, **IDENTITY_RECORDS}
@@ -149,8 +135,9 @@ class TestValueRecords:
         (RngSeed(7, 3), RngSeed(7, 4)),
         (ChshSettings(0.1, 0.2, 0.3, 0.4), ChshSettings(0.1, 0.2, 0.3, 0.5)),
         (QPlateSpec(1, 0.5), QPlateSpec(1, 0.25)),
-        (Projector("spin", (("L", 1.0),)), Projector("spin", (("L", 1.0),), "alice")),
-        (AnalyzerSettings(0.5, 0.25, 3), AnalyzerSettings(0.5, 0.25, 2)),
+        (HeraldOutcome(_STATE, 0.5), HeraldOutcome(_STATE, 0.25)),
+        (McEstimate(2.5, 0.1, (0.5,) * 4, (_COUNTS,) * 4),
+         McEstimate(2.5, 0.2, (0.5,) * 4, (_COUNTS,) * 4)),
         (SweepRow(0.1, 0.2, (0.25,) * 4, None, 0.0, None, False),
          SweepRow(0.1, 0.2, (0.25,) * 4, None, 0.0, None, True)),
     ],
@@ -181,12 +168,9 @@ def test_array_records_compare_by_identity(name):
 
 class TestDefaultsAndNormalisation:
     def test_defaults(self):
-        assert LinearOp(("L", "R"), np.eye(2)).name == ""
         op = ElementOp(np.eye(2))
         assert (op.shift, op.m_max, op.name) == (0, None, "")
-        assert Projector("spin", (("L", 1.0),)).side == "bob"
         assert QPlateSpec(1).alpha0 == 0.0
-        assert AnalyzerSettings(0.0, 0.0).m == 2
         assert RngSeed(1).stream == 0
 
     def test_arrays_are_read_only_complex_copies(self):
@@ -196,7 +180,6 @@ class TestDefaultsAndNormalisation:
         assert state.vector[1] == 1.0 and state.vector.dtype == complex
         assert not state.vector.flags.writeable
         for arr in (BipartiteState(1, np.zeros((2, 6))).matrix,
-                    LinearOp(basis_labels(1), np.eye(6)).matrix,
                     ElementOp(np.eye(2)).blocks):
             assert arr.dtype == complex and not arr.flags.writeable
 
@@ -204,11 +187,8 @@ class TestDefaultsAndNormalisation:
         op = ElementOp(np.eye(2), shift=np.int64(1), m_max=2)
         assert op.blocks.shape == (2, 2, 1)
         assert type(op.shift) is int and op.shift == 1
-        assert LinearOp(list(basis_labels(1)), np.eye(6)).basis == basis_labels(1)
         spec = QPlateSpec(1, 0)
         assert type(spec.q) is float and type(spec.alpha0) is float
-        proj = Projector("spin", [("L", 1)])
-        assert proj.coeffs == (("L", 1 + 0j),) and type(proj.coeffs[0][1]) is complex
 
 
 @pytest.mark.parametrize(
@@ -216,19 +196,13 @@ class TestDefaultsAndNormalisation:
     [
         (lambda: PhotonState(1, np.zeros(5)), "vector length (5,) does not match m_max=1"),
         (lambda: BipartiteState(1, np.zeros((2, 5))), "matrix shape does not match m_max"),
-        (lambda: LinearOp(("L", "R"), np.eye(3)),
-         "matrix must be square over the declared basis"),
         (lambda: ElementOp(np.eye(3)), "blocks (3, 3, 1) do not fit m_max=None"),
         (lambda: ElementOp(np.zeros((2, 2, 4)), m_max=2), "blocks (2, 2, 4) do not fit m_max=2"),
         (lambda: ElementOp(np.eye(2), shift=1), "m_max=None cannot hold a +-1 OAM shift"),
         (lambda: ElementOp(np.eye(2), shift=-3, m_max=2), "m_max=2 cannot hold a +-3 OAM shift"),
-        (lambda: Projector("joint", (("L", 1.0),)), "unknown projector tag 'joint'"),
-        (lambda: Projector("spin", (("L", 2.0),)),
-         "projector target must have unit norm, got 2.0"),
         (lambda: QPlateSpec(math.inf), "q-plate parameters must be finite"),
         (lambda: QPlateSpec(1, math.nan), "q-plate parameters must be finite"),
         (lambda: QPlateSpec(0.3), "2q must be an integer, got q=0.3"),
-        (lambda: AnalyzerSettings(0.0, 0.0, 0), "analyzer OAM magnitude must be a positive integer"),
         (lambda: ChshSettings(0.0, math.nan, 0.0, 0.0), "all CHSH settings must be finite"),
         (lambda: ChshSettings(0.0, 0.0, 0.0, -math.inf), "all CHSH settings must be finite"),
         (lambda: CountRecord(1, 2, -1, 4), "counts must be non-negative"),
