@@ -3,10 +3,13 @@
 Every record is immutable.  The three array-holding types compare and hash by
 identity; every other record compares by value with instances of its own
 type only, hashes by value when its fields are hashable, shows its field
-values in ``repr`` and survives ``copy`` and ``pickle``.
+values in ``repr`` and survives ``copy`` and ``pickle``.  The bench DSL's
+records follow the value contract too; a ``Stage`` compares without its line
+number and, like the records that hold stages, has no hash.
 """
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -14,6 +17,15 @@ import re
 import numpy as np
 import pytest
 
+from spinorbit.benchdsl import (
+    SCHEMAS,
+    BenchAst,
+    BenchPipeline,
+    PipelineResult,
+    Stage,
+    compile_bench,
+    parse,
+)
 from spinorbit.chsh import ChshSettings, CountRecord, McEstimate, NchvResult, RngSeed, SweepRow
 from spinorbit.elements import OrientationField, QPlateSpec
 from spinorbit.experiment import HeraldOutcome
@@ -214,3 +226,112 @@ class TestDefaultsAndNormalisation:
 def test_validation_errors(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# The bench DSL's records.  Their field names are read from the constructor,
+# whose keywords are the fields in order.
+_FIG2 = "source spdc\nfilter smf side=bob\nqplate q=1 alpha0=0 side=bob\nherald basis=H side=alice\n"
+_PIPELINE = compile_bench(parse(_FIG2))
+_RESULT = _PIPELINE.run()
+_SOURCE = "Stage(keyword='source', params={'kind': 'spdc'}, side='both', line=1)"
+_QWP = "Stage(keyword='qwp', params={'theta': 0.5}, side='bob', line=2)"
+
+
+def dsl_fields(cls) -> tuple:
+    return tuple(inspect.signature(cls).parameters)
+
+
+def rebuilt(rec):
+    """A fresh record of the same type from the given one's fields, passed by keyword."""
+    return type(rec)(**{f: getattr(rec, f) for f in dsl_fields(type(rec))})
+
+
+DSL_RECORDS = {
+    "ParamSpec": lambda: rebuilt(SCHEMAS["qplate"].params[1]),
+    "StageSchema": lambda: rebuilt(SCHEMAS["qplate"]),
+    "Stage": lambda: Stage("qwp", {"theta": 0.5}, "bob", 2),
+    "BenchAst": lambda: BenchAst((Stage("source", {"kind": "spdc"}, "both", 1),
+                                  Stage("qwp", {"theta": 0.5}, "bob", 2))),
+    "PipelineResult": lambda: PipelineResult(_RESULT.bipartite, _RESULT.bob, 0.5, 1.0, 2),
+    "BenchPipeline": lambda: BenchPipeline(_PIPELINE.steps, 4),
+}
+DSL_UNHASHABLE = {"Stage", "BenchAst", "BenchPipeline"}  # a stage's params are a dict
+DSL_PICKLED = sorted(set(DSL_RECORDS) - {"ParamSpec", "StageSchema"})  # schemas hold builders
+
+
+def deep_same(x, y) -> bool:
+    """Equal field by field, through containers, arrays and identity-compared states."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(deep_same, x, y))
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(deep_same(x[k], y[k]) for k in x)
+    if isinstance(x, (PhotonState, BipartiteState, ElementOp)):
+        names = type(x).__slots__
+    elif type(x).__name__ in DSL_RECORDS:
+        names = dsl_fields(type(x))
+    else:
+        return x == y
+    return all(deep_same(getattr(x, n), getattr(y, n)) for n in names)
+
+
+@pytest.mark.parametrize("name", sorted(DSL_RECORDS))
+class TestBenchRecords:
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        rec = DSL_RECORDS[name]()
+        for field in dsl_fields(type(rec)):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_equal_by_value_and_only_to_its_own_type(self, name):
+        a, b = DSL_RECORDS[name](), DSL_RECORDS[name]()
+        assert a is not b
+        assert a == b and not a != b
+        assert a != tuple(getattr(a, f) for f in dsl_fields(type(a)))
+        assert a != object()
+
+    def test_hash(self, name):
+        make = DSL_RECORDS[name]
+        if name in DSL_UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(make())
+        else:
+            assert hash(make()) == hash(make())
+
+    def test_repr_shows_every_field(self, name):
+        rec = DSL_RECORDS[name]()
+        shown = ", ".join(f"{f}={getattr(rec, f)!r}" for f in dsl_fields(type(rec)))
+        assert repr(rec) == f"{name}({shown})"
+
+    def test_copy_keeps_the_fields(self, name):
+        rec = DSL_RECORDS[name]()
+        for twin in (copy.copy(rec), copy.deepcopy(rec)):
+            assert deep_same(rec, twin)
+
+
+@pytest.mark.parametrize("name", DSL_PICKLED)
+def test_bench_records_pickle(name):
+    rec = DSL_RECORDS[name]()
+    assert deep_same(rec, pickle.loads(pickle.dumps(rec)))
+
+
+def test_stage_and_bench_reprs():
+    assert repr(DSL_RECORDS["Stage"]()) == _QWP
+    assert repr(DSL_RECORDS["BenchAst"]()) == f"BenchAst(stages=({_SOURCE}, {_QWP}))"
+
+
+def test_stage_equality_ignores_the_line_but_copies_keep_it():
+    stage = Stage("qwp", {"theta": 0.5}, "bob", 2)
+    assert stage == Stage("qwp", {"theta": 0.5}, "bob", 7)
+    assert stage != Stage("qwp", {"theta": 0.5}, "alice", 2)
+    assert stage != Stage("hwp", {"theta": 0.5}, "bob", 2)
+    assert Stage("mirror", {}, "bob").line == 0
+    for twin in (copy.copy(stage), copy.deepcopy(stage), pickle.loads(pickle.dumps(stage))):
+        assert twin.line == 2
