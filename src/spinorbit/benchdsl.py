@@ -10,8 +10,9 @@ canonical heralded-preparation bench reads::
     qplate q=1 alpha0=0 side=bob
     herald basis=H side=alice
 
-Exactly one ``source`` stage must come first and at most one ``herald``
-is allowed.  Parsing resolves defaults, so :func:`serialize` followed by
+Each keyword's meaning is one :data:`SCHEMAS` row: its parameters, default
+side, variant tokens and element builder.  Exactly one ``source`` stage must
+come first and at most one ``herald`` is allowed.  Parsing resolves defaults, so :func:`serialize` followed by
 :func:`parse` reproduces the AST structurally; comments are not preserved.
 :func:`compile_bench` builds each element once; Alice takes only spin-only
 elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald does.
@@ -23,7 +24,6 @@ import math
 import numbers
 import re
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record
 
 _TWO_PI = 2 * math.pi
 
@@ -64,77 +64,78 @@ class CompileError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    kind: str  # "number" or "ident"
-    required: bool = False
-    default: object = None
-    angle: bool = False
-    choices: tuple[str, ...] | None = None
+class ParamSpec(_Record):
+    """One stage parameter: required exactly when it has no default, an
+    identifier among ``choices`` if it has them and a finite number if not."""
+
+    __slots__ = ("name", "default", "angle", "choices")
+
+    def __init__(self, name: str, default=None, angle: bool = False,
+                 choices: tuple[str, ...] | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "choices", choices)
 
 
-@dataclass(frozen=True)
-class StageSchema:
-    params: tuple[ParamSpec, ...]
-    default_side: str
-    kind_choices: tuple[str, ...] | None = None  # bare variant token, if any
-    kind_default: str | None = None
+class StageSchema(_Record):
+    """What a keyword means: its parameters, default side, bare variant tokens
+    (the first is the default) and ``build(params, m_max)``, which makes its
+    element; ``build`` is None for the source and the herald."""
+
+    __slots__ = ("params", "default_side", "kind_choices", "build")
+
+    def __init__(self, params: tuple[ParamSpec, ...], default_side: str,
+                 kind_choices: tuple[str, ...] | None = None, build=None):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "default_side", default_side)
+        object.__setattr__(self, "kind_choices", kind_choices)
+        object.__setattr__(self, "build", build)
 
 
 SCHEMAS: dict[str, StageSchema] = {
-    "source": StageSchema(
-        params=(), default_side="both", kind_choices=("spdc",), kind_default="spdc"
-    ),
-    "filter": StageSchema(
-        params=(), default_side="bob", kind_choices=("smf",), kind_default="smf"
-    ),
+    "source": StageSchema((), "both", ("spdc",)),
+    "filter": StageSchema((), "bob", ("smf",), lambda p, m_max: smf_filter_op(m_max)),
     "qplate": StageSchema(
-        params=(
-            ParamSpec("q", "number", required=True),
-            ParamSpec("alpha0", "number", default=0.0, angle=True),
-        ),
-        default_side="bob",
+        (ParamSpec("q"), ParamSpec("alpha0", default=0.0, angle=True)), "bob",
+        build=lambda p, m_max: qplate_op(QPlateSpec(p["q"], p["alpha0"]), m_max),
     ),
-    "qwp": StageSchema(
-        params=(ParamSpec("theta", "number", required=True, angle=True),),
-        default_side="bob",
-    ),
-    "hwp": StageSchema(
-        params=(ParamSpec("theta", "number", required=True, angle=True),),
-        default_side="bob",
-    ),
-    "dove": StageSchema(
-        params=(ParamSpec("alpha", "number", required=True, angle=True),),
-        default_side="bob",
-    ),
-    "mirror": StageSchema(params=(), default_side="bob"),
-    "herald": StageSchema(
-        params=(
-            ParamSpec(
-                "basis", "ident", default="H", choices=("H", "V", "L", "R")
-            ),
-        ),
-        default_side="alice",
-    ),
+    "qwp": StageSchema((ParamSpec("theta", angle=True),), "bob",
+                       build=lambda p, m_max: waveplate_op("qwp", p["theta"])),
+    "hwp": StageSchema((ParamSpec("theta", angle=True),), "bob",
+                       build=lambda p, m_max: waveplate_op("hwp", p["theta"])),
+    "dove": StageSchema((ParamSpec("alpha", angle=True),), "bob",
+                        build=lambda p, m_max: dove_pair_op(p["alpha"], m_max)),
+    "mirror": StageSchema((), "bob", build=lambda p, m_max: mirror_op(m_max)),
+    "herald": StageSchema((ParamSpec("basis", default="H", choices=("H", "V", "L", "R")),),
+                          "alice"),
 }
 
 _SIDES = ("alice", "bob", "both")
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(_Record):
     """One resolved bench stage; line numbers are carried but not compared."""
 
-    keyword: str
-    params: dict
-    side: str
-    line: int = field(compare=False, default=0)
+    __slots__ = ("keyword", "params", "side", "line")
+
+    def __init__(self, keyword: str, params: dict, side: str, line: int = 0):
+        object.__setattr__(self, "keyword", keyword)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "line", line)
+
+    def __eq__(self, other):  # no __hash__: params is a dict
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.keyword, self.params, self.side) == (other.keyword, other.params, other.side)
 
 
-@dataclass(frozen=True)
-class BenchAst:
-    stages: tuple[Stage, ...]
+class BenchAst(_Record):
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: tuple[Stage, ...]):
+        object.__setattr__(self, "stages", stages)
 
 
 def reduce_angle(value: float) -> float:
@@ -187,7 +188,7 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
         params["kind"] = token
         rest = rest[1:]
     elif schema.kind_choices is not None:
-        params["kind"] = schema.kind_default
+        params["kind"] = schema.kind_choices[0]
 
     by_name = {p.name: p for p in schema.params}
     for token, col in rest:
@@ -217,7 +218,7 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
             raise ParseError(
                 line_no, col, "duplicate-param", f"parameter {name!r} given twice"
             )
-        if spec.kind == "number":
+        if spec.choices is None:
             num = _parse_number(value, line_no, value_col)
             params[name] = reduce_angle(num) if spec.angle else num
         else:
@@ -226,7 +227,7 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
                     line_no, value_col, "unknown-keyword",
                     f"expected an identifier, got {value!r}",
                 )
-            if spec.choices is not None and value not in spec.choices:
+            if value not in spec.choices:
                 raise ParseError(
                     line_no, value_col, "unknown-keyword",
                     f"{name!r} must be one of {spec.choices}, got {value!r}",
@@ -235,15 +236,12 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
 
     for spec in schema.params:
         if spec.name not in params:
-            if spec.required:
+            if spec.default is None:
                 raise ParseError(
                     line_no, kw_col, "missing-param",
                     f"stage {keyword!r} requires parameter {spec.name!r}",
                 )
-            value = spec.default
-            if spec.kind == "number" and spec.angle:
-                value = reduce_angle(float(value))
-            params[spec.name] = value
+            params[spec.name] = reduce_angle(float(spec.default)) if spec.angle else spec.default
 
     return Stage(
         keyword=keyword,
@@ -283,12 +281,6 @@ def _check_order(stages: list[Stage]) -> None:
         raise ParseError(stage.line, 1, "misplaced-stage", message)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.17g}"
-
-
 def serialize(ast: BenchAst) -> str:
     """Canonical text form; parse(serialize(ast)) equals ast structurally."""
     lines = []
@@ -298,14 +290,14 @@ def serialize(ast: BenchAst) -> str:
         if schema.kind_choices is not None:
             parts.append(str(stage.params["kind"]))
         for spec in schema.params:
-            parts.append(f"{spec.name}={_fmt_value(stage.params[spec.name])}")
+            value = stage.params[spec.name]
+            parts.append(f"{spec.name}={value if spec.choices else f'{float(value):.17g}'}")
         parts.append(f"side={stage.side}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(_Record):
     """Outcome of running a bench: the prepared states and bookkeeping.
 
     ``bipartite`` is the two-photon state just before the herald (the final
@@ -316,28 +308,33 @@ class PipelineResult:
     support (charges whose largest amplitude exceeds NORM_TOL), else None.
     """
 
-    bipartite: BipartiteState
-    bob: PhotonState | None
-    herald_probability: float | None
-    filter_weight: float
-    analyzer_m: int | None
+    __slots__ = ("bipartite", "bob", "herald_probability", "filter_weight", "analyzer_m")
+
+    def __init__(self, bipartite: BipartiteState, bob: PhotonState | None,
+                 herald_probability: float | None, filter_weight: float,
+                 analyzer_m: int | None):
+        object.__setattr__(self, "bipartite", bipartite)
+        object.__setattr__(self, "bob", bob)
+        object.__setattr__(self, "herald_probability", herald_probability)
+        object.__setattr__(self, "filter_weight", filter_weight)
+        object.__setattr__(self, "analyzer_m", analyzer_m)
 
 
-@dataclass(frozen=True)
-class BenchPipeline:
+class BenchPipeline(_Record):
     """Each stage after the source with the element :func:`compile_bench`
     built for it once at ``m_max`` (None for the herald); :meth:`run` applies them.
     Construction checks each step, compiled or built by hand (:func:`_step_fault`)."""
 
-    steps: tuple[tuple[Stage, ElementOp | None], ...]
-    m_max: int
+    __slots__ = ("steps", "m_max")
 
-    def __post_init__(self):
+    def __init__(self, steps: tuple[tuple[Stage, ElementOp | None], ...], m_max: int):
         after_herald = False
-        for stage, op in self.steps:
-            if (fault := _step_fault(stage, op, self.m_max, after_herald)) is not None:
+        for stage, op in steps:
+            if (fault := _step_fault(stage, op, m_max, after_herald)) is not None:
                 raise CompileError(stage.line, fault)
             after_herald = after_herald or stage.keyword == "herald"
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "m_max", m_max)
 
     def run(self) -> PipelineResult:
         """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
@@ -381,18 +378,18 @@ def _params_fault(stage: Stage):
         if spec.name not in stage.params:
             return f"stage {stage.keyword!r} is missing parameter {spec.name!r}"
         value = stage.params[spec.name]
-        if spec.kind == "number":
+        if spec.choices is None:
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 return f"{spec.name!r} must be a finite number, got {value!r}"
-        elif spec.choices is not None and value not in spec.choices:
+        elif value not in spec.choices:
             return f"{spec.name!r} must be one of {spec.choices}, got {value!r}"
     return None
 
 
 def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bool):
     """Why :meth:`BenchPipeline.run` would misapply a step, else None."""
-    keyword, side = stage.keyword, stage.side
-    if keyword not in SCHEMAS:
+    keyword, side, schema = stage.keyword, stage.side, SCHEMAS.get(stage.keyword)
+    if schema is None:
         return f"unknown stage {keyword!r}"
     if (fault := _params_fault(stage)) is not None:
         return fault
@@ -400,9 +397,9 @@ def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bo
         return "only one source stage is allowed"
     if keyword == "herald" and after_herald:
         return "at most one herald stage is allowed"
-    if (op is None) != (keyword == "herald"):
+    if (op is None) != (schema.build is None):
         return f"{keyword!r} step has {'an' if op is not None else 'no'} element"
-    if keyword == "herald":
+    if op is None:
         return None if side == "alice" else "herald must act on side=alice"
     if side not in ("alice", "bob"):
         return f"element stage {keyword!r} needs side=alice or side=bob"
@@ -412,20 +409,6 @@ def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bo
         return f"{keyword!r} involves OAM and cannot act on Alice's photon"
     if op.blocks.shape[-1] not in (1, 2 * m_max + 1):
         return f"{keyword!r} blocks {op.blocks.shape} do not fit m_max={m_max}"
-    return None
-
-
-def _stage_op(stage: Stage, m_max: int) -> ElementOp | None:
-    if stage.keyword == "filter":
-        return smf_filter_op(m_max)
-    if stage.keyword == "qplate":
-        return qplate_op(QPlateSpec(stage.params["q"], stage.params["alpha0"]), m_max)
-    if stage.keyword in ("qwp", "hwp"):
-        return waveplate_op(stage.keyword, stage.params["theta"])
-    if stage.keyword == "dove":
-        return dove_pair_op(stage.params["alpha"], m_max)
-    if stage.keyword == "mirror":
-        return mirror_op(m_max)
     return None
 
 
@@ -448,8 +431,11 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
         raise CompileError(1, "bench has no source stage")
     if ast.stages[0].keyword != "source":
         raise CompileError(ast.stages[0].line, "first stage must be the source")
-    steps = tuple((stage, _stage_op(stage, m_max)) for stage in ast.stages[1:])
-    pipeline = BenchPipeline(steps, m_max)
+    steps = []
+    for stage in ast.stages[1:]:  # an unknown stage gets no element; BenchPipeline names it
+        build = getattr(SCHEMAS.get(stage.keyword), "build", None)
+        steps.append((stage, None if build is None else build(stage.params, m_max)))
+    pipeline = BenchPipeline(tuple(steps), m_max)
 
     if bounds and not any(stage.keyword == "filter" for stage, _ in steps):
         warnings.warn(

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 from . import __version__
@@ -267,10 +268,14 @@ def cmd_run(args) -> int:
     with open(args.bench) as fh:
         text = fh.read()
     try:
-        pipeline = compile_bench(parse(text))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline = compile_bench(parse(text))
     except (ParseError, CompileError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    for warning in caught:
+        print(f"spinorbit: warning: {warning.message}", file=sys.stderr)
     result = pipeline.run()
     if result.bob is None:
         print("bench has no herald stage; nothing to analyze", file=sys.stderr)
@@ -401,8 +406,9 @@ def main(argv=None) -> int:
     except (LostWeightError, TruncationError) as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"spinorbit: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"spinorbit: error: {message}", file=sys.stderr)
         return 1
 
 

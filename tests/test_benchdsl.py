@@ -35,10 +35,10 @@ def make_stage(keyword, side=None, line=0, **params):
     schema = SCHEMAS[keyword]
     resolved = {}
     if schema.kind_choices is not None:
-        resolved["kind"] = params.pop("kind", schema.kind_default)
+        resolved["kind"] = params.pop("kind", schema.kind_choices[0])
     for spec in schema.params:
         value = params.pop(spec.name, spec.default)
-        if spec.kind == "number" and spec.angle:
+        if spec.angle:
             value = reduce_angle(float(value))
         resolved[spec.name] = value
     assert not params, f"unknown params {params}"

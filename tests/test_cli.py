@@ -275,6 +275,33 @@ class TestRunCommand:
         assert main(["run", FIG2]) == 3
         assert "numeric contract violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "exc,message",
+        [(MemoryError(), "out of memory"),
+         (MemoryError("Unable to allocate 1.49 GiB"), "Unable to allocate 1.49 GiB")],
+        ids=["bare", "with-text"],
+    )
+    def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys, exc, message):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("spinorbit.cli.joint_probabilities", exhausted)
+        assert main(["run", FIG2]) == 1
+        assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
+
+    def test_missing_filter_warning_is_one_stderr_line(self, tmp_path, capsys):
+        assert main(["run", FIG2]) == 0
+        reference = capsys.readouterr().out.splitlines()
+        bench = tmp_path / "unfiltered.bench"
+        bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")
+        assert main(["run", str(bench)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "spinorbit: warning: bench has a q-plate but no mode filter; an ideal "
+            "source carries no OAM, so the output is unchanged\n"
+        )
+        assert captured.out.splitlines()[1:] == reference[1:]  # all but the bench path
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chsh", "--chi-a", "not-an-angle"])
@@ -372,6 +399,14 @@ class TestColdStart:
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_run_loads_no_dataclasses(self):
+        code = ("import sys; from spinorbit.cli import main; "
+                f"code = main(['run', {FIG2!r}]); "
+                "print(code, 'dataclasses' in sys.modules, file=sys.stderr)")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "0 False\n"
 
     @pytest.mark.parametrize(
         "text,message",
