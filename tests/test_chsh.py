@@ -336,6 +336,19 @@ class TestSweep:
             assert row.counts.as_tuple() == tuple(want.tolist())
             assert row.e_estimated == estimate_E(row.counts)
 
+    def test_row_fields_are_python_scalars(self):
+        grid = np.linspace(-math.pi, math.pi, 4, endpoint=False)
+        sampled = sweep(np.float64(math.pi / 4), grid, shots=100, seed=RngSeed(2))
+        exact = sweep(math.pi / 4, grid, shots=0, seed=RngSeed(2))
+        for row in [*sampled, *exact]:
+            assert type(row.chi_a) is float and type(row.chi_b) is float
+            assert type(row.probabilities) is tuple and len(row.probabilities) == 4
+            assert all(type(p) is float for p in row.probabilities)
+            assert type(row.e_exact) is float and type(row.is_circle) is bool
+        for row in sampled:
+            assert type(row.counts) is CountRecord and type(row.e_estimated) is float
+            assert all(type(n) is int for n in row.counts.as_tuple())
+
     def test_negative_first_row_rejected(self):
         with pytest.raises(ValueError):
             sweep(0.0, [0.1], shots=10, seed=RngSeed(0), first_row=-1)

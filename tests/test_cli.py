@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -122,6 +123,18 @@ class TestSweepCommand:
         assert "PCG64" in manifest["generator"]
         # chi_A = pi/2 sits at index 48, chi_A = -pi at index 0.
         assert manifest["circle_rows"] == [0, 48]
+
+    @pytest.mark.parametrize("shots,sha256", [
+        ("500", "57dc1c4913940da1e43cfe794705787c6edecd1e75ae8fe7d64fc2a97d1be802"),
+        ("0", "af154542d0e24c23f1ce26e7f3bb790260d00bb22f2d75d07cdb10a845216275"),
+    ])
+    def test_csv_bytes_and_circle_rows_are_pinned(self, tmp_path, capsys, shots, sha256):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "16", "--shots", shots, "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["circle_rows"] == [0, 12]
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
