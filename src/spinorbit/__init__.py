@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -18,6 +18,7 @@ from .chsh import (
     McEstimate,
     RngSeed,
     SweepRow,
+    SweepTable,
     TSIRELSON_SETTINGS,
     chsh_S,
     chsh_monte_carlo,
@@ -78,6 +79,7 @@ __all__ = [
     "QPlateSpec",
     "RngSeed",
     "SweepRow",
+    "SweepTable",
     "TSIRELSON_SETTINGS",
     "apply",
     "apply_alice",

@@ -113,6 +113,10 @@ SCHEMAS: dict[str, StageSchema] = {
 
 _SIDES = ("alice", "bob", "both")
 
+#: The widest truncation a bench may use.  Each OAM element holds a 2x2 block
+#: per charge, (2, 2, 2*m_max+1) complex: about 8 MB at this bound.
+MAX_M_MAX = 2**16
+
 
 class Stage(_Record):
     """One resolved bench stage; line numbers are carried but not compared."""
@@ -417,20 +421,25 @@ def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
 
     The truncation defaults to the widest single-pass bound over the bench's
     q-plates.  A missing source or a step :class:`BenchPipeline` rejects
-    raises CompileError, as does a stage whose params break its schema, before
-    any element is built; an element that cannot be built raises its ValueError.
+    raises CompileError, as does a stage whose params break its schema or a
+    truncation above :data:`MAX_M_MAX` (located at the widest q-plate, or at
+    line 1 for an explicit ``m_max``), before any element is built; an element
+    that cannot be built raises its ValueError.
     """
     for stage in ast.stages:
         if (fault := _params_fault(stage)) is not None:
             raise CompileError(stage.line, fault)
-    bounds = [experiment.default_m_max(stage.params["q"])
+    bounds = [(experiment.default_m_max(stage.params["q"]), stage.line)
               for stage in ast.stages if stage.keyword == "qplate"]
+    line = 1
     if m_max is None:
-        m_max = max(bounds, default=2)
+        m_max, line = max(bounds, key=lambda bound: bound[0], default=(2, 1))
     if not ast.stages:
         raise CompileError(1, "bench has no source stage")
     if ast.stages[0].keyword != "source":
         raise CompileError(ast.stages[0].line, "first stage must be the source")
+    if m_max > MAX_M_MAX:
+        raise CompileError(line, f"truncation m_max={m_max} exceeds the limit {MAX_M_MAX}")
     steps = []
     for stage in ast.stages[1:]:  # an unknown stage gets no element; BenchPipeline names it
         build = getattr(SCHEMAS.get(stage.keyword), "build", None)

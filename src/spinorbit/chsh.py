@@ -19,19 +19,24 @@ recorded in :data:`GENERATOR_ID`.  The lanes' PCG64 seed words come from
 one vectorised port of NumPy's SeedSequence hash (after M. O'Neill's
 ``seed_seq_fe``) over the whole block; the words, and so every count, are
 the ones ``SeedSequence`` itself gives.
+
+A phase sweep is one :class:`SweepTable` of read-only columns, the arrays
+the analyzer and the sampler produce; a :class:`SweepRow` is built only
+when a row is read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
-from itertools import product
-from typing import Callable, Sequence
+from itertools import product, repeat, starmap
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .experiment import correlation, joint_probabilities, spin_orbit_bell_state
-from .qstate import PhotonState, _Record
+from .qstate import PhotonState, _frozen, _Record
 
 GENERATOR_ID = (
     "numpy.random.Generator(PCG64), seeded via "
@@ -136,6 +141,63 @@ class SweepRow(_Record):
         object.__setattr__(self, "e_exact", e_exact)
         object.__setattr__(self, "e_estimated", e_estimated)
         object.__setattr__(self, "is_circle", is_circle)
+
+
+class SweepTable(_Record):
+    """A phase sweep as columns; entry k of each array belongs to grid point k.
+
+    ``chi_a``, ``e_exact``, ``e_estimated`` and ``is_circle`` have shape
+    (n,), ``probabilities`` and the int64 ``counts`` (n, 4); ``chi_b`` is the
+    fixed phase.  ``counts`` and ``e_estimated`` are None for an exact sweep.
+    Every array is a read-only copy, so a table compares by identity, like
+    the states.  ``len(table)``, ``table[k]`` (k may be negative) and
+    iteration give :class:`SweepRow` values of Python scalars, each built
+    when it is read; a table does not slice.
+    """
+
+    __slots__ = ("chi_a", "chi_b", "probabilities", "counts", "e_exact", "e_estimated",
+                 "is_circle")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, chi_a: np.ndarray, chi_b: float, probabilities: np.ndarray,
+                 counts: np.ndarray | None, e_exact: np.ndarray,
+                 e_estimated: np.ndarray | None, is_circle: np.ndarray):
+        columns = {
+            "chi_a": _frozen(chi_a, float),
+            "probabilities": _frozen(probabilities, float),
+            "counts": None if counts is None else _frozen(counts, np.int64),
+            "e_exact": _frozen(e_exact, float),
+            "e_estimated": None if e_estimated is None else _frozen(e_estimated, float),
+            "is_circle": _frozen(is_circle, bool),
+        }
+        n = columns["chi_a"].size
+        for name, column in columns.items():
+            shape = (n, 4) if name in ("probabilities", "counts") else (n,)
+            if column is not None and column.shape != shape:
+                raise ValueError(f"sweep column {name} has shape {column.shape}, not {shape}")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "chi_b", float(chi_b))
+
+    def __len__(self) -> int:
+        return len(self.chi_a)
+
+    def __getitem__(self, k: int) -> SweepRow:
+        k = range(len(self))[operator.index(k)]  # k < 0 counts from the end; no slices
+        return next(self._rows(slice(k, k + 1)))
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return self._rows(slice(None))
+
+    def _rows(self, part: slice) -> Iterator[SweepRow]:
+        """The rows of one slice of the columns, each built when it is drawn."""
+        counts = repeat(None)
+        if self.counts is not None:
+            counts = starmap(CountRecord, self.counts[part].tolist())
+        e_est = repeat(None) if self.e_estimated is None else self.e_estimated[part].tolist()
+        return map(SweepRow, self.chi_a[part].tolist(), repeat(self.chi_b),
+                   map(tuple, self.probabilities[part].tolist()), counts,
+                   self.e_exact[part].tolist(), e_est, self.is_circle[part].tolist())
 
 
 class NchvResult(_Record):
@@ -390,16 +452,21 @@ def sweep(
     bob: PhotonState | None = None,
     m: int = 2,
     first_row: int = 0,
-) -> list[SweepRow]:
+) -> SweepTable:
     """Scan chi_A at fixed chi_B: exact probabilities, counts, both E values.
 
-    One analyzer call covers the whole grid and one block draw samples it.
-    Row k draws from its own generator on the lane (stream, first_row + k),
-    so a one-point sweep with ``first_row=k`` reproduces row k, whatever the
-    evaluation order.  ``shots = 0`` skips sampling and leaves the count
-    fields empty.
+    One analyzer call covers the whole grid and one block draw samples it;
+    the result is one :class:`SweepTable` of their columns, and no row is
+    built until it is read.  Row k draws from its own generator on the lane
+    (stream, first_row + k), so a one-point sweep with ``first_row=k``
+    reproduces row k, whatever the evaluation order.  ``shots = 0`` skips
+    sampling and leaves the count columns None.  The grid must be a
+    non-empty one-dimensional sequence; the table holds a copy of it.
     """
-    if len(chi_a_grid) == 0:
+    chi_a = np.asarray(chi_a_grid, dtype=float)
+    if chi_a.ndim != 1:
+        raise ValueError("chi_A grid must be one-dimensional")
+    if len(chi_a) == 0:
         raise ValueError("chi_A grid must not be empty")
     if shots < 0:
         raise ValueError("shots must be non-negative")
@@ -407,26 +474,14 @@ def sweep(
         raise ValueError("first_row must be non-negative")
     if bob is None:
         bob = spin_orbit_bell_state(m=m)
-    chi_a = np.asarray(chi_a_grid, dtype=float)
     grid_probs = joint_probabilities(bob, chi_a, chi_b, m=m)
-    counts = e_est = [None] * len(chi_a)
+    draws = e_est = None
     if shots > 0:
         draws = _sample_rows(grid_probs, shots, seed, first_row)
-        counts = [CountRecord(*row) for row in draws.tolist()]
-        e_est = (correlation(draws) / shots).tolist()
+        e_est = correlation(draws) / shots
     chi_b = float(chi_b)
-    columns = zip(
-        chi_a.tolist(),
-        grid_probs.tolist(),
-        counts,
-        correlation(grid_probs).tolist(),
-        e_est,
-        _circle_mask(chi_a, chi_b).tolist(),
-    )
-    return [
-        SweepRow(a, chi_b, tuple(p), c, e, est, flag)
-        for a, p, c, e, est, flag in columns
-    ]
+    return SweepTable(chi_a, chi_b, grid_probs, draws, correlation(grid_probs), e_est,
+                      _circle_mask(chi_a, chi_b))
 
 
 def chsh_monte_carlo(

@@ -26,6 +26,8 @@ import sys
 import warnings
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .chsh import (
     GENERATOR_ID,
@@ -183,26 +185,24 @@ def cmd_sweep(args) -> int:
     seed = _rng_seed(args)
     n = args.points
     grid = [-math.pi + 2 * math.pi * k / n for k in range(n)]
-    rows = sweep(args.chi_b, grid, args.shots, seed)
-    with_counts = args.shots > 0
+    table = sweep(args.chi_b, grid, args.shots, seed)
+    with_counts = table.counts is not None
 
     header = ["chi_A_rad", "chi_B_rad", "p_pp", "p_pm", "p_mp", "p_mm"]
+    columns = [table.chi_a, np.full(n, table.chi_b), *table.probabilities.T]
     if with_counts:
         header += ["n_pp", "n_pm", "n_mp", "n_mm"]
+        columns += list(table.counts.T)
     header += ["e_exact"]
+    columns.append(table.e_exact)
     if with_counts:
         header += ["e_est"]
+        columns.append(table.e_estimated)
+    # Counts print as integers, every other column as a float that round-trips.
+    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
     with open(args.out, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [_fmt(row.chi_a), _fmt(row.chi_b)]
-            cells += [_fmt(p) for p in row.probabilities]
-            if with_counts:
-                cells += [str(c) for c in row.counts.as_tuple()]
-            cells.append(_fmt(row.e_exact))
-            if with_counts:
-                cells.append(_fmt(row.e_estimated))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
     params = {
         "chi_b": args.chi_b,
@@ -211,9 +211,9 @@ def cmd_sweep(args) -> int:
         "out": args.out,
     }
     manifest = _manifest("sweep", params, seed)
-    manifest["circle_rows"] = [i for i, r in enumerate(rows) if r.is_circle]
+    manifest["circle_rows"] = np.flatnonzero(table.is_circle).tolist()
     man_path = _write_manifest(args.out, manifest)
-    print(f"wrote {len(rows)} rows to {args.out} (manifest: {man_path})")
+    print(f"wrote {len(table)} rows to {args.out} (manifest: {man_path})")
     return 0
 
 

@@ -90,8 +90,8 @@ def spin_ket(state: Union[str, np.ndarray]) -> np.ndarray:
     return vec
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 

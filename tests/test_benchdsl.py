@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorbit.benchdsl import (
+    MAX_M_MAX,
     SCHEMAS,
     BenchAst,
     BenchPipeline,
     CompileError,
     ParseError,
     Stage,
+    StageSchema,
     compile_bench,
     parse,
     reduce_angle,
@@ -28,6 +30,22 @@ filter smf side=bob
 qplate q=1 alpha0=0 side=bob
 herald basis=H side=alice
 """
+
+
+def recorded_builds(monkeypatch) -> list:
+    """Wrap every element builder in SCHEMAS; the list records each (keyword, m_max) built."""
+    calls = []
+    for keyword, schema in list(SCHEMAS.items()):
+        if schema.build is None:
+            continue
+
+        def build(params, m_max, keyword=keyword, inner=schema.build):
+            calls.append((keyword, m_max))
+            return inner(params, m_max)
+
+        monkeypatch.setitem(SCHEMAS, keyword, StageSchema(
+            schema.params, schema.default_side, schema.kind_choices, build))
+    return calls
 
 
 def make_stage(keyword, side=None, line=0, **params):
@@ -328,6 +346,32 @@ class TestCompile:
         # A q = 1 plate shifts by 2, which m_max = 1 cannot hold.
         with pytest.raises(ValueError, match="cannot hold"):
             compile_bench(parse(FIG2), m_max=1)
+
+    @pytest.mark.parametrize(
+        "text,m_max,line,width",
+        [
+            (FIG2.replace("q=1 ", "q=1e7 "), None, 3, 40_000_000),
+            ("source spdc\nqplate q=2 side=bob\nfilter smf side=bob\nqplate q=16384.5 side=bob\n"
+             "qplate q=0.5 side=bob\nherald\n", None, 4, 65_538),
+            (FIG2, MAX_M_MAX + 1, 1, 65_537),
+        ],
+        ids=["inferred", "widest-plate", "explicit"],
+    )
+    def test_truncation_above_the_limit_fails_before_any_build(self, monkeypatch, text,
+                                                                m_max, line, width):
+        calls = recorded_builds(monkeypatch)
+        with pytest.raises(CompileError) as exc:
+            compile_bench(parse(text), m_max=m_max)
+        assert exc.value.line == line
+        assert exc.value.message == f"truncation m_max={width} exceeds the limit 65536"
+        assert calls == []
+
+    def test_truncation_at_the_limit_compiles(self, monkeypatch):
+        assert MAX_M_MAX == 2**16
+        calls = recorded_builds(monkeypatch)
+        pipeline = compile_bench(parse(FIG2.replace("q=1 ", "q=16384 ")))
+        assert pipeline.m_max == MAX_M_MAX
+        assert calls == [("filter", MAX_M_MAX), ("qplate", MAX_M_MAX)]
 
     @pytest.mark.parametrize("keyword", ["filter smf", "dove alpha=0.4"])
     def test_oam_elements_act_on_alice_at_m_max_0(self, keyword):

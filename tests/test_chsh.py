@@ -357,6 +357,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(0.0, [], shots=0, seed=RngSeed(0))
 
+    @pytest.mark.parametrize("grid", [0.5, np.zeros((2, 3)), [[0.1], [0.2]], np.zeros((0, 2))],
+                             ids=["scalar", "2-d", "nested-list", "empty-2-d"])
+    def test_grid_that_is_not_one_dimensional_rejected(self, grid):
+        with pytest.raises(ValueError, match="^chi_A grid must be one-dimensional$"):
+            sweep(0.0, grid, shots=10, seed=RngSeed(0))
+
 
 class TestCircleSettings:
     def test_four_hard_coded_pairs(self):

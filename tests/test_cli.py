@@ -280,6 +280,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "bench has no herald stage; nothing to analyze\n"
 
+    def test_truncation_above_the_limit_exits_2(self, tmp_path, capsys):
+        bench = tmp_path / "huge.bench"
+        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1e7 side=bob\nherald\n")
+        assert main(["run", str(bench)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "line 3: truncation m_max=40000000 exceeds the limit 65536\n"
+
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
             raise TruncationError("|m|=6 exceeds truncation m_max=4")

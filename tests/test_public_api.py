@@ -8,7 +8,7 @@ import spinorbit
 PUBLIC = [
     "BipartiteState", "CIRCLE_SETTINGS", "ChshSettings", "CountRecord", "ElementOp",
     "HeraldOutcome", "LostWeightError", "McEstimate", "OrientationField", "PhotonState",
-    "QPlateSpec", "RngSeed", "SweepRow", "TSIRELSON_SETTINGS",
+    "QPlateSpec", "RngSeed", "SweepRow", "SweepTable", "TSIRELSON_SETTINGS",
     "apply", "apply_alice", "apply_bob", "basis_change_circular_linear", "chsh_S",
     "chsh_monte_carlo", "default_m_max", "dove_pair_op", "estimate_E", "expectation",
     "herald", "inner", "interferometer_detect", "joint_probabilities", "mirror_op",

@@ -1,6 +1,6 @@
 """The contract of the package's immutable record types.
 
-Every record is immutable.  The three array-holding types compare and hash by
+Every record is immutable.  The four array-holding types compare and hash by
 identity; every other record compares by value with instances of its own
 type only, hashes by value when its fields are hashable, shows its field
 values in ``repr`` and survives ``copy`` and ``pickle``.  The bench DSL's
@@ -26,7 +26,16 @@ from spinorbit.benchdsl import (
     compile_bench,
     parse,
 )
-from spinorbit.chsh import ChshSettings, CountRecord, McEstimate, NchvResult, RngSeed, SweepRow
+from spinorbit.chsh import (
+    ChshSettings,
+    CountRecord,
+    McEstimate,
+    NchvResult,
+    RngSeed,
+    SweepRow,
+    SweepTable,
+    sweep,
+)
 from spinorbit.elements import OrientationField, QPlateSpec
 from spinorbit.experiment import HeraldOutcome
 from spinorbit.qstate import BipartiteState, ElementOp, PhotonState
@@ -66,6 +75,11 @@ IDENTITY_RECORDS = {
     "PhotonState": (lambda: PhotonState(1, np.eye(6)[1]), ("m_max", "vector")),
     "BipartiteState": (lambda: BipartiteState(1, np.zeros((2, 6))), ("m_max", "matrix")),
     "ElementOp": (lambda: ElementOp(np.eye(2)), ("blocks", "shift", "m_max", "name")),
+    "SweepTable": (
+        lambda: SweepTable(_GRID, 0.2, np.full((3, 4), 0.25), np.arange(12).reshape(3, 4),
+                           np.zeros(3), np.full(3, 0.5), np.array([True, False, False])),
+        ("chi_a", "chi_b", "probabilities", "counts", "e_exact", "e_estimated", "is_circle"),
+    ),
 }
 ALL_RECORDS = {**VALUE_RECORDS, **IDENTITY_RECORDS}
 
@@ -221,11 +235,75 @@ class TestDefaultsAndNormalisation:
         (lambda: RngSeed(-1), "seed must fit in an unsigned 64-bit integer"),
         (lambda: RngSeed(2**64), "seed must fit in an unsigned 64-bit integer"),
         (lambda: RngSeed(0, -1), "stream index must be non-negative"),
+        (lambda: SweepTable(_GRID, 0.0, np.zeros((2, 4)), None, np.zeros(3), None,
+                            np.zeros(3, bool)),
+         "sweep column probabilities has shape (2, 4), not (3, 4)"),
+        (lambda: SweepTable(_GRID, 0.0, np.zeros((3, 4)), np.zeros((3, 3)), np.zeros(3),
+                            np.zeros(3), np.zeros(3, bool)),
+         "sweep column counts has shape (3, 3), not (3, 4)"),
+        (lambda: SweepTable(0.5, 0.0, np.zeros((1, 4)), None, np.zeros(1), None,
+                            np.zeros(1, bool)),
+         "sweep column chi_a has shape (), not (1,)"),
     ],
 )
 def test_validation_errors(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+_CIRCLE_GRID = [math.pi / 2, 0.1, -math.pi, 2.0]
+_COLUMNS = ("chi_a", "probabilities", "counts", "e_exact", "e_estimated", "is_circle")
+
+
+class TestSweepTable:
+    def test_columns_are_read_only_copies_of_their_dtype(self):
+        grid = np.array(_CIRCLE_GRID)
+        table = sweep(math.pi / 4, grid, 100, RngSeed(3))
+        assert grid.flags.writeable  # the table froze its own copy
+        grid[0] = 9.0
+        assert table.chi_a[0] == math.pi / 2
+        for name in _COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+        assert [getattr(table, name).dtype for name in _COLUMNS] == [
+            np.float64, np.float64, np.int64, np.float64, np.float64, np.bool_]
+        assert type(table.chi_b) is float
+
+    def test_rows_are_built_from_the_columns_on_demand(self):
+        table = sweep(math.pi / 4, _CIRCLE_GRID, 100, RngSeed(3))
+        assert len(table) == 4
+        assert list(table) == [table[k] for k in range(4)]
+        assert table[-1] == table[3] and table[-4] == table[0]
+        assert table[np.int64(2)] == table[2]
+        row = table[2]
+        assert type(row) is SweepRow and row.is_circle is True
+        assert row.chi_a == table.chi_a[2] and row.e_exact == table.e_exact[2]
+        assert row.counts == CountRecord(*table.counts[2].tolist())
+        assert row.e_estimated == table.e_estimated[2]
+        for k in (4, -5):
+            with pytest.raises(IndexError):
+                table[k]
+        with pytest.raises(TypeError):
+            table[1:3]
+
+    def test_exact_sweep_has_no_count_columns(self):
+        table = sweep(math.pi / 4, _CIRCLE_GRID, 0, RngSeed(3))
+        assert table.counts is None and table.e_estimated is None
+        assert all(row.counts is None and row.e_estimated is None for row in table)
+        assert [row.is_circle for row in table] == [True, False, True, False]
+
+    def test_equal_sweeps_are_distinct_tables_of_equal_rows(self):
+        a = sweep(math.pi / 4, _CIRCLE_GRID, 100, RngSeed(3))
+        b = sweep(math.pi / 4, _CIRCLE_GRID, 100, RngSeed(3))
+        assert a == a and a != b
+        assert list(a) == list(b)
+
+    def test_copies_keep_rows_and_read_only_columns(self):
+        table = sweep(math.pi / 4, _CIRCLE_GRID, 100, RngSeed(3))
+        for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert twin is not table and twin != table
+            assert list(twin) == list(table)
+            assert not any(getattr(twin, name).flags.writeable for name in _COLUMNS)
 
 
 # The bench DSL's records.  Their field names are read from the constructor,
