@@ -479,6 +479,91 @@ class TestCompile:
         )
 
 
+def _fig2_with_q(q):
+    return (make_stage("source", line=1), make_stage("filter", line=2),
+            make_stage("qplate", line=3, q=q), make_stage("herald", line=4))
+
+
+_SOURCE = make_stage("source", line=1)
+
+# One fault per bench: (id, bench text or hand-built stages, m_max, (type, line, message)).
+# A bare ValueError carries no line.
+FAULT_PINS = [
+    ("empty", "", None, (ParseError, 1, "bench has no source stage")),
+    ("empty", (), None, (CompileError, 1, "bench has no source stage")),
+    ("missing-source", "qwp theta=0.5\nherald\n", None,
+     (ParseError, 1, "first stage must be the source")),
+    ("missing-source", (make_stage("qwp", line=1, theta=0.5), make_stage("herald", line=2)), None,
+     (CompileError, 1, "first stage must be the source")),
+    ("repeated-source", "source spdc\nsource spdc\n", None,
+     (ParseError, 2, "only one source stage is allowed")),
+    ("repeated-source", (_SOURCE, make_stage("source", line=2)), None,
+     (CompileError, 2, "only one source stage is allowed")),
+    ("repeated-herald", "source spdc\nherald\nherald\n", None,
+     (ParseError, 3, "at most one herald stage is allowed")),
+    ("repeated-herald", (_SOURCE, make_stage("herald", line=2), make_stage("herald", line=3)),
+     None, (CompileError, 3, "at most one herald stage is allowed")),
+    ("unknown-keyword", "source spdc\nlaser power=9\n", None,
+     (ParseError, 2, "unknown stage 'laser'")),
+    ("unknown-keyword", (_SOURCE, Stage("laser", {}, "bob", 2)), None,
+     (CompileError, 2, "unknown stage 'laser'")),
+    ("side-both", "source spdc\nhwp theta=0 side=both\n", None,
+     (CompileError, 2, "element stage 'hwp' needs side=alice or side=bob")),
+    ("side-both", (_SOURCE, make_stage("hwp", side="both", line=2, theta=0.0)), None,
+     (CompileError, 2, "element stage 'hwp' needs side=alice or side=bob")),
+    ("herald-on-bob", "source spdc\nherald side=bob\n", None,
+     (CompileError, 2, "herald must act on side=alice")),
+    ("herald-on-bob", (_SOURCE, make_stage("herald", side="bob", line=2)), None,
+     (CompileError, 2, "herald must act on side=alice")),
+    ("alice-qplate", "source spdc\nqplate q=1 side=alice\nherald\n", None,
+     (CompileError, 2, "'qplate' involves OAM and cannot act on Alice's photon")),
+    ("alice-qplate", (_SOURCE, make_stage("qplate", side="alice", line=2, q=1.0),
+                      make_stage("herald", line=3)), None,
+     (CompileError, 2, "'qplate' involves OAM and cannot act on Alice's photon")),
+    ("alice-after-herald", "source spdc\nherald\nqwp theta=0.5 side=alice\n", None,
+     (CompileError, 3, "stages after the herald act on Bob's photon only")),
+    ("alice-after-herald", (_SOURCE, make_stage("herald", line=2),
+                            make_stage("qwp", side="alice", line=3, theta=0.5)), None,
+     (CompileError, 3, "stages after the herald act on Bob's photon only")),
+    ("missing-param", "source spdc\nqplate alpha0=0\n", None,
+     (ParseError, 2, "stage 'qplate' requires parameter 'q'")),
+    ("missing-param", (_SOURCE, Stage("qplate", {"q": 1.0}, "bob", 2)), None,
+     (CompileError, 2, "stage 'qplate' is missing parameter 'alpha0'")),
+    ("nan-theta", "source spdc\nqwp theta=nan\n", None,
+     (ParseError, 2, "expected a number, got 'nan'")),
+    ("nan-theta", (_SOURCE, Stage("qwp", {"theta": math.nan}, "bob", 2)), None,
+     (CompileError, 2, "'theta' must be a finite number, got nan")),
+    ("bad-basis", "source spdc\nherald basis=X\n", None,
+     (ParseError, 2, "'basis' must be one of ('H', 'V', 'L', 'R'), got 'X'")),
+    ("bad-basis", (_SOURCE, Stage("herald", {"basis": "X"}, "alice", 2)), None,
+     (CompileError, 2, "'basis' must be one of ('H', 'V', 'L', 'R'), got 'X'")),
+    ("q-not-half-integer", FIG2.replace("q=1 ", "q=0.3 "), None,
+     (ValueError, None, "2q must be an integer, got q=0.3")),
+    ("q-not-half-integer", _fig2_with_q(0.3), None,
+     (ValueError, None, "2q must be an integer, got q=0.3")),
+    ("q-too-wide", FIG2.replace("q=1 ", "q=1e7 "), None,
+     (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
+    ("q-too-wide", _fig2_with_q(1e7), None,
+     (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
+    ("m_max-too-narrow", FIG2, 1, (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),
+    ("m_max-too-narrow", _fig2_with_q(1.0), 1,
+     (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),
+]
+
+
+@pytest.mark.parametrize(
+    "bench,m_max,fault", [row[1:] for row in FAULT_PINS],
+    ids=[f"{row[0]}-{'text' if isinstance(row[1], str) else 'built'}" for row in FAULT_PINS],
+)
+def test_single_fault_benches_are_pinned(bench, m_max, fault):
+    kind, line, message = fault
+    with pytest.raises(kind) as err:
+        compile_bench(parse(bench) if isinstance(bench, str) else BenchAst(bench), m_max)
+    assert type(err.value) is kind
+    assert (getattr(err.value, "line", None), getattr(err.value, "message", str(err.value))) \
+        == (line, message)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_benches_conserve_norm(seed):
