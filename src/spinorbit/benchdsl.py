@@ -12,10 +12,11 @@ canonical heralded-preparation bench reads::
 
 Each keyword's meaning is one :data:`SCHEMAS` row: its parameters, default
 side, variant tokens and element builder.  Exactly one ``source`` stage must
-come first and at most one ``herald`` is allowed.  Parsing resolves defaults, so :func:`serialize` followed by
-:func:`parse` reproduces the AST structurally; comments are not preserved.
-:func:`compile_bench` builds each element once; Alice takes only spin-only
-elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald does.
+come first and at most one ``herald`` is allowed.  Parsing resolves defaults,
+so :func:`serialize` followed by :func:`parse` reproduces the AST structurally;
+comments are not preserved.  :class:`BenchPipeline` compiles an AST and builds
+each element once; Alice takes only spin-only elements, and a filter leaving a
+norm below 1e-12 gives weight 0, as a herald does.
 """
 
 from __future__ import annotations
@@ -263,26 +264,25 @@ def parse(text: str) -> BenchAst:
         if not tokens:
             continue
         stages.append(_parse_stage(tokens, line_no))
-    _check_order(stages)
+    if (fault := _order_fault(stages)) is not None:
+        raise ParseError(fault[0], 1, "misplaced-stage" if stages else "missing-param", fault[1])
     return BenchAst(stages=tuple(stages))
 
 
-def _check_order(stages: list[Stage]) -> None:
-    """Raise ParseError unless one source comes first and at most one herald follows."""
+def _order_fault(stages) -> tuple[int, str] | None:
+    """(line, message) unless one source comes first and at most one herald follows."""
     if not stages:
-        raise ParseError(1, 1, "missing-param", "bench has no source stage")
+        return 1, "bench has no source stage"
     heralds = 0
     for i, stage in enumerate(stages):
         heralds += stage.keyword == "herald"
         if i == 0 and stage.keyword != "source":
-            message = "first stage must be the source"
-        elif i > 0 and stage.keyword == "source":
-            message = "only one source stage is allowed"
-        elif heralds > 1:
-            message = "at most one herald stage is allowed"
-        else:
-            continue
-        raise ParseError(stage.line, 1, "misplaced-stage", message)
+            return stage.line, "first stage must be the source"
+        if i > 0 and stage.keyword == "source":
+            return stage.line, "only one source stage is allowed"
+        if heralds > 1:
+            return stage.line, "at most one herald stage is allowed"
+    return None
 
 
 def serialize(ast: BenchAst) -> str:
@@ -325,20 +325,50 @@ class PipelineResult(_Record):
 
 
 class BenchPipeline(_Record):
-    """Each stage after the source with the element :func:`compile_bench`
-    built for it once at ``m_max`` (None for the herald); :meth:`run` applies them.
-    Construction checks each step, compiled or built by hand (:func:`_step_fault`)."""
+    """A bench compiled once at truncation ``m_max`` (by default the widest
+    single-pass bound over its q-plates): :attr:`steps` pairs each stage after
+    the source with the element its :data:`SCHEMAS` row builds, None for the
+    herald.  Each rule is checked once, before any build where it can be: the
+    params, the q-plate bounds, the stage order, the truncation (an integer from
+    0 to :data:`MAX_M_MAX`), then the sides (:func:`_step_fault`); each fault is
+    a CompileError.  The fields are ``ast`` and ``m_max``; copies compile again.
+    """
 
-    __slots__ = ("steps", "m_max")
+    __slots__ = ("ast", "m_max", "_steps")
 
-    def __init__(self, steps: tuple[tuple[Stage, ElementOp | None], ...], m_max: int):
+    def __init__(self, ast: BenchAst, m_max: int | None = None):
+        for stage in ast.stages:
+            if (fault := _params_fault(stage)) is not None:
+                raise CompileError(stage.line, fault)
+        bounds = [(experiment.default_m_max(stage.params["q"]), stage.line)
+                  for stage in ast.stages if stage.keyword == "qplate"]
+        line = 1
+        if m_max is None:
+            m_max, line = max(bounds, key=lambda bound: bound[0], default=(2, 1))
+        if (fault := _order_fault(ast.stages)) is not None:
+            raise CompileError(*fault)
+        if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 0:
+            raise CompileError(1, f"truncation m_max={m_max!r} must be an integer from 0 "
+                                  f"to {MAX_M_MAX}")
+        if m_max > MAX_M_MAX:
+            raise CompileError(line, f"truncation m_max={m_max} exceeds the limit {MAX_M_MAX}")
+        steps = []
+        for stage in ast.stages[1:]:
+            build = SCHEMAS[stage.keyword].build
+            steps.append((stage, None if build is None else build(stage.params, m_max)))
         after_herald = False
         for stage, op in steps:
-            if (fault := _step_fault(stage, op, m_max, after_herald)) is not None:
+            if (fault := _step_fault(stage, op, after_herald)) is not None:
                 raise CompileError(stage.line, fault)
             after_herald = after_herald or stage.keyword == "herald"
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "_steps", tuple(steps))
+
+    @property
+    def steps(self) -> tuple[tuple[Stage, ElementOp | None], ...]:
+        """Each stage after the source with its element, None for the herald."""
+        return self._steps
 
     def run(self) -> PipelineResult:
         """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
@@ -347,7 +377,7 @@ class BenchPipeline(_Record):
         grid = experiment.spdc_source(self.m_max).matrix.reshape(2, 2, -1)
         bipartite = bob = herald_prob = None
         weight = 1.0
-        for stage, op in self.steps:
+        for stage, op in self._steps:
             if op is None:
                 bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
                 outcome = experiment.herald(bipartite, stage.params["basis"])
@@ -373,11 +403,11 @@ class BenchPipeline(_Record):
 
 
 def _params_fault(stage: Stage):
-    """Why a stage's params break its schema, else None: a parameter missing,
-    a number not finite or an identifier outside its choices."""
+    """Why a stage breaks its schema, else None: an unknown keyword, a
+    parameter missing, a number not finite or an identifier outside its choices."""
     schema = SCHEMAS.get(stage.keyword)
     if schema is None:
-        return None  # the step check names the unknown stage
+        return f"unknown stage {stage.keyword!r}"
     for spec in schema.params:
         if spec.name not in stage.params:
             return f"stage {stage.keyword!r} is missing parameter {spec.name!r}"
@@ -390,63 +420,25 @@ def _params_fault(stage: Stage):
     return None
 
 
-def _step_fault(stage: Stage, op: ElementOp | None, m_max: int, after_herald: bool):
-    """Why :meth:`BenchPipeline.run` would misapply a step, else None."""
-    keyword, side, schema = stage.keyword, stage.side, SCHEMAS.get(stage.keyword)
-    if schema is None:
-        return f"unknown stage {keyword!r}"
-    if (fault := _params_fault(stage)) is not None:
-        return fault
-    if keyword == "source":
-        return "only one source stage is allowed"
-    if keyword == "herald" and after_herald:
-        return "at most one herald stage is allowed"
-    if (op is None) != (schema.build is None):
-        return f"{keyword!r} step has {'an' if op is not None else 'no'} element"
+def _step_fault(stage: Stage, op: ElementOp | None, after_herald: bool):
+    """Why :meth:`BenchPipeline.run` would act on the wrong photon, else None."""
     if op is None:
-        return None if side == "alice" else "herald must act on side=alice"
-    if side not in ("alice", "bob"):
-        return f"element stage {keyword!r} needs side=alice or side=bob"
-    if side == "alice" and after_herald:
+        return None if stage.side == "alice" else "herald must act on side=alice"
+    if stage.side not in ("alice", "bob"):
+        return f"element stage {stage.keyword!r} needs side=alice or side=bob"
+    if stage.side == "alice" and after_herald:
         return "stages after the herald act on Bob's photon only"
-    if side == "alice" and not op.spin_only:
-        return f"{keyword!r} involves OAM and cannot act on Alice's photon"
-    if op.blocks.shape[-1] not in (1, 2 * m_max + 1):
-        return f"{keyword!r} blocks {op.blocks.shape} do not fit m_max={m_max}"
+    if stage.side == "alice" and not op.spin_only:
+        return f"{stage.keyword!r} involves OAM and cannot act on Alice's photon"
     return None
 
 
 def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
-    """Fix the truncation, build each element once and check the pipeline.
-
-    The truncation defaults to the widest single-pass bound over the bench's
-    q-plates.  A missing source or a step :class:`BenchPipeline` rejects
-    raises CompileError, as does a stage whose params break its schema or a
-    truncation above :data:`MAX_M_MAX` (located at the widest q-plate, or at
-    line 1 for an explicit ``m_max``), before any element is built; an element
-    that cannot be built raises its ValueError.
-    """
-    for stage in ast.stages:
-        if (fault := _params_fault(stage)) is not None:
-            raise CompileError(stage.line, fault)
-    bounds = [(experiment.default_m_max(stage.params["q"]), stage.line)
-              for stage in ast.stages if stage.keyword == "qplate"]
-    line = 1
-    if m_max is None:
-        m_max, line = max(bounds, key=lambda bound: bound[0], default=(2, 1))
-    if not ast.stages:
-        raise CompileError(1, "bench has no source stage")
-    if ast.stages[0].keyword != "source":
-        raise CompileError(ast.stages[0].line, "first stage must be the source")
-    if m_max > MAX_M_MAX:
-        raise CompileError(line, f"truncation m_max={m_max} exceeds the limit {MAX_M_MAX}")
-    steps = []
-    for stage in ast.stages[1:]:  # an unknown stage gets no element; BenchPipeline names it
-        build = getattr(SCHEMAS.get(stage.keyword), "build", None)
-        steps.append((stage, None if build is None else build(stage.params, m_max)))
-    pipeline = BenchPipeline(tuple(steps), m_max)
-
-    if bounds and not any(stage.keyword == "filter" for stage, _ in steps):
+    """``BenchPipeline(ast, m_max)``, warning when a bench has a q-plate but no
+    mode filter."""
+    pipeline = BenchPipeline(ast, m_max)
+    keywords = {stage.keyword for stage in ast.stages}
+    if "qplate" in keywords and "filter" not in keywords:
         warnings.warn(
             "bench has a q-plate but no mode filter; an ideal source carries "
             "no OAM, so the output is unchanged",

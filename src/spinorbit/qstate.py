@@ -100,9 +100,10 @@ class _Record:
     """Immutable record whose fields are its ``__slots__``, in order.
 
     A subclass lists its fields in ``__slots__`` and sets them in its
-    ``__init__`` through ``object.__setattr__``.  Records compare equal to
-    records of the same type with equal fields and hash by their fields;
-    the states and operators below take ``object``'s identity
+    ``__init__`` through ``object.__setattr__``.  A slot whose name starts
+    with ``_`` is not a field: it holds what ``__init__`` derives.  Records
+    compare equal to records of the same type with equal fields and hash by
+    their fields; the states and operators below take ``object``'s identity
     ``__eq__``/``__hash__`` instead.  ``__reduce__`` rebuilds a record
     through ``__init__``, so ``copy`` and ``pickle`` work without assignment.
     """
@@ -110,7 +111,7 @@ class _Record:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,7 +128,8 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                          if name[0] != "_")
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):

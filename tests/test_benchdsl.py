@@ -20,7 +20,6 @@ from spinorbit.benchdsl import (
     reduce_angle,
     serialize,
 )
-from spinorbit.elements import QPlateSpec, qplate_op, smf_filter_op, waveplate_op
 from spinorbit.experiment import expectation, herald, prepare_hybrid
 from spinorbit.qstate import states_equal_up_to_phase
 
@@ -366,6 +365,20 @@ class TestCompile:
         assert exc.value.message == f"truncation m_max={width} exceeds the limit 65536"
         assert calls == []
 
+    @pytest.mark.parametrize("m_max", [-1, 2.5, True, math.nan, "4"])
+    def test_explicit_truncation_must_be_an_integer_in_range(self, monkeypatch, m_max):
+        calls = recorded_builds(monkeypatch)
+        with pytest.raises(CompileError) as exc:
+            compile_bench(parse(FIG2), m_max=m_max)
+        assert exc.value.line == 1
+        assert exc.value.message == (
+            f"truncation m_max={m_max!r} must be an integer from 0 to 65536")
+        assert calls == []
+
+    @pytest.mark.parametrize("m_max", [4, np.int64(4)])
+    def test_explicit_truncation_accepts_integers(self, m_max):
+        assert compile_bench(parse(FIG2), m_max=m_max).m_max == 4
+
     def test_truncation_at_the_limit_compiles(self, monkeypatch):
         assert MAX_M_MAX == 2**16
         calls = recorded_builds(monkeypatch)
@@ -409,65 +422,57 @@ class TestCompile:
         # run() would contract the q-plate through its charge-0 block alone,
         # drop its +-2 shift and report herald probability 0.5.
         plate = make_stage("qplate", side="alice", line=2, q=1.0)
-        steps = ((plate, qplate_op(QPlateSpec(1), 4)), (make_stage("herald", line=3), None))
+        ast = BenchAst((make_stage("source", line=1), plate, make_stage("herald", line=3)))
         with pytest.raises(CompileError, match="cannot act on Alice") as err:
-            BenchPipeline(steps, 4)
+            BenchPipeline(ast, 4)
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
-        "step",
+        "stage",
         [
-            (make_stage("qwp", side="bob", line=2, theta=0.5), None),
-            (make_stage("herald", line=2), waveplate_op("qwp", 0.5)),
-            (make_stage("filter", side="bob", line=2), smf_filter_op(2)),
-            (make_stage("hwp", side="both", line=2, theta=0.5), waveplate_op("hwp", 0.5)),
-            (make_stage("herald", side="bob", line=2), None),
-            (make_stage("source", line=2), smf_filter_op(4)),
-            (Stage("laser", {}, "bob", 2), smf_filter_op(4)),
+            make_stage("hwp", side="both", line=2, theta=0.5),
+            make_stage("herald", side="bob", line=2),
+            make_stage("source", line=2),
+            Stage("laser", {}, "bob", 2),
         ],
-        ids=["element-missing", "herald-with-element", "wrong-truncation",
-             "element-on-both", "herald-on-bob", "source-as-step", "unknown-keyword"],
+        ids=["element-on-both", "herald-on-bob", "source-as-step", "unknown-keyword"],
     )
-    def test_hand_built_steps_rejected(self, step):
+    def test_hand_built_steps_rejected(self, stage):
         with pytest.raises(CompileError) as err:
-            BenchPipeline((step,), 4)
+            BenchPipeline(BenchAst((make_stage("source", line=1), stage)), 4)
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
-        "stage,op,message",
+        "stage,message",
         [
-            (Stage("qplate", {"q": 1.0}, "bob", 2), qplate_op(QPlateSpec(1), 4),
-             "stage 'qplate' is missing parameter 'alpha0'"),
-            (Stage("herald", {}, "alice", 2), None, "stage 'herald' is missing parameter 'basis'"),
-            (Stage("qwp", {"theta": math.nan}, "bob", 2), waveplate_op("qwp", math.nan),
-             "'theta' must be a finite number, got nan"),
+            (Stage("qplate", {"q": 1.0}, "bob", 2), "stage 'qplate' is missing parameter 'alpha0'"),
+            (Stage("herald", {}, "alice", 2), "stage 'herald' is missing parameter 'basis'"),
+            (Stage("qwp", {"theta": math.nan}, "bob", 2), "'theta' must be a finite number, got nan"),
         ],
         ids=["qplate-without-alpha0", "herald-without-basis", "qwp-nan-theta"],
     )
-    def test_hand_built_params_checked_against_schema(self, stage, op, message):
+    def test_hand_built_params_checked_against_schema(self, stage, message):
         # Before the check these raised KeyError or ran to a NaN herald probability.
         herald_after = () if stage.keyword == "herald" else (make_stage("herald", line=3),)
-        for build in (
-            lambda: compile_bench(BenchAst((make_stage("source", line=1), stage) + herald_after)),
-            lambda: BenchPipeline(((stage, op),), 4),
-        ):
+        ast = BenchAst((make_stage("source", line=1), stage) + herald_after)
+        for build in (lambda: compile_bench(ast), lambda: BenchPipeline(ast, 4)):
             with pytest.raises(CompileError) as err:
                 build()
             assert (err.value.line, err.value.message) == (2, message)
 
     @pytest.mark.parametrize(
-        "step,message",
+        "stage,message",
         [
-            ((make_stage("hwp", side="alice", line=5, theta=0.5), waveplate_op("hwp", 0.5)),
+            (make_stage("hwp", side="alice", line=5, theta=0.5),
              "stages after the herald act on Bob's photon only"),
-            ((make_stage("herald", line=5), None), "at most one herald stage is allowed"),
+            (make_stage("herald", line=5), "at most one herald stage is allowed"),
         ],
         ids=["alice-after-herald", "second-herald"],
     )
-    def test_hand_built_step_after_the_herald_rejected(self, step, message):
-        steps = compile_bench(parse(FIG2)).steps + (step,)
+    def test_hand_built_step_after_the_herald_rejected(self, stage, message):
+        ast = BenchAst(parse(FIG2).stages + (stage,))
         with pytest.raises(CompileError) as err:
-            BenchPipeline(steps, 4)
+            BenchPipeline(ast, 4)
         assert (err.value.line, err.value.message) == (5, message)
 
     def test_post_herald_bob_stage_applies(self):
@@ -556,12 +561,19 @@ FAULT_PINS = [
     ids=[f"{row[0]}-{'text' if isinstance(row[1], str) else 'built'}" for row in FAULT_PINS],
 )
 def test_single_fault_benches_are_pinned(bench, m_max, fault):
+    # A parsed bench goes through compile_bench; a hand-built one through both compilers.
     kind, line, message = fault
-    with pytest.raises(kind) as err:
-        compile_bench(parse(bench) if isinstance(bench, str) else BenchAst(bench), m_max)
-    assert type(err.value) is kind
-    assert (getattr(err.value, "line", None), getattr(err.value, "message", str(err.value))) \
-        == (line, message)
+    if isinstance(bench, str):
+        compilers = [lambda: compile_bench(parse(bench), m_max)]
+    else:
+        compilers = [lambda: compile_bench(BenchAst(bench), m_max),
+                     lambda: BenchPipeline(BenchAst(bench), m_max)]
+    for compile_ in compilers:
+        with pytest.raises(kind) as err:
+            compile_()
+        assert type(err.value) is kind
+        assert (getattr(err.value, "line", None),
+                getattr(err.value, "message", str(err.value))) == (line, message)
 
 
 @settings(max_examples=200, deadline=None)

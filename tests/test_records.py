@@ -331,7 +331,7 @@ DSL_RECORDS = {
     "BenchAst": lambda: BenchAst((Stage("source", {"kind": "spdc"}, "both", 1),
                                   Stage("qwp", {"theta": 0.5}, "bob", 2))),
     "PipelineResult": lambda: PipelineResult(_RESULT.bipartite, _RESULT.bob, 0.5, 1.0, 2),
-    "BenchPipeline": lambda: BenchPipeline(_PIPELINE.steps, 4),
+    "BenchPipeline": lambda: BenchPipeline(_PIPELINE.ast, 4),
 }
 DSL_UNHASHABLE = {"Stage", "BenchAst", "BenchPipeline"}  # a stage's params are a dict
 DSL_PICKLED = sorted(set(DSL_RECORDS) - {"ParamSpec", "StageSchema"})  # schemas hold builders
@@ -403,6 +403,32 @@ def test_bench_records_pickle(name):
 def test_stage_and_bench_reprs():
     assert repr(DSL_RECORDS["Stage"]()) == _QWP
     assert repr(DSL_RECORDS["BenchAst"]()) == f"BenchAst(stages=({_SOURCE}, {_QWP}))"
+
+
+class TestBenchPipelineRecord:
+    """A pipeline's fields are its AST and truncation; its steps are compiled from them."""
+
+    def test_steps_are_not_a_field(self):
+        with pytest.raises(AttributeError):
+            _PIPELINE.steps = ()
+        assert "steps" not in repr(_PIPELINE)
+        assert repr(_PIPELINE) == f"BenchPipeline(ast={_PIPELINE.ast!r}, m_max=4)"
+
+    def test_two_compiles_of_one_bench_are_equal(self):
+        again = compile_bench(parse(_FIG2))
+        assert again == _PIPELINE and again is not _PIPELINE
+        assert BenchPipeline(parse(_FIG2)) == _PIPELINE
+
+    def test_copies_compile_again_and_run_bit_identically(self):
+        twins = (copy.copy(_PIPELINE), copy.deepcopy(_PIPELINE),
+                 pickle.loads(pickle.dumps(_PIPELINE)))
+        for twin in twins:
+            assert twin == _PIPELINE
+            assert [stage for stage, _ in twin.steps] == [stage for stage, _ in _PIPELINE.steps]
+            result = twin.run()
+            assert result.herald_probability == _RESULT.herald_probability
+            assert result.bob.vector.tobytes() == _RESULT.bob.vector.tobytes()
+            assert result.bipartite.matrix.tobytes() == _RESULT.bipartite.matrix.tobytes()
 
 
 def test_stage_equality_ignores_the_line_but_copies_keep_it():
