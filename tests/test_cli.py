@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from spinorbit import __version__
+from spinorbit.chsh import GENERATOR_ID
 from spinorbit.cli import main, parse_angle
 from spinorbit.qstate import TruncationError
 
@@ -192,6 +194,40 @@ class TestFieldCommand:
         manifest = json.loads((tmp_path / "field3.manifest.json").read_text())
         assert manifest["symmetry_order"] == 4
 
+    @pytest.mark.parametrize("argv,sha256", [
+        (["--q", "1"], "4bb9814b89621a62748ef13849fb02b41f8c3935ddc81a1ee65bdc96be1c3713"),
+        (["--q", "3", "--alpha0", "0.3"],
+         "eb7b27afd6df1d32fbba59b094541060767445c8afcfb44083d35c96be1bb577"),
+        (["--q", "0.5", "--n-r", "5", "--n-phi", "7"],
+         "55954386a56425b218533a145240b8a96bc3413a126443a5b357d04d3c3eb45b"),
+        (["--q", "-1.5", "--alpha0=-2pi/3", "--n-r", "1", "--n-phi", "1"],
+         "77b5a5dc90c254152287f7a0e37512209693cce302846b161aada77651dc564b"),
+        (["--q", "2", "--alpha0", "22.5deg", "--n-r", "16", "--n-phi", "90"],
+         "627f761e767568198fb72893aa2fddd82b2c3202fd1e287e4a97c32d9846a6f6"),
+        (["--q", "100", "--n-phi", "360"],
+         "2edae7e8672570c21d50c1c235043a5cb4bbb38d60185ad3739eb484dce01559"),
+    ], ids=["unit", "offset", "half", "one-cell", "degrees", "wide"])
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, argv, sha256):
+        out = tmp_path / "field.csv"
+        assert main(["field", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_manifest_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "field.csv"
+        assert main(["field", "--q", "0.5", "--alpha0", "pi/4", "--n-r", "2", "--n-phi", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "field.manifest.json").read_text())
+        assert manifest.pop("timestamp")
+        assert manifest == {
+            "command": "field",
+            "generator": GENERATOR_ID,
+            "parameters": {"alpha0": math.pi / 4, "n_phi": 3, "n_r": 2, "out": str(out),
+                           "q": 0.5},
+            "rotationally_invariant": False,
+            "symmetry_order": 1,
+            "tool_version": __version__,
+        }
+
 
 class TestRunCommand:
     def test_fig2_bench_at_peak_settings(self, capsys):
@@ -348,6 +384,7 @@ class TestInvalidValues:
             ["chsh", "--chi-a", "inf"],
             ["field", "--q", "0.3"],
             ["run", FIG2, "--analyzer-m", "9"],
+            ["field", "--q", "1", "--n-r", "0"],
         ],
     )
     def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
