@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -29,11 +29,9 @@ from .chsh import (
     sweep,
 )
 from .elements import (
-    OrientationField,
     QPlateSpec,
     dove_pair_op,
     mirror_op,
-    orientation_field,
     qplate_op,
     smf_filter_op,
     symmetry_order,
@@ -74,7 +72,6 @@ __all__ = [
     "HeraldOutcome",
     "LostWeightError",
     "McEstimate",
-    "OrientationField",
     "PhotonState",
     "QPlateSpec",
     "RngSeed",
@@ -97,7 +94,6 @@ __all__ = [
     "joint_probabilities",
     "mirror_op",
     "nchv_max_S",
-    "orientation_field",
     "pair_probabilities",
     "prepare_hybrid",
     "qplate_op",

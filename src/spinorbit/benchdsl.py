@@ -11,12 +11,13 @@ canonical heralded-preparation bench reads::
     herald basis=H side=alice
 
 Each keyword's meaning is one :data:`SCHEMAS` row: its parameters, default
-side, variant tokens and element builder.  Exactly one ``source`` stage must
-come first and at most one ``herald`` is allowed.  Parsing resolves defaults,
-so :func:`serialize` followed by :func:`parse` reproduces the AST structurally;
-comments are not preserved.  :class:`BenchPipeline` compiles an AST and builds
-each element once; Alice takes only spin-only elements, and a filter leaving a
-norm below 1e-12 gives weight 0, as a herald does.
+side, variant tokens and element builder.  Exactly one ``source`` stage, on
+``side=both``, must come first and at most one ``herald`` is allowed.  Parsing
+resolves defaults, so :func:`serialize` followed by :func:`parse` reproduces
+the AST structurally; comments are not preserved.  :class:`BenchPipeline`
+compiles an AST and builds each element once; Alice takes only spin-only
+elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald
+does.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ class BenchPipeline(_Record):
             build = SCHEMAS[stage.keyword].build
             steps.append((stage, None if build is None else build(stage.params, m_max)))
         after_herald = False
-        for stage, op in steps:
+        for stage, op in ((ast.stages[0], None), *steps):
             if (fault := _step_fault(stage, op, after_herald)) is not None:
                 raise CompileError(stage.line, fault)
             after_herald = after_herald or stage.keyword == "herald"
@@ -422,6 +423,8 @@ def _params_fault(stage: Stage):
 
 def _step_fault(stage: Stage, op: ElementOp | None, after_herald: bool):
     """Why :meth:`BenchPipeline.run` would act on the wrong photon, else None."""
+    if stage.keyword == "source":
+        return None if stage.side == "both" else "source must act on side=both"
     if op is None:
         return None if stage.side == "alice" else "herald must act on side=alice"
     if stage.side not in ("alice", "bob"):

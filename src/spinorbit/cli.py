@@ -42,7 +42,7 @@ from .chsh import (
     sample_counts,
     sweep,
 )
-from .elements import QPlateSpec, orientation_field, symmetry_order
+from .elements import QPlateSpec, symmetry_order
 from .experiment import LostWeightError, correlation, joint_probabilities
 from .qstate import TruncationError
 
@@ -125,6 +125,15 @@ def _write_manifest(path: str, manifest: dict) -> str:
     return man_path
 
 
+def _write_table(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns as a CSV with one header line."""
+    # Integer columns print as integers, every other column as a float that round-trips.
+    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
 def _settings_params(settings: ChshSettings) -> dict:
     return {name: getattr(settings, name) for name in ChshSettings.__slots__}
 
@@ -198,11 +207,7 @@ def cmd_sweep(args) -> int:
     if with_counts:
         header += ["e_est"]
         columns.append(table.e_estimated)
-    # Counts print as integers, every other column as a float that round-trips.
-    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    _write_table(args.out, header, columns)
 
     params = {
         "chi_b": args.chi_b,
@@ -242,8 +247,14 @@ def cmd_nchv(args) -> int:
 
 def cmd_field(args) -> int:
     spec = QPlateSpec(args.q, args.alpha0)
-    fld = orientation_field(spec, args.n_r, args.n_phi)
-    fld.to_csv(args.out)
+    n_r, n_phi = args.n_r, args.n_phi
+    if n_r < 1 or n_phi < 1:
+        raise ValueError("grid must have at least one sample per axis")
+    r = np.arange(1, n_r + 1) / n_r
+    phi = 2 * math.pi * np.arange(n_phi) / n_phi
+    # One row per (r, phi), phi fastest; the pattern is the same at every radius.
+    columns = [np.repeat(r, n_phi), np.tile(phi, n_r), np.tile(spec.axis_angle(phi), n_r)]
+    _write_table(args.out, ["r", "phi", "alpha"], columns)
     order = symmetry_order(spec.q)
     params = {
         "q": spec.q,

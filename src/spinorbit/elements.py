@@ -10,7 +10,8 @@ inspection only.  Conventions fixed here:
 
 * A q-plate with axis pattern alpha(r, phi) = q*phi + alpha0 flips the
   circular polarization and shifts m by +-2q, with transition phases
-  exp(+-i*2*alpha0).
+  exp(+-i*2*alpha0).  ``QPlateSpec.axis_angle`` evaluates the pattern,
+  which does not depend on r.
 * The quarter-wave plate is the standard retarder R(theta) diag(1, i)
   R(-theta) in the linear basis; at theta = 45 deg it sends |L> to
   (1+i)/sqrt(2) |H> and |R> to (1-i)/sqrt(2) |V>, factors the downstream
@@ -22,12 +23,14 @@ inspection only.  Conventions fixed here:
   which is the analyzer phase convention used throughout.
 * The Dove-prism pair acts as a pure OAM-dependent relative phase
   e^{i 2 m alpha} on the arm carrying |V>, with polarization untouched.
+
+Nothing here writes a file: the ``field`` command samples and writes the
+axis pattern.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TextIO, Union
 
 import numpy as np
 
@@ -48,7 +51,7 @@ class QPlateSpec(_Record):
         q, alpha0 = float(q), float(alpha0)
         if not math.isfinite(q) or not math.isfinite(alpha0):
             raise ValueError("q-plate parameters must be finite")
-        if abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
+        if not math.isfinite(2 * q) or abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
             raise ValueError(f"2q must be an integer, got q={q}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "alpha0", alpha0)
@@ -57,6 +60,13 @@ class QPlateSpec(_Record):
     def two_q(self) -> int:
         """Integer OAM shift 2q."""
         return round(2 * self.q)
+
+    def axis_angle(self, phi):
+        """Optical-axis angle q*phi + alpha0 mod pi, in [0, pi), at azimuth phi.
+
+        The pattern does not depend on the radius.
+        """
+        return np.mod(self.q * phi + self.alpha0, math.pi)
 
 
 def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
@@ -134,57 +144,6 @@ def mirror_op(m_max: int) -> ElementOp:
     model, not by individual mirrors.
     """
     return ElementOp(np.eye(2), m_max=m_max, name="mirror")
-
-
-class OrientationField(_Record):
-    """Sampled optical-axis angles alpha(r, phi) of a plate, mod pi.
-
-    ``alpha`` has shape (n_r, n_phi), with values in [0, pi).  Fields compare
-    by value, the arrays element-wise, and the record is unhashable.
-    """
-
-    __slots__ = ("spec", "r", "phi", "alpha")
-
-    def __init__(self, spec: QPlateSpec, r: np.ndarray, phi: np.ndarray, alpha: np.ndarray):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.spec == other.spec and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("r", "phi", "alpha"))
-
-    def to_csv(self, out: Union[str, TextIO]) -> None:
-        """Write (r, phi, alpha) rows with 17-significant-digit floats."""
-        close = False
-        if isinstance(out, str):
-            out = open(out, "w", newline="\n")
-            close = True
-        try:
-            out.write("r,phi,alpha\n")
-            for i, rv in enumerate(self.r):
-                for j, pv in enumerate(self.phi):
-                    out.write(f"{rv:.17g},{pv:.17g},{self.alpha[i, j]:.17g}\n")
-        finally:
-            if close:
-                out.close()
-
-
-def orientation_field(spec: QPlateSpec, n_r: int, n_phi: int) -> OrientationField:
-    """Sample alpha(r, phi) = q*phi + alpha0 (mod pi) on a polar grid.
-
-    The pattern is independent of r by construction; radii are still
-    reported so the output plots directly as a disk.
-    """
-    if n_r < 1 or n_phi < 1:
-        raise ValueError("grid must have at least one sample per axis")
-    r = np.array([(i + 1) / n_r for i in range(n_r)])
-    phi = np.array([2 * math.pi * j / n_phi for j in range(n_phi)])
-    alpha = np.mod(spec.q * phi + spec.alpha0, math.pi)
-    return OrientationField(spec, r, phi, np.tile(alpha, (n_r, 1)))
 
 
 def symmetry_order(q: float) -> int | None:

@@ -321,11 +321,6 @@ class ElementOp(_Record):
         return shifted
 
 
-def spin_op(matrix: np.ndarray, name: str = "") -> ElementOp:
-    """A 2x2 polarization operator over the circular basis (L, R)."""
-    return ElementOp(matrix, name=name)
-
-
 def tensor(a, b, m_max: int | None = None):
     """Tensor product of single-photon factors.
 

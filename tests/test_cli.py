@@ -194,6 +194,18 @@ class TestFieldCommand:
         manifest = json.loads((tmp_path / "field3.manifest.json").read_text())
         assert manifest["symmetry_order"] == 4
 
+    def test_radially_constant(self, tmp_path, capsys):
+        out = tmp_path / "field.csv"
+        n_phi = 24
+        assert main(["field", "--q", "3", "--alpha0", "0.1", "--n-r", "7", "--n-phi", str(n_phi),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        blocks = [rows[i:i + n_phi] for i in range(0, len(rows), n_phi)]
+        assert len(blocks) == 7
+        for block in blocks:
+            assert len({row[0] for row in block}) == 1
+            assert [row[2] for row in block] == [row[2] for row in blocks[0]]
+
     @pytest.mark.parametrize("argv,sha256", [
         (["--q", "1"], "4bb9814b89621a62748ef13849fb02b41f8c3935ddc81a1ee65bdc96be1c3713"),
         (["--q", "3", "--alpha0", "0.3"],
@@ -385,6 +397,7 @@ class TestInvalidValues:
             ["field", "--q", "0.3"],
             ["run", FIG2, "--analyzer-m", "9"],
             ["field", "--q", "1", "--n-r", "0"],
+            ["field", "--q", "1e308"],
         ],
     )
     def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):

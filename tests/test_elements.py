@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorbit.elements import (
-    OrientationField,
     QPlateSpec,
     dove_pair_op,
     mirror_op,
-    orientation_field,
     qplate_op,
     smf_filter_op,
     symmetry_order,
@@ -20,6 +17,7 @@ from spinorbit.elements import (
 from spinorbit.qstate import (
     BasisMismatchError,
     BipartiteState,
+    ElementOp,
     PhotonState,
     TruncationError,
     apply,
@@ -29,7 +27,6 @@ from spinorbit.qstate import (
     basis_labels,
     inner,
     spin_ket,
-    spin_op,
     states_equal_up_to_phase,
     tensor,
 )
@@ -255,40 +252,15 @@ class TestSmfFilter:
         )
 
 
-class TestOrientationField:
+class TestAxisAngle:
     def test_axis_angle_formula(self):
-        fld = orientation_field(QPlateSpec(1, 0.0), 4, 8)
-        j = 2  # phi = pi/2 on an 8-point grid
-        assert fld.phi[j] == pytest.approx(math.pi / 2)
-        assert fld.alpha[0, j] == pytest.approx(math.pi / 2)
+        assert QPlateSpec(1, 0.0).axis_angle(math.pi / 2) == pytest.approx(math.pi / 2)
 
     def test_half_charge_plate(self):
-        fld = orientation_field(QPlateSpec(0.5, 0.0), 2, 8)
-        j = 4  # phi = pi
-        assert fld.alpha[0, j] == pytest.approx(math.pi / 2)
+        assert QPlateSpec(0.5, 0.0).axis_angle(math.pi) == pytest.approx(math.pi / 2)
 
     def test_offset_at_zero_azimuth(self):
-        fld = orientation_field(QPlateSpec(2, 0.4), 3, 12)
-        assert fld.alpha[0, 0] == pytest.approx(0.4)
-
-    def test_radially_constant(self):
-        fld = orientation_field(QPlateSpec(3, 0.1), 7, 24)
-        assert np.max(np.abs(fld.alpha - fld.alpha[0:1, :])) == 0.0
-
-    def test_equal_by_value(self):
-        fld = orientation_field(QPlateSpec(1), 2, 4)
-        assert fld == orientation_field(QPlateSpec(1), 2, 4)
-        assert fld != orientation_field(QPlateSpec(1, 0.3), 2, 4)
-
-    def test_csv_export(self):
-        fld = orientation_field(QPlateSpec(1, 0.0), 2, 4)
-        buf = io.StringIO()
-        fld.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "r,phi,alpha"
-        assert len(lines) == 1 + 2 * 4
-        r, phi, alpha = (float(x) for x in lines[1].split(","))
-        assert (r, phi, alpha) == (0.5, 0.0, 0.0)
+        assert QPlateSpec(2, 0.4).axis_angle(0.0) == pytest.approx(0.4)
 
 
 class TestSymmetry:
@@ -326,7 +298,7 @@ def test_mirror_is_identity():
 class TestSpinOnly:
     @pytest.mark.parametrize(
         "op",
-        [mirror_op(2), spin_op(np.eye(2)), waveplate_op("qwp", 0.3), waveplate_op("hwp", 0.3),
+        [mirror_op(2), ElementOp(np.eye(2)), waveplate_op("qwp", 0.3), waveplate_op("hwp", 0.3),
          smf_filter_op(0), dove_pair_op(0.3, 0)],
         ids=["mirror", "spin_op", "qwp", "hwp", "smf-m0", "dove-m0"],
     )

@@ -7,12 +7,12 @@ import spinorbit
 
 PUBLIC = [
     "BipartiteState", "CIRCLE_SETTINGS", "ChshSettings", "CountRecord", "ElementOp",
-    "HeraldOutcome", "LostWeightError", "McEstimate", "OrientationField", "PhotonState",
+    "HeraldOutcome", "LostWeightError", "McEstimate", "PhotonState",
     "QPlateSpec", "RngSeed", "SweepRow", "SweepTable", "TSIRELSON_SETTINGS",
     "apply", "apply_alice", "apply_bob", "basis_change_circular_linear", "chsh_S",
     "chsh_monte_carlo", "default_m_max", "dove_pair_op", "estimate_E", "expectation",
     "herald", "inner", "interferometer_detect", "joint_probabilities", "mirror_op",
-    "nchv_max_S", "orientation_field", "pair_probabilities", "prepare_hybrid", "qplate_op",
+    "nchv_max_S", "pair_probabilities", "prepare_hybrid", "qplate_op",
     "sample_counts", "smf_filter_op", "spdc_source", "spin_ket", "spin_orbit_bell_state",
     "states_equal_up_to_phase", "sweep", "symmetry_order", "tensor", "waveplate_op",
 ]

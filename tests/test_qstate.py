@@ -16,7 +16,6 @@ from spinorbit.qstate import (
     basis_labels,
     inner,
     spin_ket,
-    spin_op,
     states_equal_up_to_phase,
     tensor,
 )
@@ -88,7 +87,7 @@ class TestApply:
         np.testing.assert_allclose(apply(eye, s).vector, s.vector, atol=1e-15)
 
     def test_spin_flip_on_basis_state(self):
-        x = spin_op(np.array([[0, 1], [1, 0]]))
+        x = ElementOp(np.array([[0, 1], [1, 0]]))
         out = apply(x, PhotonState.basis_state("L", 0, 2))
         assert out.amplitude("R", 0) == pytest.approx(1.0)
         assert out.norm() == pytest.approx(1.0)

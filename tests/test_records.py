@@ -36,22 +36,17 @@ from spinorbit.chsh import (
     SweepTable,
     sweep,
 )
-from spinorbit.elements import OrientationField, QPlateSpec
+from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import HeraldOutcome
 from spinorbit.qstate import BipartiteState, ElementOp, PhotonState
 
 _STATE = PhotonState(1, np.eye(6)[1])
 _GRID = np.linspace(0.0, 1.0, 3)
-_ALPHA = _GRID[None]  # shared, so two fields compare by identity
 _COUNTS = CountRecord(1, 2, 3, 4)
 
 # name -> (factory, field names in order); each call builds a fresh instance.
 VALUE_RECORDS = {
     "QPlateSpec": (lambda: QPlateSpec(1, 0.5), ("q", "alpha0")),
-    "OrientationField": (
-        lambda: OrientationField(QPlateSpec(1), _GRID, _GRID, _ALPHA),
-        ("spec", "r", "phi", "alpha"),
-    ),
     "HeraldOutcome": (lambda: HeraldOutcome(_STATE, 0.5), ("state", "probability")),
     "ChshSettings": (
         lambda: ChshSettings(0.1, 0.2, 0.3, 0.4),
@@ -69,7 +64,7 @@ VALUE_RECORDS = {
         ("s_estimate", "standard_error", "e_estimates", "counts"),
     ),
 }
-UNHASHABLE = {"OrientationField", "NchvResult"}  # a field holds an array or a dict
+UNHASHABLE = {"NchvResult"}  # a field holds a dict
 
 IDENTITY_RECORDS = {
     "PhotonState": (lambda: PhotonState(1, np.eye(6)[1]), ("m_max", "vector")),
