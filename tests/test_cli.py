@@ -398,6 +398,9 @@ class TestInvalidValues:
             ["run", FIG2, "--analyzer-m", "9"],
             ["field", "--q", "1", "--n-r", "0"],
             ["field", "--q", "1e308"],
+            ["chsh", "--mode", "montecarlo", "--shots", str(2**63)],
+            ["sweep", "--shots", str(2**63)],
+            ["run", FIG2, "--shots", str(2**63)],
         ],
     )
     def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
