@@ -370,7 +370,8 @@ def _sample_rows(
     from the same words, which one vectorised SeedSequence hash computes for
     the whole block (:func:`_lane_states`).  The block is checked once,
     before any draw: entries >= -1e-12, each row summing to 1 within 1e-9
-    (so a NaN entry fails), shots >= 1.
+    (so a NaN entry fails), 1 <= shots <= 2**63 - 1 (numpy's draw count is
+    an int64).
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
@@ -385,6 +386,8 @@ def _sample_rows(
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > 2**63 - 1:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     states = _lane_states(seed, first_lane, len(p))
     lane_seed = _lane_seed_type()
     p = np.clip(p, 0.0, None)

@@ -190,6 +190,13 @@ class TestSampleRows:
         with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
             _sample_rows([[0.25] * 4, row], 10, RngSeed(0), 0)
 
+    def test_shots_past_int64_rejected_before_the_lane_hash(self, monkeypatch):
+        assert _sample_rows([[0.25] * 4], 2**63 - 1, RngSeed(0)).sum() == 2**63 - 1
+        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
+        message = f"^shots must be at most 2\\*\\*63 - 1, got {2**63}$"
+        with pytest.raises(ValueError, match=message):
+            _sample_rows([[0.25] * 4] * 2, 2**63, RngSeed(0), 0)
+
 
 def no_lane_hash(*args):
     raise AssertionError("the block was hashed before it was checked")
