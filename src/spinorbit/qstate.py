@@ -400,7 +400,12 @@ def inner(a, b) -> complex:
 
 
 def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
-    """Ray-level equality: both unit norm and |<a|b>| = 1 within tol."""
+    """Ray-level equality: |<a|b>| = |a| |b| within tol, whatever the norms.
+
+    Nonzero states compare as rays, so a state equals every nonzero multiple
+    of itself.  Two zero states (norm below tol) are equal; a zero state and
+    a nonzero state are not.
+    """
     ip = abs(inner(a, b))
     na = a.norm() if hasattr(a, "norm") else float(np.linalg.norm(spin_ket(a)))
     nb = b.norm() if hasattr(b, "norm") else float(np.linalg.norm(spin_ket(b)))

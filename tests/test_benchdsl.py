@@ -20,7 +20,8 @@ from spinorbit.benchdsl import (
     reduce_angle,
     serialize,
 )
-from spinorbit.experiment import expectation, herald, prepare_hybrid
+from spinorbit.elements import mirror_op, waveplate_op
+from spinorbit.experiment import expectation, herald, prepare_hybrid, spdc_source
 from spinorbit.qstate import states_equal_up_to_phase
 
 FIG2 = """\
@@ -301,6 +302,19 @@ class TestCompile:
         for chi_a, chi_b in [(0.3, -1.1), (math.pi / 2, math.pi / 4)]:
             e = expectation(result.bob, chi_a, chi_b, m=result.analyzer_m)
             assert e == pytest.approx(math.sin(chi_a + chi_b), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "line,element",
+        [("qwp theta=0.3", lambda m_max: waveplate_op("qwp", 0.3)),
+         ("hwp theta=0.3", lambda m_max: waveplate_op("hwp", 0.3)),
+         ("mirror", mirror_op)],
+        ids=["qwp", "hwp", "mirror"],
+    )
+    def test_alice_step_is_her_spin_block_on_the_source(self, line, element):
+        result = compile_bench(parse(f"source spdc\n{line} side=alice\n")).run()
+        m_max = result.bipartite.m_max
+        want = element(m_max).blocks[..., 0] @ spdc_source(m_max).matrix
+        np.testing.assert_array_equal(result.bipartite.matrix, want)
 
     def test_filter_of_roundoff_is_not_renormalized(self):
         # The two q-plate paths into m = 0 cancel up to roundoff after the herald.

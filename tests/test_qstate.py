@@ -281,6 +281,21 @@ class TestBasisChange:
         np.testing.assert_allclose(pair, expected, atol=1e-12)
 
 
+_L0 = PhotonState.basis_state("L", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "a,b,equal",
+    [(_L0, PhotonState(1, 2 * _L0.vector), True),
+     (PhotonState.zero(1), PhotonState.zero(1), True),
+     (PhotonState.zero(1), _L0, False)],
+    ids=["state-and-its-double", "two-zero-states", "zero-and-nonzero"],
+)
+def test_states_equal_up_to_phase_compares_rays(a, b, equal):
+    assert states_equal_up_to_phase(a, b) is equal
+    assert states_equal_up_to_phase(b, a) is equal
+
+
 class TestValueSemantics:
     def test_vectors_are_frozen(self):
         s = PhotonState.basis_state("L", 0, 1)
