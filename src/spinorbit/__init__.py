@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -54,9 +54,7 @@ from .qstate import (
     ElementOp,
     PhotonState,
     apply,
-    apply_alice,
     apply_bob,
-    basis_change_circular_linear,
     inner,
     spin_ket,
     states_equal_up_to_phase,
@@ -79,9 +77,7 @@ __all__ = [
     "SweepTable",
     "TSIRELSON_SETTINGS",
     "apply",
-    "apply_alice",
     "apply_bob",
-    "basis_change_circular_linear",
     "chsh_S",
     "chsh_monte_carlo",
     "default_m_max",

@@ -370,8 +370,7 @@ def _sample_rows(
     from the same words, which one vectorised SeedSequence hash computes for
     the whole block (:func:`_lane_states`).  The block is checked once,
     before any draw: entries >= -1e-12, each row summing to 1 within 1e-9
-    (so a NaN entry fails), 1 <= shots <= 2**63 - 1 (numpy's draw count is
-    an int64).
+    (so a NaN entry fails), 1 <= shots <= 2**63 - 1 (an int64 draw count).
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:

@@ -23,7 +23,7 @@ use :func:`states_equal_up_to_phase` when a ray-level comparison is wanted.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -174,22 +174,6 @@ class PhotonState(_Record):
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.norm() < NORM_TOL
-
-    def normalize(self) -> "PhotonState":
-        n = self.norm()
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize a zero state")
-        return PhotonState(self.m_max, self.vector / n)
-
-    def items(self, tol: float = 0.0) -> Iterator[tuple[tuple[str, int], complex]]:
-        """Yield (label, amplitude) pairs with |amplitude| > tol."""
-        for label, a in zip(basis_labels(self.m_max), self.vector):
-            if abs(a) > tol:
-                yield label, complex(a)
 
     def as_grid(self) -> np.ndarray:
         """View as a (2, 2*m_max+1) array indexed by (spin, m + m_max)."""
@@ -365,7 +349,7 @@ def apply(op: ElementOp, state):
     a bare spin state.
     """
     if isinstance(state, BipartiteState):
-        raise TypeError("use apply_bob or apply_alice for bipartite states")
+        raise TypeError("use apply_bob for bipartite states")
     if isinstance(state, PhotonState):
         grid = op._apply_grid(state.as_grid(), state.m_max)
         return PhotonState(state.m_max, grid.reshape(-1))
@@ -377,13 +361,6 @@ def apply_bob(op: ElementOp, state: BipartiteState) -> BipartiteState:
     grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
     out = op._apply_grid(grids, state.m_max)
     return BipartiteState(state.m_max, out.reshape(2, -1))
-
-
-def apply_alice(op: ElementOp, state: BipartiteState) -> BipartiteState:
-    """Apply a polarization-only element to Alice's photon, which carries no OAM."""
-    if not isinstance(op, ElementOp) or not op.spin_only:
-        raise BasisMismatchError("Alice's photon takes polarization-only elements")
-    return BipartiteState(state.m_max, op.blocks[..., 0] @ state.matrix)
 
 
 def inner(a, b) -> complex:
@@ -400,11 +377,9 @@ def inner(a, b) -> complex:
 
 
 def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
-    """Ray-level equality: |<a|b>| = |a| |b| within tol, whatever the norms.
+    """Ray equality of nonzero states: |<a|b>| = |a| |b| within tol, any norms.
 
-    Nonzero states compare as rays, so a state equals every nonzero multiple
-    of itself.  Two zero states (norm below tol) are equal; a zero state and
-    a nonzero state are not.
+    Two zero states (norm below tol) are equal; a zero and a nonzero are not.
     """
     ip = abs(inner(a, b))
     na = a.norm() if hasattr(a, "norm") else float(np.linalg.norm(spin_ket(a)))
@@ -412,17 +387,3 @@ def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
     if na < tol or nb < tol:
         return na < tol and nb < tol
     return abs(ip / (na * nb) - 1.0) <= tol
-
-
-def basis_change_circular_linear(state, to: str = "linear") -> np.ndarray:
-    """Rewrite a polarization state between the circular and linear bases.
-
-    ``to="linear"`` maps circular components (c_L, c_R) to (c_H, c_V);
-    ``to="circular"`` is the inverse.  Unitary, so norms are preserved.
-    """
-    vec = spin_ket(state)
-    if to == "linear":
-        return _CIRC_TO_LIN @ vec
-    if to == "circular":
-        return _CIRC_TO_LIN.conj().T @ vec
-    raise ValueError("direction must be 'linear' or 'circular'")

@@ -432,15 +432,6 @@ class TestCompile:
             compile_bench(BenchAst(stages))
         assert err.value.line == line
 
-    def test_hand_built_alice_qplate_rejected(self):
-        # run() would contract the q-plate through its charge-0 block alone,
-        # drop its +-2 shift and report herald probability 0.5.
-        plate = make_stage("qplate", side="alice", line=2, q=1.0)
-        ast = BenchAst((make_stage("source", line=1), plate, make_stage("herald", line=3)))
-        with pytest.raises(CompileError, match="cannot act on Alice") as err:
-            BenchPipeline(ast, 4)
-        assert err.value.line == 2
-
     @pytest.mark.parametrize(
         "stage",
         [
@@ -455,39 +446,6 @@ class TestCompile:
         with pytest.raises(CompileError) as err:
             BenchPipeline(BenchAst((make_stage("source", line=1), stage)), 4)
         assert err.value.line == 2
-
-    @pytest.mark.parametrize(
-        "stage,message",
-        [
-            (Stage("qplate", {"q": 1.0}, "bob", 2), "stage 'qplate' is missing parameter 'alpha0'"),
-            (Stage("herald", {}, "alice", 2), "stage 'herald' is missing parameter 'basis'"),
-            (Stage("qwp", {"theta": math.nan}, "bob", 2), "'theta' must be a finite number, got nan"),
-        ],
-        ids=["qplate-without-alpha0", "herald-without-basis", "qwp-nan-theta"],
-    )
-    def test_hand_built_params_checked_against_schema(self, stage, message):
-        # Before the check these raised KeyError or ran to a NaN herald probability.
-        herald_after = () if stage.keyword == "herald" else (make_stage("herald", line=3),)
-        ast = BenchAst((make_stage("source", line=1), stage) + herald_after)
-        for build in (lambda: compile_bench(ast), lambda: BenchPipeline(ast, 4)):
-            with pytest.raises(CompileError) as err:
-                build()
-            assert (err.value.line, err.value.message) == (2, message)
-
-    @pytest.mark.parametrize(
-        "stage,message",
-        [
-            (make_stage("hwp", side="alice", line=5, theta=0.5),
-             "stages after the herald act on Bob's photon only"),
-            (make_stage("herald", line=5), "at most one herald stage is allowed"),
-        ],
-        ids=["alice-after-herald", "second-herald"],
-    )
-    def test_hand_built_step_after_the_herald_rejected(self, stage, message):
-        ast = BenchAst(parse(FIG2).stages + (stage,))
-        with pytest.raises(CompileError) as err:
-            BenchPipeline(ast, 4)
-        assert (err.value.line, err.value.message) == (5, message)
 
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"

@@ -9,8 +9,8 @@ PUBLIC = [
     "BipartiteState", "CIRCLE_SETTINGS", "ChshSettings", "CountRecord", "ElementOp",
     "HeraldOutcome", "LostWeightError", "McEstimate", "PhotonState",
     "QPlateSpec", "RngSeed", "SweepRow", "SweepTable", "TSIRELSON_SETTINGS",
-    "apply", "apply_alice", "apply_bob", "basis_change_circular_linear", "chsh_S",
-    "chsh_monte_carlo", "default_m_max", "dove_pair_op", "estimate_E", "expectation",
+    "apply", "apply_bob", "chsh_S", "chsh_monte_carlo", "default_m_max", "dove_pair_op",
+    "estimate_E", "expectation",
     "herald", "inner", "interferometer_detect", "joint_probabilities", "mirror_op",
     "nchv_max_S", "pair_probabilities", "prepare_hybrid", "qplate_op",
     "sample_counts", "smf_filter_op", "spdc_source", "spin_ket", "spin_orbit_bell_state",
