@@ -12,10 +12,11 @@ noncontextual assignment of +-1 outcomes is capped at |S| <= 2
 
 Counting statistics are multinomial draws from the exact four-outcome
 probabilities, reproducible bit for bit from an explicit (seed, stream)
-pair.  A sampled block of rows draws row k from its own generator on the
-(stream, first_row + k) lane, so distinct streams never share a draw and
-any one row can be reproduced on its own; the generator identity is
-recorded in :data:`GENERATOR_ID`.  The lanes' PCG64 seed words come from
+pair.  One rule holds for every sample: row k of a sampled block draws
+from its own generator on the (stream, first_row + k) lane, and a single
+draw (:func:`sample_counts`) is row 0.  So distinct streams never share a
+draw and any one row can be reproduced on its own; the generator identity
+is recorded in :data:`GENERATOR_ID`.  The lanes' PCG64 seed words come from
 one vectorised port of NumPy's SeedSequence hash (after M. O'Neill's
 ``seed_seq_fe``) over the whole block; the words, and so every count, are
 the ones ``SeedSequence`` itself gives.
@@ -113,15 +114,13 @@ class RngSeed(_Record):
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", stream)
 
-    def generator(self, *lanes: int) -> np.random.Generator:
-        """PCG64 on spawn_key (stream, *lanes); the same stream as ``default_rng``.
+    def generator(self, lane: int) -> np.random.Generator:
+        """``default_rng(SeedSequence(seed, spawn_key=(stream, lane)))``: one lane's PCG64.
 
         The one-lane reference: a sampled block seeds its rows from the same
         words, computed for every row at once (see :func:`_lane_states`).
         """
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream, *lanes)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, lane))
         return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -315,20 +314,17 @@ def _seed_sequence_state(entropy: list) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
 
 
-def _lane_states(seed: RngSeed, first_lane: int | None, n: int) -> np.ndarray:
+def _lane_states(seed: RngSeed, first_lane: int, n: int) -> np.ndarray:
     """PCG64 seed words of lanes first_lane .. first_lane + n - 1, (n, 4) uint64.
 
     Row k is ``SeedSequence(seed.seed, spawn_key=(seed.stream, first_lane + k))
-    .generate_state(4, np.uint64)``; without ``first_lane`` it is one row, for
-    the spawn key (seed.stream,).  The seed is zero-padded to four words and
+    .generate_state(4, np.uint64)``.  The seed is zero-padded to four words and
     each spawn entry is split into words, as SeedSequence assembles its
     entropy.  Lanes are hashed in groups split at multiples of 2**32, so all
     lanes of a group share every word but the lowest, and their word count.
     """
     seed_words = _uint32_words(seed.seed)
     key = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(seed.stream)
-    if first_lane is None:
-        return _seed_sequence_state(key)
     groups = []
     lane, end = first_lane, first_lane + n
     while lane < end:
@@ -359,24 +355,19 @@ def _lane_seed_type() -> type:
     return LaneSeed
 
 
-def _sample_rows(
-    probs, shots: int, seed: RngSeed, first_lane: int | None = None
-) -> np.ndarray:
+def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarray:
     """Multinomial draws of ``shots`` per row of an (n, 4) block, int64 (n, 4).
 
     Row k is the draw ``seed.generator(first_lane + k)`` makes, so each row
-    can be reproduced on its own.  Without ``first_lane`` the block must be
-    one row, the draw ``seed.generator()`` makes.  Each row's PCG64 is seeded
-    from the same words, which one vectorised SeedSequence hash computes for
-    the whole block (:func:`_lane_states`).  The block is checked once,
-    before any draw: entries >= -1e-12, each row summing to 1 within 1e-9
-    (so a NaN entry fails), 1 <= shots <= 2**63 - 1 (an int64 draw count).
+    can be reproduced on its own.  Each row's PCG64 is seeded from the same
+    words, which one vectorised SeedSequence hash computes for the whole
+    block (:func:`_lane_states`).  The block is checked once, before any
+    draw: entries >= -1e-12, each row summing to 1 within 1e-9 (so a NaN
+    entry fails), 1 <= shots <= 2**63 - 1 (an int64 draw count).
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError("expected exactly four outcome probabilities")
-    if first_lane is None and len(p) != 1:
-        raise ValueError(f"a block of {len(p)} rows needs a first_lane")
     if not np.all(p >= -1e-12):
         raise ValueError("probabilities must be non-negative")
     sums = p.sum(axis=1)
@@ -401,8 +392,11 @@ def _sample_rows(
 def sample_counts(
     probs: Sequence[float], shots: int, seed: RngSeed
 ) -> CountRecord:
-    """Multinomial draw of ``shots`` coincidences over the four outcomes."""
-    draw = _sample_rows(np.asarray(probs, dtype=float)[None], shots, seed)
+    """Multinomial draw of ``shots`` coincidences over the four outcomes.
+
+    The one-row block: it draws row 0, lane (stream, 0), like sweep row 0.
+    """
+    draw = _sample_rows(np.asarray(probs, dtype=float)[None], shots, seed, 0)
     return CountRecord(*draw[0].tolist())
 
 

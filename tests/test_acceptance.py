@@ -8,7 +8,6 @@ import math
 import os
 
 import numpy as np
-import pytest
 
 from spinorbit.benchdsl import compile_bench, parse, serialize
 from spinorbit.chsh import (
@@ -19,14 +18,12 @@ from spinorbit.chsh import (
     chsh_S,
     chsh_monte_carlo,
     nchv_max_S,
-    sample_counts,
     sweep,
 )
 from spinorbit.elements import (
     QPlateSpec,
     dove_pair_op,
     qplate_op,
-    smf_filter_op,
     waveplate_op,
 )
 from spinorbit.experiment import (

@@ -413,40 +413,6 @@ class TestCompile:
         with pytest.raises(ValueError, match="2q must be an integer"):
             compile_bench(parse(text))
 
-    @pytest.mark.parametrize(
-        "stages,line",
-        [
-            ((), 1),
-            ((make_stage("qwp", line=1, theta=0.5), make_stage("herald", line=2)), 1),
-            ((make_stage("qwp", line=1, theta=0.5), make_stage("source", line=2)), 1),
-            ((make_stage("source", line=1), make_stage("source", line=2)), 2),
-            ((make_stage("source", line=1), make_stage("herald", line=2),
-              make_stage("herald", line=3)), 3),
-            ((make_stage("source", line=1), Stage("laser", {}, "bob", 2)), 2),
-        ],
-        ids=["empty", "missing-source", "misplaced-source", "repeated-source",
-             "repeated-herald", "unknown-keyword"],
-    )
-    def test_hand_built_ast_rejected_at_compile(self, stages, line):
-        with pytest.raises(CompileError) as err:
-            compile_bench(BenchAst(stages))
-        assert err.value.line == line
-
-    @pytest.mark.parametrize(
-        "stage",
-        [
-            make_stage("hwp", side="both", line=2, theta=0.5),
-            make_stage("herald", side="bob", line=2),
-            make_stage("source", line=2),
-            Stage("laser", {}, "bob", 2),
-        ],
-        ids=["element-on-both", "herald-on-bob", "source-as-step", "unknown-keyword"],
-    )
-    def test_hand_built_steps_rejected(self, stage):
-        with pytest.raises(CompileError) as err:
-            BenchPipeline(BenchAst((make_stage("source", line=1), stage)), 4)
-        assert err.value.line == 2
-
     def test_post_herald_bob_stage_applies(self):
         text = FIG2 + "hwp theta=0 side=bob\n"
         result = compile_bench(parse(text)).run()

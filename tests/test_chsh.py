@@ -158,9 +158,9 @@ class TestSampleRows:
     def test_sample_counts_is_the_one_row_case(self):
         probs = (0.4, 0.3, 0.2, 0.1)
         seed = RngSeed(99, stream=3)
-        draw = _sample_rows([probs], 12345, seed)
+        draw = _sample_rows([probs], 12345, seed, 0)
         assert sample_counts(probs, 12345, seed).as_tuple() == tuple(draw[0].tolist())
-        want = seed.generator().multinomial(12345, np.array(probs) / sum(probs))
+        want = seed.generator(0).multinomial(12345, np.array(probs) / sum(probs))
         assert tuple(draw[0].tolist()) == tuple(want.tolist())
 
     @pytest.mark.parametrize(
@@ -179,11 +179,6 @@ class TestSampleRows:
         with pytest.raises(ValueError):
             _sample_rows(probs, shots, RngSeed(0), 0)
 
-    def test_several_rows_need_a_first_lane(self, monkeypatch):
-        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
-        with pytest.raises(ValueError, match="^a block of 2 rows needs a first_lane$"):
-            _sample_rows([[0.25] * 4] * 2, 10, RngSeed(0))
-
     @pytest.mark.parametrize("row", [[math.nan, 0.5, 0.25, 0.25], [0.5, 0.5, 0.0, math.nan]])
     def test_nan_rejected_before_the_lane_hash(self, row, monkeypatch):
         monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
@@ -191,7 +186,7 @@ class TestSampleRows:
             _sample_rows([[0.25] * 4, row], 10, RngSeed(0), 0)
 
     def test_shots_past_int64_rejected_before_the_lane_hash(self, monkeypatch):
-        assert _sample_rows([[0.25] * 4], 2**63 - 1, RngSeed(0)).sum() == 2**63 - 1
+        assert _sample_rows([[0.25] * 4], 2**63 - 1, RngSeed(0), 0).sum() == 2**63 - 1
         monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
         message = f"^shots must be at most 2\\*\\*63 - 1, got {2**63}$"
         with pytest.raises(ValueError, match=message):
@@ -203,10 +198,10 @@ def no_lane_hash(*args):
 
 
 def seed_sequence_words(seed, stream, first_lane, n):
-    lanes = [()] if first_lane is None else [(first_lane + k,) for k in range(n)]
     return np.array([
-        np.random.SeedSequence(seed, spawn_key=(stream, *lane)).generate_state(4, np.uint64)
-        for lane in lanes
+        np.random.SeedSequence(seed, spawn_key=(stream, first_lane + k)).generate_state(
+            4, np.uint64)
+        for k in range(n)
     ])
 
 
@@ -215,7 +210,7 @@ class TestLaneStates:
     @given(
         seed=st.integers(0, 2**64 - 1),
         stream=st.integers(0, 2**40),
-        first_lane=st.none() | st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32 + 4),
+        first_lane=st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32 + 4),
         n=st.integers(1, 6),
     )
     @example(seed=2**64 - 1, stream=2**70, first_lane=2**64 - 2, n=4)  # three-word entries

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinorbit import __version__
-from spinorbit.chsh import GENERATOR_ID
+from spinorbit.chsh import GENERATOR_ID, RngSeed
 from spinorbit.cli import main, parse_angle
 from spinorbit.qstate import TruncationError
 
@@ -268,6 +269,15 @@ class TestRunCommand:
         assert sum(payload["counts"]) == 1000
         assert -1.0 <= payload["e_estimated"] <= 1.0
 
+    def test_counts_draw_row_0_of_the_stream(self, capsys):
+        # The one lane rule: run --shots is row 0, lane (stream, 0), like sweep row 0.
+        assert main(["run", FIG2, "--shots", "1000", "--seed", "5", "--stream", "2",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        p = np.array(payload["probabilities"])
+        want = RngSeed(5, 2).generator(0).multinomial(1000, p / p.sum())
+        assert payload["counts"] == want.tolist()
+
     def test_malformed_bench_exits_2(self, tmp_path, capsys):
         bench = tmp_path / "bad.bench"
         bench.write_text("source spdc\nqplate q=banana\n")
@@ -401,6 +411,13 @@ class TestInvalidValues:
             ["chsh", "--mode", "montecarlo", "--shots", str(2**63)],
             ["sweep", "--shots", str(2**63)],
             ["run", FIG2, "--shots", str(2**63)],
+            ["chsh", "--mode", "montecarlo", "--shots", str(2**64)],
+            ["sweep", "--shots", str(2**64)],
+            ["run", FIG2, "--shots", str(2**64)],
+            ["run", FIG2, "--shots", "-1"],
+            ["sweep", "--stream", "-1"],
+            ["run", FIG2, "--shots", "5", "--stream", "-1"],
+            ["run", FIG2, "--shots", "5", "--seed", str(2**64)],
         ],
     )
     def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):

@@ -28,7 +28,6 @@ from spinorbit.qstate import (
     BipartiteState,
     PhotonState,
     TruncationError,
-    inner,
     states_equal_up_to_phase,
     tensor,
 )

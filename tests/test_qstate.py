@@ -13,7 +13,6 @@ from spinorbit.qstate import (
     PhotonState,
     TruncationError,
     apply,
-    basis_labels,
     inner,
     spin_ket,
     states_equal_up_to_phase,
