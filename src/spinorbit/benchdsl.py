@@ -38,7 +38,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record, oam_dim
 
 _TWO_PI = 2 * math.pi
 
@@ -326,16 +326,22 @@ class PipelineResult(_Record):
 
 
 class BenchPipeline(_Record):
-    """A bench compiled once at truncation ``m_max`` (by default the widest
-    single-pass bound over its q-plates): :attr:`steps` pairs each stage after
-    the source with the element its :data:`SCHEMAS` row builds, None for the
-    herald.  Each rule is checked once, before any build where it can be: the
-    params, the q-plate bounds, the stage order, the truncation (an integer from
-    0 to :data:`MAX_M_MAX`), then the sides (:func:`_step_fault`); each fault is
-    a CompileError.  The fields are ``ast`` and ``m_max``; copies compile again.
+    """A bench compiled once at truncation ``m_max``: :attr:`steps` pairs each
+    stage after the source with the element its :data:`SCHEMAS` row builds,
+    None for the herald.
+
+    By default ``m_max`` is the widest single-pass bound over the q-plates or
+    the bench's reach (:func:`_reach`), whichever is larger.  Each rule is
+    checked once, before any build where it can be: the params, the q-plate
+    bounds, the stage order, the truncation (an integer from 0 to
+    :data:`MAX_M_MAX`, a fault located at the stage that sets it), then the
+    sides (:func:`_step_fault`); each fault is a CompileError.  The compile also
+    fixes the window :meth:`run` works in: the reach, widened to every
+    element's |shift| and capped at ``m_max``.  The fields are ``ast`` and
+    ``m_max``; copies compile again.
     """
 
-    __slots__ = ("ast", "m_max", "_steps")
+    __slots__ = ("ast", "m_max", "_steps", "_window")
 
     def __init__(self, ast: BenchAst, m_max: int | None = None):
         for stage in ast.stages:
@@ -343,9 +349,12 @@ class BenchPipeline(_Record):
                 raise CompileError(stage.line, fault)
         bounds = [(experiment.default_m_max(stage.params["q"]), stage.line)
                   for stage in ast.stages if stage.keyword == "qplate"]
+        reach, reach_line = _reach(ast.stages)
         line = 1
         if m_max is None:
             m_max, line = max(bounds, key=lambda bound: bound[0], default=(2, 1))
+            if reach > m_max:
+                m_max, line = reach, reach_line
         if (fault := _order_fault(ast.stages)) is not None:
             raise CompileError(*fault)
         if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 0:
@@ -362,9 +371,16 @@ class BenchPipeline(_Record):
             if (fault := _step_fault(stage, op, after_herald)) is not None:
                 raise CompileError(stage.line, fault)
             after_herald = after_herald or stage.keyword == "herald"
+        # Alice's matrix product rounds a column by where it sits in the row and
+        # can leave -0.0 outside the reach, so a bench with an Alice element
+        # keeps the whole truncation.
+        window = max([reach, *(abs(op.shift) for _, op in steps if op is not None)])
+        if any(stage.side == "alice" and op is not None for stage, op in steps):
+            window = m_max
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "m_max", m_max)
         object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "_window", min(m_max, window))
 
     @property
     def steps(self) -> tuple[tuple[Stage, ElementOp | None], ...]:
@@ -372,35 +388,89 @@ class BenchPipeline(_Record):
         return self._steps
 
     def run(self) -> PipelineResult:
-        """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
-        up to the herald and (Bob spin, m + m_max) after it, through the steps.
-        A filter output of norm below NORM_TOL has weight 0, as a herald's has."""
-        grid = experiment.spdc_source(self.m_max).matrix.reshape(2, 2, -1)
+        """Pass one amplitude array, indexed (Alice spin, Bob spin, m + W)
+        up to the herald and (Bob spin, m + W) after it, through the steps.
+
+        W is the compiled window: no step puts amplitude outside |m| <= W, so
+        the charges beyond it are never stored.  The herald and a filter's norm
+        see the grid zero-padded to ``m_max``, so that they round as on the
+        whole truncation, and the returned states are padded to ``m_max``.
+        A filter output of norm below NORM_TOL has weight 0, as a herald's has.
+        """
+        m_max, window = self.m_max, self._window
+        centre = slice(m_max - window, m_max + window + 1)
+
+        def padded(grid):
+            if window == m_max:
+                return grid
+            full = np.zeros(grid.shape[:-1] + (oam_dim(m_max),), dtype=complex)
+            full[..., centre] = grid
+            return full
+
+        grid = experiment.spdc_source(window).matrix.reshape(2, 2, -1)
         bipartite = bob = herald_prob = None
         weight = 1.0
         for stage, op in self._steps:
             if op is None:
-                bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
+                bipartite = BipartiteState(m_max, padded(grid).reshape(2, -1))
                 outcome = experiment.herald(bipartite, stage.params["basis"])
-                grid, herald_prob = outcome.state.as_grid(), outcome.probability
+                grid, herald_prob = outcome.state.as_grid()[..., centre], outcome.probability
                 continue
             if stage.side == "alice":
                 grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
             else:
-                grid = op._apply_grid(grid, self.m_max)
+                grid = op._apply_grid(grid, m_max)
             if stage.keyword == "filter":
-                norm = float(np.linalg.norm(grid))
+                norm = float(np.linalg.norm(padded(grid)))
                 weight *= norm**2 if norm >= NORM_TOL else 0.0
                 grid = grid / norm if norm >= NORM_TOL else np.zeros_like(grid)
 
         peaks = np.abs(grid).reshape(-1, grid.shape[-1]).max(axis=0)
-        magnitudes = {abs(int(m) - self.m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
+        magnitudes = {abs(int(m) - window) for m in np.flatnonzero(peaks > NORM_TOL)}
         analyzer_m = magnitudes.pop() if len(magnitudes) == 1 else None
+        grid = padded(grid)
         if herald_prob is None:
-            bipartite = BipartiteState(self.m_max, grid.reshape(2, -1))
+            bipartite = BipartiteState(m_max, grid.reshape(2, -1))
         else:
-            bob = PhotonState(self.m_max, grid.reshape(-1))
+            bob = PhotonState(m_max, grid.reshape(-1))
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
+
+
+def _reach(stages) -> tuple[int, int]:
+    """The largest |m| that Bob's L or R row can hold after any stage, and the
+    line of the first stage where it does (0 at line 1 if none moves OAM).
+
+    Each row's charges are kept as the interval (lo, hi) they span, None once
+    a filter empties it.  The source gives (0, 0) to both rows; a filter keeps
+    0 only; a q-plate shifting by s maps (L, R) to (R - s, L + s); hwp swaps
+    the rows, mirror keeps them, and qwp and dove merge them; Alice's steps and
+    the herald leave them alone.  The walk is structural: amplitudes that
+    cancel, as through qwp(0) then qwp(90deg), still count.
+    """
+    left = right = (0, 0)
+    reach, line = 0, 1
+    for stage in stages[1:]:
+        if stage.side != "bob":
+            continue
+        keyword = stage.keyword
+        if keyword == "filter":
+            left = (0, 0) if left and left[0] <= 0 <= left[1] else None
+            right = (0, 0) if right and right[0] <= 0 <= right[1] else None
+        elif keyword == "hwp":
+            left, right = right, left
+        elif keyword in ("qwp", "dove"):
+            if left and right:
+                left = right = (min(left[0], right[0]), max(left[1], right[1]))
+            else:
+                left = right = left or right
+        elif keyword == "qplate":  # the only stage that can widen the reach
+            s = round(2 * stage.params["q"])
+            left, right = (right and (right[0] - s, right[1] - s),
+                           left and (left[0] + s, left[1] + s))
+            widest = max([max(-row[0], row[1]) for row in (left, right) if row], default=0)
+            if widest > reach:
+                reach, line = widest, stage.line
+    return reach, line
 
 
 def _params_fault(stage: Stage):

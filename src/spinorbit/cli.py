@@ -413,6 +413,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "seed"):  # checked whether or not the command draws
+            RngSeed(0 if args.seed is None else args.seed, getattr(args, "stream", 0))
         return args.func(args)
     except (LostWeightError, TruncationError) as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)

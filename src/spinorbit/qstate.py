@@ -287,12 +287,20 @@ class ElementOp(_Record):
         return ElementOp(blocks, m_max=self.m_max if other.m_max is None else other.m_max)
 
     def _apply_grid(self, grid: np.ndarray, m_max: int) -> np.ndarray:
-        """Apply to a (..., 2, 2*m_max+1) grid of states at truncation m_max."""
+        """Apply to a (..., 2, n) grid of states at truncation m_max.
+
+        The grid holds all 2*m_max+1 charges, or, when narrower, only the
+        centre |m| <= (n-1)/2, which the per-charge blocks are sliced to match.
+        """
         name = self.name or "element"
         if self.m_max not in (None, m_max):
             raise BasisMismatchError(f"{name} is built for m_max={self.m_max}, not {m_max}")
-        out = np.einsum("...sto,...to->...so", self.blocks, grid)
-        k, n_oam = abs(self.shift), grid.shape[-1]
+        blocks, n_oam = self.blocks, grid.shape[-1]
+        if blocks.shape[-1] > n_oam:
+            cut = (blocks.shape[-1] - n_oam) // 2
+            blocks = blocks[..., cut : cut + n_oam]
+        out = np.einsum("...sto,...to->...so", blocks, grid)
+        k = abs(self.shift)
         if k == 0:
             return out
         down, up = (0, 1) if self.shift > 0 else (1, 0)  # rows moving to lower/higher m

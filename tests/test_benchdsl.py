@@ -13,6 +13,7 @@ from spinorbit.benchdsl import (
     BenchPipeline,
     CompileError,
     ParseError,
+    PipelineResult,
     Stage,
     StageSchema,
     compile_bench,
@@ -22,7 +23,14 @@ from spinorbit.benchdsl import (
 )
 from spinorbit.elements import mirror_op, waveplate_op
 from spinorbit.experiment import expectation, herald, prepare_hybrid, spdc_source
-from spinorbit.qstate import states_equal_up_to_phase
+from spinorbit.qstate import (
+    NORM_TOL,
+    BipartiteState,
+    apply,
+    apply_bob,
+    oam_dim,
+    states_equal_up_to_phase,
+)
 
 FIG2 = """\
 source spdc
@@ -209,6 +217,16 @@ def random_bench(rng) -> BenchAst:
     return BenchAst(tuple(stages))
 
 
+def cascade_text(plates: int = 8, q: float = 1) -> str:
+    """Source, fiber filter, then q-plates with hwp(0) and a mirror between each pair."""
+    lines = ["source spdc", "filter smf side=bob"]
+    for i in range(plates):
+        if i:
+            lines += ["hwp theta=0 side=bob", "mirror side=bob"]
+        lines.append(f"qplate q={q:g} side=bob")
+    return "\n".join(lines + ["herald basis=H side=alice"]) + "\n"
+
+
 class TestCompile:
     def test_fig2_pipeline_matches_direct_construction(self):
         pipeline = compile_bench(parse(FIG2))
@@ -367,8 +385,9 @@ class TestCompile:
             ("source spdc\nqplate q=2 side=bob\nfilter smf side=bob\nqplate q=16384.5 side=bob\n"
              "qplate q=0.5 side=bob\nherald\n", None, 4, 65_538),
             (FIG2, MAX_M_MAX + 1, 1, 65_537),
+            (cascade_text(5, q=8192), None, 15, 81_920),
         ],
-        ids=["inferred", "widest-plate", "explicit"],
+        ids=["inferred", "widest-plate", "explicit", "reach"],
     )
     def test_truncation_above_the_limit_fails_before_any_build(self, monkeypatch, text,
                                                                 m_max, line, width):
@@ -420,6 +439,137 @@ class TestCompile:
         assert result.bob.amplitude("R", -2) == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
+
+
+def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
+    """The pipeline's steps replayed on the whole truncation through apply_bob,
+    apply and herald, with the filter and analyzer arithmetic of BenchPipeline.run."""
+    m_max = pipeline.m_max
+    state, bipartite, prob, weight = spdc_source(m_max), None, None, 1.0
+    for stage, op in pipeline.steps:
+        if op is None:
+            bipartite = state
+            outcome = herald(state, stage.params["basis"])
+            state, prob = outcome.state, outcome.probability
+        elif stage.side == "alice":
+            state = BipartiteState(m_max, op.blocks[..., 0] @ state.matrix)
+        else:
+            state = apply(op, state) if prob is not None else apply_bob(op, state)
+        if stage.keyword == "filter":
+            amps = state.vector if prob is not None else state.matrix
+            norm = float(np.linalg.norm(amps))
+            weight *= norm**2 if norm >= NORM_TOL else 0.0
+            state = type(state)(m_max, amps / norm if norm >= NORM_TOL else np.zeros_like(amps))
+    amps = state.vector if prob is not None else state.matrix
+    peaks = np.abs(amps).reshape(-1, oam_dim(m_max)).max(axis=0)
+    magnitudes = {abs(int(m) - m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
+    analyzer_m = (magnitudes.pop() if len(magnitudes) == 1 else None) or None
+    if prob is None:
+        return PipelineResult(state, None, None, weight, analyzer_m)
+    return PipelineResult(bipartite, state, prob, weight, analyzer_m)
+
+
+def run_outcome(run, pipeline: BenchPipeline) -> tuple:
+    """("ok", every result field as exact bytes) or ("error", type, message)
+    of ``run(pipeline)``."""
+    try:
+        result = run(pipeline)
+    except ValueError as err:
+        return ("error", type(err), str(err))
+    bob, prob = result.bob, result.herald_probability
+    return ("ok", result.bipartite.m_max, result.bipartite.matrix.tobytes(),
+            None if bob is None else (bob.m_max, bob.vector.tobytes()),
+            None if prob is None else prob.hex(), result.filter_weight.hex(),
+            result.analyzer_m)
+
+
+# The random_bench seeds below 23,000 whose q-plates add up past the widest
+# single-pass bound: each raised TruncationError when the truncation ignored the
+# reach.  Each maps to the truncation its reach now gives it.
+REACH_SEEDS = {
+    803: 6, 808: 6, 1795: 9, 1895: 8, 2357: 5, 3012: 9, 4768: 7, 5184: 10, 6143: 9,
+    6356: 10, 6585: 10, 7601: 7, 8050: 6, 9910: 8, 10388: 9, 10750: 7, 10884: 9, 11341: 8,
+    11372: 7, 12097: 9, 12152: 9, 12374: 8, 13155: 7, 14801: 9, 14939: 11, 15103: 10,
+    15945: 6, 17138: 6, 17812: 9, 17937: 12, 18080: 11, 18534: 9, 18638: 5, 18650: 7,
+    21491: 7, 22323: 9, 22744: 10, 22941: 7,
+}
+
+# Benches whose window differs from the whole truncation in a way random_bench rarely draws.
+WINDOW_BENCHES = [
+    ("cascade", cascade_text(), 256),
+    # The filter empties both rows, so the reach stays 1 while the next plate shifts by 4.
+    ("emptied-filter", "source spdc\nqplate q=0.5 side=bob\nfilter smf side=bob\n"
+                       "qplate q=2 side=bob\nherald\n", 40),
+    ("emptied-filter-then-swap", "source spdc\nqplate q=1 side=bob\nfilter smf side=bob\n"
+                                 "qplate q=-3 side=bob\nhwp theta=0.4 side=bob\n", 12),
+    ("post-herald", cascade_text(3) + "qwp theta=0.3 side=bob\nqplate q=1.5 side=bob\n"
+                    "dove alpha=0.2 side=bob\nfilter smf side=bob\n", 30),
+    ("alice-step", "source spdc\nqwp theta=0.3 side=alice\nqplate q=1 side=bob\n"
+                   "hwp theta=1.1 side=alice\nherald basis=V\n", 9),
+    ("no-plate", "source spdc\nqwp theta=0.7 side=bob\ndove alpha=0.5 side=bob\n", 7),
+    # Alice's matrix product leaves -0.0 in columns that no later step rewrites.
+    ("alice-signed-zero", "source spdc\nqwp theta=1.8796 side=alice\nherald basis=V\n", 3),
+    # A norm over two amplitudes rounds otherwise than over the same two among zeros.
+    ("filter-of-one-charge", "source spdc\nherald basis=H\nqwp theta=1.9959 side=bob\n"
+                             "hwp theta=1.7226 side=bob\nqwp theta=-1.5638 side=bob\n"
+                             "filter smf side=bob\n", 10),
+]
+
+
+class TestReach:
+    def test_plate_cascade_compiles_at_its_reach(self):
+        pipeline = compile_bench(parse(cascade_text()))
+        assert pipeline.m_max == 16
+        result = pipeline.run()
+        assert result.analyzer_m == 16
+        assert result.bob.amplitude("L", -16) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert result.bob.amplitude("R", 16) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("seed,m_max", sorted(REACH_SEEDS.items()))
+    def test_benches_past_the_single_pass_bound_run(self, seed, m_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # q-plate without a mode filter
+            pipeline = compile_bench(random_bench(np.random.default_rng(seed)))
+        assert pipeline.m_max == m_max
+        assert run_outcome(BenchPipeline.run, pipeline) == run_outcome(full_width_run, pipeline)
+
+    def test_reach_counts_amplitudes_that_cancel(self):
+        # qwp(0) then qwp(90deg) is i times the identity, but the walk merges the
+        # rows, so three plates reach 6 although no amplitude passes |m| = 2.
+        pair = "qwp theta=0 side=bob\nqwp theta=90deg side=bob\n"
+        text = ("source spdc\nfilter smf side=bob\n" + f"qplate q=1 side=bob\n{pair}" * 2
+                + "qplate q=1 side=bob\nherald\n")
+        wide = compile_bench(parse(text)).run()
+        narrow = compile_bench(parse(text), m_max=4).run()
+        assert wide.bob.m_max == 6 and narrow.bob.m_max == 4
+        np.testing.assert_allclose(wide.bob.as_grid()[:, 2:-2], narrow.bob.as_grid(),
+                                   atol=1e-15)
+        assert wide.analyzer_m == narrow.analyzer_m == 2
+
+    @pytest.mark.parametrize("m_max", [None, 1, 2, 3, 5, 40])
+    def test_run_matches_the_full_width_replay_on_random_benches(self, m_max):
+        ran = 0
+        for seed in range(300):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # q-plate without a mode filter
+                    pipeline = compile_bench(random_bench(np.random.default_rng(seed)), m_max)
+            except ValueError:
+                continue  # a plate the truncation cannot hold
+            want = run_outcome(full_width_run, pipeline)
+            assert run_outcome(BenchPipeline.run, pipeline) == want, seed
+            ran += want[0] == "ok"
+        assert ran >= 100
+
+    @pytest.mark.parametrize("text,m_max", [row[1:] for row in WINDOW_BENCHES],
+                             ids=[row[0] for row in WINDOW_BENCHES])
+    def test_run_matches_the_full_width_replay(self, text, m_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # q-plate without a mode filter
+            pipeline = compile_bench(parse(text), m_max)
+        outcome = run_outcome(BenchPipeline.run, pipeline)
+        assert outcome[0] == "ok"
+        assert outcome == run_outcome(full_width_run, pipeline)
 
 
 def _fig2_with_q(q):
@@ -504,6 +654,11 @@ FAULT_PINS = [
      (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
     ("q-too-wide", _fig2_with_q(1e7), None,
      (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
+    # Five plates of shift 16384 add up to 81920: the fault is at the fifth.
+    ("reach-too-wide", cascade_text(5, q=8192), None,
+     (CompileError, 15, "truncation m_max=81920 exceeds the limit 65536")),
+    ("reach-too-wide", parse(cascade_text(5, q=8192)).stages, None,
+     (CompileError, 15, "truncation m_max=81920 exceeds the limit 65536")),
     ("m_max-too-narrow", FIG2, 1, (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),
     ("m_max-too-narrow", _fig2_with_q(1.0), 1,
      (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),

@@ -262,6 +262,18 @@ class TestRunCommand:
         assert payload["analyzer_m"] == 4
         assert payload["e_exact"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
+    def test_plate_cascade_runs_at_its_reach(self, tmp_path, capsys):
+        # Eight q=1 plates with hwp(0) between each pair carry the photon to m = +-16,
+        # past the single-pass bound of one plate (m_max = 4).
+        lines = ["source spdc", "filter smf side=bob", "qplate q=1 side=bob"]
+        lines += ["hwp theta=0 side=bob", "mirror side=bob", "qplate q=1 side=bob"] * 7
+        bench = tmp_path / "cascade.bench"
+        bench.write_text("\n".join(lines + ["herald basis=H side=alice"]) + "\n")
+        assert main(["run", str(bench)]) == 0
+        out = capsys.readouterr().out
+        assert "analyzer OAM magnitude m = 16\n" in out
+        assert "herald probability = 0.5" in out
+
     def test_counts_reported_with_shots(self, capsys):
         assert main(["run", FIG2, "--shots", "1000", "--seed", "5",
                      "--json"]) == 0
@@ -418,6 +430,13 @@ class TestInvalidValues:
             ["sweep", "--stream", "-1"],
             ["run", FIG2, "--shots", "5", "--stream", "-1"],
             ["run", FIG2, "--shots", "5", "--seed", str(2**64)],
+            # Checked although nothing is drawn.
+            ["chsh", "--seed", "-1"],
+            ["chsh", "--stream", "-1"],
+            ["chsh", "--seed", str(2**64)],
+            ["nchv", "--seed", "-1"],
+            ["run", FIG2, "--stream", "-1"],
+            ["run", FIG2, "--seed", "-1"],
         ],
     )
     def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
@@ -481,6 +500,20 @@ class TestSeedEnvironment:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["chsh", "--stream", "-1"], "stream index must be non-negative"),
+         (["run", FIG2, "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+         (["nchv", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer")],
+        ids=["chsh", "run", "nchv"],
+    )
+    def test_explicit_values_are_checked_without_the_environment(
+        self, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
 
 
 class TestColdStart:
