@@ -38,7 +38,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record, oam_dim
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record
 
 _TWO_PI = 2 * math.pi
 
@@ -74,10 +74,7 @@ class ParamSpec(_Record):
 
     def __init__(self, name: str, default=None, angle: bool = False,
                  choices: tuple[str, ...] | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "choices", choices)
+        _Record.__init__(self, name, default, angle, choices)
 
 
 class StageSchema(_Record):
@@ -89,10 +86,7 @@ class StageSchema(_Record):
 
     def __init__(self, params: tuple[ParamSpec, ...], default_side: str,
                  kind_choices: tuple[str, ...] | None = None, build=None):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "default_side", default_side)
-        object.__setattr__(self, "kind_choices", kind_choices)
-        object.__setattr__(self, "build", build)
+        _Record.__init__(self, params, default_side, kind_choices, build)
 
 
 SCHEMAS: dict[str, StageSchema] = {
@@ -126,10 +120,7 @@ class Stage(_Record):
     __slots__ = ("keyword", "params", "side", "line")
 
     def __init__(self, keyword: str, params: dict, side: str, line: int = 0):
-        object.__setattr__(self, "keyword", keyword)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "line", line)
+        _Record.__init__(self, keyword, params, side, line)
 
     def __eq__(self, other):  # no __hash__: params is a dict
         if other.__class__ is not self.__class__:
@@ -141,7 +132,7 @@ class BenchAst(_Record):
     __slots__ = ("stages",)
 
     def __init__(self, stages: tuple[Stage, ...]):
-        object.__setattr__(self, "stages", stages)
+        _Record.__init__(self, stages)
 
 
 def reduce_angle(value: float) -> float:
@@ -318,11 +309,7 @@ class PipelineResult(_Record):
     def __init__(self, bipartite: BipartiteState, bob: PhotonState | None,
                  herald_probability: float | None, filter_weight: float,
                  analyzer_m: int | None):
-        object.__setattr__(self, "bipartite", bipartite)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "herald_probability", herald_probability)
-        object.__setattr__(self, "filter_weight", filter_weight)
-        object.__setattr__(self, "analyzer_m", analyzer_m)
+        _Record.__init__(self, bipartite, bob, herald_probability, filter_weight, analyzer_m)
 
 
 class BenchPipeline(_Record):
@@ -336,8 +323,8 @@ class BenchPipeline(_Record):
     bounds, the stage order, the truncation (an integer from 0 to
     :data:`MAX_M_MAX`, a fault located at the stage that sets it), then the
     sides (:func:`_step_fault`); each fault is a CompileError.  The compile also
-    fixes the window :meth:`run` works in: the reach, widened to every
-    element's |shift| and capped at ``m_max``.  The fields are ``ast`` and
+    fixes the window :meth:`run` applies each element to: the reach, widened to
+    every element's |shift| and capped at ``m_max``.  The fields are ``ast`` and
     ``m_max``; copies compile again.
     """
 
@@ -377,10 +364,7 @@ class BenchPipeline(_Record):
         window = max([reach, *(abs(op.shift) for _, op in steps if op is not None)])
         if any(stage.side == "alice" and op is not None for stage, op in steps):
             window = m_max
-        object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "_steps", tuple(steps))
-        object.__setattr__(self, "_window", min(m_max, window))
+        _Record.__init__(self, ast, m_max, tuple(steps), min(m_max, window))
 
     @property
     def steps(self) -> tuple[tuple[Stage, ElementOp | None], ...]:
@@ -388,47 +372,38 @@ class BenchPipeline(_Record):
         return self._steps
 
     def run(self) -> PipelineResult:
-        """Pass one amplitude array, indexed (Alice spin, Bob spin, m + W)
-        up to the herald and (Bob spin, m + W) after it, through the steps.
+        """Pass one amplitude array, indexed (Alice spin, Bob spin, m + m_max)
+        up to the herald and (Bob spin, m + m_max) after it, through the steps.
 
-        W is the compiled window: no step puts amplitude outside |m| <= W, so
-        the charges beyond it are never stored.  The herald and a filter's norm
-        see the grid zero-padded to ``m_max``, so that they round as on the
-        whole truncation, and the returned states are padded to ``m_max``.
+        The array keeps every charge, but each element acts only on the
+        compiled window |m| <= W, outside which no step puts amplitude.  The
+        herald, a filter's norm, the analyzer support and the returned states
+        read the whole array.
         A filter output of norm below NORM_TOL has weight 0, as a herald's has.
         """
         m_max, window = self.m_max, self._window
         centre = slice(m_max - window, m_max + window + 1)
-
-        def padded(grid):
-            if window == m_max:
-                return grid
-            full = np.zeros(grid.shape[:-1] + (oam_dim(m_max),), dtype=complex)
-            full[..., centre] = grid
-            return full
-
-        grid = experiment.spdc_source(window).matrix.reshape(2, 2, -1)
+        grid = experiment.spdc_source(m_max).matrix.reshape(2, 2, -1).copy()
         bipartite = bob = herald_prob = None
         weight = 1.0
         for stage, op in self._steps:
             if op is None:
-                bipartite = BipartiteState(m_max, padded(grid).reshape(2, -1))
+                bipartite = BipartiteState(m_max, grid.reshape(2, -1))
                 outcome = experiment.herald(bipartite, stage.params["basis"])
-                grid, herald_prob = outcome.state.as_grid()[..., centre], outcome.probability
+                grid, herald_prob = outcome.state.as_grid().copy(), outcome.probability
                 continue
             if stage.side == "alice":
                 grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
             else:
-                grid = op._apply_grid(grid, m_max)
+                grid[..., centre] = op._apply_grid(grid[..., centre], m_max)
             if stage.keyword == "filter":
-                norm = float(np.linalg.norm(padded(grid)))
+                norm = float(np.linalg.norm(grid))
                 weight *= norm**2 if norm >= NORM_TOL else 0.0
                 grid = grid / norm if norm >= NORM_TOL else np.zeros_like(grid)
 
         peaks = np.abs(grid).reshape(-1, grid.shape[-1]).max(axis=0)
-        magnitudes = {abs(int(m) - window) for m in np.flatnonzero(peaks > NORM_TOL)}
+        magnitudes = {abs(int(m) - m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
         analyzer_m = magnitudes.pop() if len(magnitudes) == 1 else None
-        grid = padded(grid)
         if herald_prob is None:
             bipartite = BipartiteState(m_max, grid.reshape(2, -1))
         else:

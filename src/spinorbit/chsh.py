@@ -54,10 +54,7 @@ class ChshSettings(_Record):
         for v in (chi_a, chi_a_prime, chi_b, chi_b_prime):
             if not math.isfinite(v):
                 raise ValueError("all CHSH settings must be finite")
-        object.__setattr__(self, "chi_a", chi_a)
-        object.__setattr__(self, "chi_a_prime", chi_a_prime)
-        object.__setattr__(self, "chi_b", chi_b)
-        object.__setattr__(self, "chi_b_prime", chi_b_prime)
+        _Record.__init__(self, chi_a, chi_a_prime, chi_b, chi_b_prime)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in S order: (a,b), (a,b'), (a',b), (a',b')."""
@@ -84,10 +81,7 @@ class CountRecord(_Record):
     def __init__(self, n_pp: int, n_pm: int, n_mp: int, n_mm: int):
         if n_pp < 0 or n_pm < 0 or n_mp < 0 or n_mm < 0:
             raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "n_pp", n_pp)
-        object.__setattr__(self, "n_pm", n_pm)
-        object.__setattr__(self, "n_mp", n_mp)
-        object.__setattr__(self, "n_mm", n_mm)
+        _Record.__init__(self, n_pp, n_pm, n_mp, n_mm)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
@@ -111,8 +105,7 @@ class RngSeed(_Record):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if stream < 0:
             raise ValueError("stream index must be non-negative")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream", stream)
+        _Record.__init__(self, seed, stream)
 
     def generator(self, lane: int) -> np.random.Generator:
         """``default_rng(SeedSequence(seed, spawn_key=(stream, lane)))``: one lane's PCG64.
@@ -133,13 +126,8 @@ class SweepRow(_Record):
     def __init__(self, chi_a: float, chi_b: float,
                  probabilities: tuple[float, float, float, float], counts: CountRecord | None,
                  e_exact: float, e_estimated: float | None, is_circle: bool):
-        object.__setattr__(self, "chi_a", chi_a)
-        object.__setattr__(self, "chi_b", chi_b)
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "e_exact", e_exact)
-        object.__setattr__(self, "e_estimated", e_estimated)
-        object.__setattr__(self, "is_circle", is_circle)
+        _Record.__init__(self, chi_a, chi_b, probabilities, counts, e_exact, e_estimated,
+                         is_circle)
 
 
 class SweepTable(_Record):
@@ -175,8 +163,8 @@ class SweepTable(_Record):
             shape = (n, 4) if name in ("probabilities", "counts") else (n,)
             if column is not None and column.shape != shape:
                 raise ValueError(f"sweep column {name} has shape {column.shape}, not {shape}")
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "chi_b", float(chi_b))
+        columns["chi_b"] = float(chi_b)
+        _Record.__init__(self, *map(columns.get, self.__slots__))
 
     def __len__(self) -> int:
         return len(self.chi_a)
@@ -205,9 +193,7 @@ class NchvResult(_Record):
     __slots__ = ("max_s", "min_s", "argmax")
 
     def __init__(self, max_s: float, min_s: float, argmax: dict[str, int]):
-        object.__setattr__(self, "max_s", max_s)
-        object.__setattr__(self, "min_s", min_s)
-        object.__setattr__(self, "argmax", argmax)
+        _Record.__init__(self, max_s, min_s, argmax)
 
 
 class McEstimate(_Record):
@@ -218,10 +204,7 @@ class McEstimate(_Record):
     def __init__(self, s_estimate: float, standard_error: float,
                  e_estimates: tuple[float, float, float, float],
                  counts: tuple[CountRecord, CountRecord, CountRecord, CountRecord]):
-        object.__setattr__(self, "s_estimate", s_estimate)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "e_estimates", e_estimates)
-        object.__setattr__(self, "counts", counts)
+        _Record.__init__(self, s_estimate, standard_error, e_estimates, counts)
 
 
 def chsh_combination(e_values: Sequence[float]) -> float:
@@ -444,7 +427,7 @@ def sweep(
     chi_b: float,
     chi_a_grid: Sequence[float],
     shots: int,
-    seed: RngSeed,
+    seed: RngSeed | None,
     bob: PhotonState | None = None,
     m: int = 2,
     first_row: int = 0,

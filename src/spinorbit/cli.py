@@ -191,7 +191,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = _rng_seed(args)
+    seed = _rng_seed(args) if args.shots > 0 else None
     n = args.points
     grid = [-math.pi + 2 * math.pi * k / n for k in range(n)]
     table = sweep(args.chi_b, grid, args.shots, seed)

@@ -53,8 +53,7 @@ class QPlateSpec(_Record):
             raise ValueError("q-plate parameters must be finite")
         if not math.isfinite(2 * q) or abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
             raise ValueError(f"2q must be an integer, got q={q}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha0", alpha0)
+        _Record.__init__(self, q, alpha0)
 
     @property
     def two_q(self) -> int:

@@ -78,8 +78,7 @@ class HeraldOutcome(_Record):
     __slots__ = ("state", "probability")
 
     def __init__(self, state: PhotonState, probability: float):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "probability", probability)
+        _Record.__init__(self, state, probability)
 
 
 def default_m_max(q: float) -> int:

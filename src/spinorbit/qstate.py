@@ -99,16 +99,24 @@ def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
 class _Record:
     """Immutable record whose fields are its ``__slots__``, in order.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its
-    ``__init__`` through ``object.__setattr__``.  A slot whose name starts
-    with ``_`` is not a field: it holds what ``__init__`` derives.  Records
-    compare equal to records of the same type with equal fields and hash by
-    their fields; the states and operators below take ``object``'s identity
-    ``__eq__``/``__hash__`` instead.  ``__reduce__`` rebuilds a record
-    through ``__init__``, so ``copy`` and ``pickle`` work without assignment.
+    A subclass lists its fields in ``__slots__``, and its ``__init__`` ends by
+    passing one value per slot, in order, to ``_Record.__init__``, the only
+    code that sets a slot.  A slot whose name starts with ``_`` is not a
+    field: it holds what ``__init__`` derives.  Records compare equal to
+    records of the same type with equal fields and hash by their fields; the
+    states and operators below take ``object``'s identity ``__eq__``/``__hash__``
+    instead.  ``__reduce__`` rebuilds a record through ``__init__``, so
+    ``copy`` and ``pickle`` work without assignment.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        slots, n = self.__slots__, len(values)
+        if n != len(slots):
+            raise TypeError(f"{type(self).__qualname__} takes {len(slots)} values, got {n}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
@@ -147,8 +155,7 @@ class PhotonState(_Record):
         vec = _frozen(vector)
         if vec.shape != (state_dim(m_max),):
             raise ValueError(f"vector length {vec.shape} does not match m_max={m_max}")
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "vector", vec)
+        _Record.__init__(self, m_max, vec)
 
     @classmethod
     def zero(cls, m_max: int) -> "PhotonState":
@@ -196,8 +203,7 @@ class BipartiteState(_Record):
         mat = _frozen(matrix)
         if mat.shape != (2, state_dim(m_max)):
             raise ValueError("matrix shape does not match m_max")
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "matrix", mat)
+        _Record.__init__(self, m_max, mat)
 
     @classmethod
     def from_amplitudes(
@@ -245,10 +251,7 @@ class ElementOp(_Record):
             raise ValueError(f"blocks {blocks.shape} do not fit m_max={m_max}")
         if shift and (m_max is None or abs(shift) > m_max):
             raise ValueError(f"m_max={m_max} cannot hold a +-{abs(shift)} OAM shift")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "shift", int(shift))
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "name", name)
+        _Record.__init__(self, blocks, int(shift), m_max, name)
 
     @property
     def basis(self) -> tuple:

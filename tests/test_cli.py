@@ -122,7 +122,7 @@ class TestSweepCommand:
         main(["sweep", "--points", "64", "--shots", "0", "--out", str(out)])
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["command"] == "sweep"
-        assert manifest["seed"] == 0
+        assert "seed" not in manifest and "stream" not in manifest
         assert "PCG64" in manifest["generator"]
         # chi_A = pi/2 sits at index 48, chi_A = -pi at index 0.
         assert manifest["circle_rows"] == [0, 48]
@@ -477,7 +477,7 @@ class TestSeedEnvironment:
     ):
         monkeypatch.setenv("SPINORBIT_SEED", "abc")
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "4", "--out", str(out)]) == 0
+        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'abc'" in err[0] and "SPINORBIT_SEED" in err[0]
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
@@ -486,7 +486,7 @@ class TestSeedEnvironment:
     def test_valid_seed_is_silent(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("SPINORBIT_SEED", "11")
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "4", "--out", str(out)]) == 0
+        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["seed"] == 11
@@ -495,11 +495,18 @@ class TestSeedEnvironment:
         monkeypatch.setenv("SPINORBIT_SEED", "abc")
         assert main(["field", "--q", "1", "--out", str(tmp_path / "f.csv")]) == 0
         assert main(["nchv"]) == 0
-        assert main(["sweep", "--points", "4", "--seed", "5",
+        assert main(["sweep", "--points", "4", "--shots", "10", "--seed", "5",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    def test_exact_sweep_reads_no_seed(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        assert main(["sweep", "--points", "8", "--out", str(tmp_path / "e.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
+        assert "seed" not in manifest and "stream" not in manifest
 
     @pytest.mark.parametrize(
         "argv,message",

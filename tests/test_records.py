@@ -8,15 +8,18 @@ records follow the value contract too; a ``Stage`` compares without its line
 number and, like the records that hold stages, has no hash.
 """
 
+import ast
 import copy
 import inspect
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinorbit
 from spinorbit.benchdsl import (
     SCHEMAS,
     BenchAst,
@@ -38,7 +41,7 @@ from spinorbit.chsh import (
 )
 from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import HeraldOutcome
-from spinorbit.qstate import BipartiteState, ElementOp, PhotonState
+from spinorbit.qstate import BipartiteState, ElementOp, PhotonState, _Record
 
 _STATE = PhotonState(1, np.eye(6)[1])
 _GRID = np.linspace(0.0, 1.0, 3)
@@ -434,3 +437,30 @@ def test_stage_equality_ignores_the_line_but_copies_keep_it():
     assert Stage("mirror", {}, "bob").line == 0
     for twin in (copy.copy(stage), copy.deepcopy(stage), pickle.loads(pickle.dumps(stage))):
         assert twin.line == 2
+
+
+def test_only_the_base_record_sets_a_slot():
+    """Every ``object.__setattr__`` call in the package sits in ``qstate._Record``."""
+    owners = []
+    for path in sorted(Path(spinorbit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                        and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                    owners.append((path.stem, getattr(stmt, "name", None)))
+    assert owners and set(owners) == {("qstate", "_Record")}
+
+
+def test_a_record_takes_one_value_per_slot():
+    class Pair(_Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, *values):
+            _Record.__init__(self, *values)
+
+    pair = Pair(1, 2)
+    assert (pair.a, pair.b) == (1, 2)
+    with pytest.raises(TypeError, match="Pair takes 2 values, got 1"):
+        Pair(1)
+    with pytest.raises(TypeError, match="Pair takes 2 values, got 3"):
+        Pair(1, 2, 3)
