@@ -15,9 +15,9 @@ side, variant tokens and element builder.  Exactly one ``source`` stage, on
 ``side=both``, must come first and at most one ``herald`` is allowed.  Parsing
 resolves defaults, so :func:`serialize` followed by :func:`parse` reproduces
 the AST structurally; comments are not preserved.  :class:`BenchPipeline`
-compiles an AST and builds each element once; Alice takes only spin-only
-elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald
-does.
+(also named ``compile_bench``) compiles an AST and builds each element once;
+Alice takes only spin-only elements, and a filter leaving a norm below 1e-12
+gives weight 0, as a herald does.
 """
 
 from __future__ import annotations
@@ -324,8 +324,9 @@ class BenchPipeline(_Record):
     :data:`MAX_M_MAX`, a fault located at the stage that sets it), then the
     sides (:func:`_step_fault`); each fault is a CompileError.  The compile also
     fixes the window :meth:`run` applies each element to: the reach, widened to
-    every element's |shift| and capped at ``m_max``.  The fields are ``ast`` and
-    ``m_max``; copies compile again.
+    every element's |shift| and capped at ``m_max``.  Last, a bench with a
+    q-plate but no mode filter gets a UserWarning.  The fields are ``ast`` and
+    ``m_max``; copies compile, and warn, again.
     """
 
     __slots__ = ("ast", "m_max", "_steps", "_window")
@@ -365,6 +366,10 @@ class BenchPipeline(_Record):
         if any(stage.side == "alice" and op is not None for stage, op in steps):
             window = m_max
         _Record.__init__(self, ast, m_max, tuple(steps), min(m_max, window))
+        keywords = {stage.keyword for stage in ast.stages}
+        if "qplate" in keywords and "filter" not in keywords:
+            warnings.warn("bench has a q-plate but no mode filter; an ideal source carries "
+                          "no OAM, so the output is unchanged", stacklevel=2)
 
     @property
     def steps(self) -> tuple[tuple[Stage, ElementOp | None], ...]:
@@ -481,15 +486,4 @@ def _step_fault(stage: Stage, op: ElementOp | None, after_herald: bool):
     return None
 
 
-def compile_bench(ast: BenchAst, m_max: int | None = None) -> BenchPipeline:
-    """``BenchPipeline(ast, m_max)``, warning when a bench has a q-plate but no
-    mode filter."""
-    pipeline = BenchPipeline(ast, m_max)
-    keywords = {stage.keyword for stage in ast.stages}
-    if "qplate" in keywords and "filter" not in keywords:
-        warnings.warn(
-            "bench has a q-plate but no mode filter; an ideal source carries "
-            "no OAM, so the output is unchanged",
-            stacklevel=2,
-        )
-    return pipeline
+compile_bench = BenchPipeline

@@ -10,10 +10,12 @@ Subcommands:
 
 Angles accept plain radians, ``pi`` fractions (``pi/2``, ``-pi``, ``0.75pi``)
 or degrees (``22.5deg``).  Every file output gets a sidecar
-``<name>.manifest.json`` recording the resolved parameters, seed, RNG
-identity and tool version; stdout commands embed the same manifest in
-their ``--json`` form.  Exit codes: 0 success, 1 usage error, invalid
-value or file error, 2 bench parse/semantic error, 3 numeric contract violation.
+``<name>.manifest.json`` recording the resolved parameters, tool version and,
+if the command draws, seed and RNG identity; stdout commands embed the same
+manifest in their ``--json`` form.  Exit codes: 0 success, 1 usage error,
+invalid value or file error, 2 bench parse/semantic error, 3 numeric contract
+violation.  A failed command prints one error line; :func:`main` prints the
+warnings after a successful command's output.
 """
 
 from __future__ import annotations
@@ -89,15 +91,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rng_seed(args) -> RngSeed:
-    """The command's RNG seed: --seed, else $SPINORBIT_SEED, else 0."""
+    """The command's RNG seed: --seed, else $SPINORBIT_SEED (0 and a warning if not an int)."""
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
         try:
             seed = int(raw)
         except ValueError:
-            print(f"spinorbit: warning: ignoring ${SEED_ENV_VAR}={raw!r} (not an integer); "
-                  "using seed 0", file=sys.stderr)
+            warnings.warn(f"ignoring ${SEED_ENV_VAR}={raw!r} (not an integer); using seed 0")
             seed = 0
     return RngSeed(seed, args.stream)
 
@@ -106,13 +107,11 @@ def _manifest(command: str, params: dict, seed: RngSeed | None) -> dict:
     man = {
         "command": command,
         "parameters": params,
-        "generator": GENERATOR_ID,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if seed is not None:
-        man["seed"] = seed.seed
-        man["stream"] = seed.stream
+        man.update(generator=GENERATOR_ID, seed=seed.seed, stream=seed.stream)
     return man
 
 
@@ -279,14 +278,10 @@ def cmd_run(args) -> int:
     with open(args.bench) as fh:
         text = fh.read()
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipeline = compile_bench(parse(text))
+        pipeline = compile_bench(parse(text))
     except (ParseError, CompileError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    for warning in caught:
-        print(f"spinorbit: warning: {warning.message}", file=sys.stderr)
     result = pipeline.run()
     if result.bob is None:
         print("bench has no herald stage; nothing to analyze", file=sys.stderr)
@@ -410,19 +405,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "seed"):  # checked whether or not the command draws
-            RngSeed(0 if args.seed is None else args.seed, getattr(args, "stream", 0))
-        return args.func(args)
-    except (LostWeightError, TruncationError) as exc:
-        print(f"numeric contract violation: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, MemoryError) as exc:
-        message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
-        print(f"spinorbit: error: {message}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # other categories keep their filters
+        try:
+            if hasattr(args, "seed"):  # checked whether or not the command draws
+                RngSeed(0 if args.seed is None else args.seed, getattr(args, "stream", 0))
+            code = args.func(args)
+        except (LostWeightError, TruncationError) as exc:
+            print(f"numeric contract violation: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OSError, MemoryError) as exc:
+            message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+            print(f"spinorbit: error: {message}", file=sys.stderr)
+            return 1
+    if code == 0:  # a failed command prints its one error line and nothing else
+        for warning in caught:
+            print(f"spinorbit: warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

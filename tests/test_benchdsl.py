@@ -217,6 +217,18 @@ def random_bench(rng) -> BenchAst:
     return BenchAst(tuple(stages))
 
 
+def random_alice_bench(rng) -> BenchAst:
+    """A random_bench with one to three Alice qwp, hwp or mirror steps before its herald."""
+    stages = list(random_bench(rng).stages)
+    end = len(stages) - (stages[-1].keyword == "herald")
+    for _ in range(rng.integers(1, 4)):
+        kind = str(rng.choice(["qwp", "hwp", "mirror"]))
+        params = {} if kind == "mirror" else {"theta": float(rng.uniform(-7, 7))}
+        stages.insert(int(rng.integers(1, end + 1)), make_stage(kind, side="alice", **params))
+        end += 1
+    return BenchAst(tuple(stages))
+
+
 def cascade_text(plates: int = 8, q: float = 1) -> str:
     """Source, fiber filter, then q-plates with hwp(0) and a mirror between each pair."""
     lines = ["source spdc", "filter smf side=bob"]
@@ -284,6 +296,20 @@ class TestCompile:
         # The ideal source carries no OAM, so the output is unchanged.
         reference = compile_bench(parse(FIG2)).run()
         assert states_equal_up_to_phase(result.bob, reference.bob)
+
+    def test_compile_bench_is_the_pipeline(self):
+        assert compile_bench is BenchPipeline
+
+    def test_pipeline_warns_on_a_filterless_bench(self):
+        with pytest.warns(UserWarning, match="q-plate but no mode filter"):
+            BenchPipeline(parse("source spdc\nqplate q=1 side=bob\nherald basis=H\n"))
+
+    def test_faulty_filterless_bench_raises_without_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CompileError):
+                BenchPipeline(parse("source spdc\nqplate q=1 side=alice\nherald\n"))
+        assert caught == []
 
     def test_oam_elements_cannot_act_on_alice(self):
         text = "source spdc\nqplate q=1 side=alice\nherald\n"
@@ -554,6 +580,24 @@ class TestReach:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # q-plate without a mode filter
                     pipeline = compile_bench(random_bench(np.random.default_rng(seed)), m_max)
+            except ValueError:
+                continue  # a plate the truncation cannot hold
+            want = run_outcome(full_width_run, pipeline)
+            assert run_outcome(BenchPipeline.run, pipeline) == want, seed
+            ran += want[0] == "ok"
+        assert ran >= 100
+
+    @pytest.mark.parametrize("m_max", [None, 1, 3, 6, 20])
+    def test_run_matches_the_full_width_replay_with_alice_steps(self, m_max):
+        # Alice's matrix product can leave -0.0 outside the reach, which a
+        # windowed Bob step would not rewrite: such benches keep the whole truncation.
+        ran = 0
+        for seed in range(300):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # q-plate without a mode filter
+                    pipeline = compile_bench(random_alice_bench(np.random.default_rng(seed)),
+                                             m_max)
             except ValueError:
                 continue  # a plate the truncation cannot hold
             want = run_outcome(full_width_run, pipeline)

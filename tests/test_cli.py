@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -70,6 +71,12 @@ class TestChshCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["s"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["chsh", "nchv"])
+    def test_exact_manifest_names_no_generator(self, capsys, command):
+        assert main([command, "--json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert "generator" not in manifest and "seed" not in manifest
+
     def test_montecarlo_reproducible(self, capsys):
         args = ["chsh", "--mode", "montecarlo", "--shots", "100000",
                 "--seed", "42", "--json"]
@@ -123,9 +130,15 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert "seed" not in manifest and "stream" not in manifest
-        assert "PCG64" in manifest["generator"]
+        assert "generator" not in manifest
         # chi_A = pi/2 sits at index 48, chi_A = -pi at index 0.
         assert manifest["circle_rows"] == [0, 48]
+
+    def test_sampled_manifest_names_the_generator(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["generator"] == GENERATOR_ID
 
     @pytest.mark.parametrize("shots,sha256", [
         ("500", "57dc1c4913940da1e43cfe794705787c6edecd1e75ae8fe7d64fc2a97d1be802"),
@@ -233,7 +246,6 @@ class TestFieldCommand:
         assert manifest.pop("timestamp")
         assert manifest == {
             "command": "field",
-            "generator": GENERATOR_ID,
             "parameters": {"alpha0": math.pi / 4, "n_phi": 3, "n_r": 2, "out": str(out),
                            "q": 0.5},
             "rotationally_invariant": False,
@@ -393,6 +405,14 @@ class TestRunCommand:
         )
         assert captured.out.splitlines()[1:] == reference[1:]  # all but the bench path
 
+    def test_failure_after_the_missing_filter_lint_is_one_line(self, tmp_path, capsys):
+        bench = tmp_path / "unfiltered.bench"
+        bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")
+        assert main(["run", str(bench), "--analyzer-m", "99"]) == 1
+        assert capsys.readouterr().err == (
+            "spinorbit: error: --analyzer-m 99 exceeds the bench truncation m_max=4\n"
+        )
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chsh", "--chi-a", "not-an-angle"])
@@ -507,6 +527,34 @@ class TestSeedEnvironment:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "e.manifest.json").read_text())
         assert "seed" not in manifest and "stream" not in manifest
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["run", FIG2, "--shots", "-1"], "shots must be at least 1"),
+         (["chsh", "--mode", "montecarlo", "--shots", "1"],
+          "need at least two shots per setting"),
+         (["sweep", "--shots", str(2**64), "--out", "unwritten.csv"],
+          f"shots must be at most 2**63 - 1, got {2**64}")],
+        ids=["run", "chsh", "sweep"],
+    )
+    def test_failed_draw_prints_only_its_error(self, monkeypatch, tmp_path, capsys, argv,
+                                               message):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
+
+    def test_warning_follows_the_output(self, monkeypatch):
+        monkeypatch.setenv("SPINORBIT_SEED", "abc")
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        assert main(["chsh", "--mode", "montecarlo", "--shots", "100"]) == 0
+        lines = both.getvalue().splitlines()
+        assert lines[0].startswith("shots per setting: 100")
+        assert lines[-1] == ("spinorbit: warning: ignoring $SPINORBIT_SEED='abc' "
+                             "(not an integer); using seed 0")
+        assert sum(line.startswith("spinorbit: ") for line in lines) == 1
 
     @pytest.mark.parametrize(
         "argv,message",
