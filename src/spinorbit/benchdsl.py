@@ -15,9 +15,10 @@ side, variant tokens and element builder.  Exactly one ``source`` stage, on
 ``side=both``, must come first and at most one ``herald`` is allowed.  Parsing
 resolves defaults, so :func:`serialize` followed by :func:`parse` reproduces
 the AST structurally; comments are not preserved.  :class:`BenchPipeline`
-(also named ``compile_bench``) compiles an AST and builds each element once;
-Alice takes only spin-only elements, and a filter leaving a norm below 1e-12
-gives weight 0, as a herald does.
+(also named ``compile_bench``) compiles an AST and builds each distinct
+element once; equal stages share one element.  Alice takes only spin-only
+elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald
+does.
 """
 
 from __future__ import annotations
@@ -249,13 +250,22 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
 
 
 def parse(text: str) -> BenchAst:
-    """Parse bench text into an AST; raises ParseError at the first fault."""
+    """Parse bench text into an AST; raises ParseError at the first fault.
+
+    Each distinct line text is parsed once: a line repeating an earlier one
+    gets a copy of its stage, with its own line number and params dict.
+    """
     stages = []
+    first: dict[str, Stage | None] = {}  # None for a blank or comment-only line
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
+        if raw in first:
+            if (stage := first[raw]) is not None:
+                stages.append(Stage(stage.keyword, dict(stage.params), stage.side, line_no))
             continue
-        stages.append(_parse_stage(tokens, line_no))
+        tokens = _tokenize(raw)
+        first[raw] = stage = _parse_stage(tokens, line_no) if tokens else None
+        if stage is not None:
+            stages.append(stage)
     if (fault := _order_fault(stages)) is not None:
         raise ParseError(fault[0], 1, "misplaced-stage" if stages else "missing-param", fault[1])
     return BenchAst(stages=tuple(stages))
@@ -315,7 +325,8 @@ class PipelineResult(_Record):
 class BenchPipeline(_Record):
     """A bench compiled once at truncation ``m_max``: :attr:`steps` pairs each
     stage after the source with the element its :data:`SCHEMAS` row builds,
-    None for the herald.
+    None for the herald.  Each distinct element is built once; equal stages
+    (same keyword and params) share one element.
 
     By default ``m_max`` is the widest single-pass bound over the q-plates or
     the bench's reach (:func:`_reach`), whichever is larger.  Each rule is
@@ -350,10 +361,13 @@ class BenchPipeline(_Record):
                                   f"to {MAX_M_MAX}")
         if m_max > MAX_M_MAX:
             raise CompileError(line, f"truncation m_max={m_max} exceeds the limit {MAX_M_MAX}")
-        steps = []
+        steps, built = [], {}  # equal stages share one element; repr keeps -0.0 apart
         for stage in ast.stages[1:]:
-            build = SCHEMAS[stage.keyword].build
-            steps.append((stage, None if build is None else build(stage.params, m_max)))
+            build, op = SCHEMAS[stage.keyword].build, None
+            key = (stage.keyword, repr(sorted(stage.params.items())))
+            if build is not None and (op := built.get(key)) is None:
+                op = built[key] = build(stage.params, m_max)
+            steps.append((stage, op))
         after_herald = False
         for stage, op in ((ast.stages[0], None), *steps):
             if (fault := _step_fault(stage, op, after_herald)) is not None:
@@ -373,7 +387,8 @@ class BenchPipeline(_Record):
 
     @property
     def steps(self) -> tuple[tuple[Stage, ElementOp | None], ...]:
-        """Each stage after the source with its element, None for the herald."""
+        """Each stage after the source with its element, None for the herald;
+        equal stages share one element, so an element may appear more than once."""
         return self._steps
 
     def run(self) -> PipelineResult:

@@ -165,8 +165,7 @@ def cmd_chsh(args) -> int:
         seed = None
     else:
         if args.shots is None:
-            print("spinorbit: error: montecarlo mode requires --shots", file=sys.stderr)
-            raise SystemExit(1)
+            raise ValueError("montecarlo mode requires --shots")
         seed = _rng_seed(args)
         params.update({"shots": args.shots})
         result = chsh_monte_carlo(settings, args.shots, seed)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from spinorbit.elements import mirror_op, waveplate_op
 from spinorbit.experiment import expectation, herald, prepare_hybrid, spdc_source
 from spinorbit.qstate import (
     NORM_TOL,
+    _Record,
     BipartiteState,
     apply,
     apply_bob,
@@ -158,6 +160,20 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("source spdc\nqplate q=1 side=charlie\n")
         assert err.value.kind == "unknown-keyword"
+
+    def test_repeated_lines_get_their_own_line_and_params(self):
+        ast = parse("source spdc\nqwp theta=0.5\n\nqwp theta=0.5\nqwp theta=0.5\n")
+        plates = ast.stages[1:]
+        assert [stage.line for stage in plates] == [2, 4, 5]
+        assert plates[0] == plates[1] == plates[2]
+        plates[1].params["theta"] = 9.0
+        assert plates[0].params["theta"] == plates[2].params["theta"] == 0.5
+
+    def test_repeated_faulty_line_raises_at_its_first_occurrence(self):
+        with pytest.raises(ParseError) as err:
+            parse("source spdc\nhwp theta=x\nhwp theta=x\n")
+        assert (err.value.line, err.value.column, err.value.kind) == (2, 11, "bad-number")
+        assert str(err.value) == "line 2, column 11: expected a number, got 'x' [bad-number]"
 
     def test_error_position_indexes_input(self):
         text = "source spdc\nqplate q=oops side=bob\n"
@@ -614,6 +630,53 @@ class TestReach:
         outcome = run_outcome(BenchPipeline.run, pipeline)
         assert outcome[0] == "ok"
         assert outcome == run_outcome(full_width_run, pipeline)
+
+
+def per_stage_pipeline(pipeline: BenchPipeline) -> BenchPipeline:
+    """The pipeline with a fresh element built for every stage, none shared."""
+    steps = tuple((stage, None if op is None else
+                   SCHEMAS[stage.keyword].build(stage.params, pipeline.m_max))
+                  for stage, op in pipeline.steps)
+    unshared = object.__new__(BenchPipeline)
+    _Record.__init__(unshared, pipeline.ast, pipeline.m_max, steps, pipeline._window)
+    return unshared
+
+
+class TestSharedElements:
+    def test_equal_stages_share_one_element(self):
+        steps = compile_bench(parse(cascade_text())).steps
+        for (stage, op), (other, other_op) in itertools.combinations(steps, 2):
+            if stage == other:
+                assert op is other_op
+        # 22 plate, wave-plate and mirror stages hold three elements.
+        plates = [op for stage, op in steps if stage.keyword in ("qplate", "hwp", "mirror")]
+        assert len(plates) == 22
+        assert sorted({id(op): op.name for op in plates}.values()) == [
+            "hwp(0.0)", "mirror", "qplate(q=1.0, alpha0=0.0)"]
+
+    def test_signed_zero_angles_get_their_own_elements(self):
+        ast = BenchAst((make_stage("source"), make_stage("filter"),
+                        Stage("qplate", {"q": 1.0, "alpha0": -0.0}, "bob"),
+                        Stage("qplate", {"q": 1.0, "alpha0": 0.0}, "bob")))
+        (_, minus), (_, plus) = compile_bench(ast).steps[1:]
+        assert minus is not plus
+        assert minus.name != plus.name
+
+    @pytest.mark.parametrize("m_max", [None, 256])
+    def test_shared_elements_run_like_one_per_stage(self, m_max):
+        pipeline = compile_bench(parse(cascade_text()), m_max)
+        outcome = run_outcome(BenchPipeline.run, pipeline)
+        assert outcome[0] == "ok"
+        assert outcome == run_outcome(BenchPipeline.run, per_stage_pipeline(pipeline))
+
+    def test_random_benches_run_like_one_element_per_stage(self):
+        for seed in range(100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # q-plate without a mode filter
+                pipeline = compile_bench(random_alice_bench(np.random.default_rng(seed)))
+            unshared = per_stage_pipeline(pipeline)
+            assert run_outcome(BenchPipeline.run, pipeline) == run_outcome(
+                BenchPipeline.run, unshared), seed
 
 
 def _fig2_with_q(q):
