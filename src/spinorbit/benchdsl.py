@@ -47,7 +47,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(deg)?\Z")
 
 
-class ParseError(Exception):
+class BenchError(Exception):
+    """A bench that cannot be analyzed; ``spinorbit run`` prints it and exits 2."""
+
+
+class ParseError(BenchError):
     """Syntax or schema violation, located in the source text."""
 
     def __init__(self, line: int, column: int, kind: str, message: str):
@@ -58,7 +62,7 @@ class ParseError(Exception):
         self.message = message
 
 
-class CompileError(Exception):
+class CompileError(BenchError):
     """Semantically invalid bench, located by stage line number."""
 
     def __init__(self, line: int, message: str):

@@ -272,19 +272,13 @@ def cmd_field(args) -> int:
 
 def cmd_run(args) -> int:
     # Imported here, so that the commands that run no bench never load the DSL.
-    from .benchdsl import CompileError, ParseError, compile_bench, parse
+    from .benchdsl import BenchError, compile_bench, parse
 
     with open(args.bench) as fh:
         text = fh.read()
-    try:
-        pipeline = compile_bench(parse(text))
-    except (ParseError, CompileError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result = pipeline.run()
+    result = compile_bench(parse(text)).run()
     if result.bob is None:
-        print("bench has no herald stage; nothing to analyze", file=sys.stderr)
-        return 2
+        raise BenchError("bench has no herald stage; nothing to analyze")
     if result.herald_probability * result.filter_weight == 0:
         raise ValueError(
             "herald probability is 0: the bench's filters and herald leave no "
@@ -403,6 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bench_errors() -> tuple:
+    """The bench DSL's error class once ``run`` has loaded it; no other command does."""
+    dsl = sys.modules.get(f"{__package__}.benchdsl")
+    return (dsl.BenchError,) if dsl else ()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
@@ -411,6 +411,9 @@ def main(argv=None) -> int:
             if hasattr(args, "seed"):  # checked whether or not the command draws
                 RngSeed(0 if args.seed is None else args.seed, getattr(args, "stream", 0))
             code = args.func(args)
+        except _bench_errors() as exc:  # evaluated only once an exception is raised
+            print(exc, file=sys.stderr)
+            return 2
         except (LostWeightError, TruncationError) as exc:
             print(f"numeric contract violation: {exc}", file=sys.stderr)
             return 3

@@ -80,9 +80,9 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
     return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
-def _label(kind: str, angle) -> str:
-    """Element name with its angle; an element over many angles keeps the kind only."""
-    return f"{kind}({angle})" if np.ndim(angle) == 0 else kind
+def _label(kind: str, theta, angle: np.ndarray) -> str:
+    """Element name with its angle ``theta``; an element over many angles keeps the kind only."""
+    return f"{kind}({theta})" if angle.ndim == 0 else kind
 
 
 def _rotation(theta: np.ndarray) -> np.ndarray:
@@ -104,12 +104,12 @@ def waveplate_op(kind: str, theta) -> ElementOp:
         lin = _rotation(angle) @ np.diag([1.0, 1j]) @ _rotation(-angle)
         circ = _CIRC_TO_LIN.conj().T @ lin @ _CIRC_TO_LIN
     elif kind == "hwp":
+        phases = np.exp(angle[..., None] * np.array([1j, -1j]))  # e^{i theta}, e^{-i theta}
         circ = np.zeros(angle.shape + (2, 2), dtype=complex)
-        circ[..., 0, 1] = np.exp(1j * angle)
-        circ[..., 1, 0] = np.exp(-1j * angle)
+        circ[..., 0, 1], circ[..., 1, 0] = phases[..., 0], phases[..., 1]
     else:
         raise ValueError(f"unknown wave plate kind {kind!r}")
-    return ElementOp(circ[..., None], name=_label(kind, theta))
+    return ElementOp(circ[..., None], name=_label(kind, theta, angle))
 
 
 def dove_pair_op(alpha, m_max: int) -> ElementOp:
@@ -120,10 +120,11 @@ def dove_pair_op(alpha, m_max: int) -> ElementOp:
     in phase regardless of alpha.  Polarization is unaffected.  An array
     alpha gives blocks of shape alpha.shape + (2, 2, 2*m_max+1).
     """
-    angle = np.asarray(alpha, dtype=float)[..., None, None, None]
-    phases = np.exp(2j * np.arange(-m_max, m_max + 1) * angle)
-    blocks = _P_H[..., None] + phases * _P_V[..., None]
-    return ElementOp(blocks, m_max=m_max, name=_label("dove_pair", alpha))
+    angle = np.asarray(alpha, dtype=float)
+    turns = np.zeros(angle.shape + (1, 1, 2 * m_max + 1), dtype=complex)  # i 2 m alpha
+    turns.imag = angle[..., None, None, None] * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
+    blocks = _P_H[..., None] + np.exp(turns, out=turns) * _P_V[..., None]
+    return ElementOp(blocks, m_max=m_max, name=_label("dove_pair", alpha, angle))
 
 
 def smf_filter_op(m_max: int) -> ElementOp:

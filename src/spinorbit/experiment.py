@@ -19,8 +19,8 @@ are provided and must agree on the span of the q-plate outputs |L,-m>, |R,+m>:
   plate at 45 deg, polarizing splitter, Dove-prism pair at relative angle
   alpha, non-polarizing recombiner, then per output port a quarter-wave
   plate at -45 deg, two half-wave elements (0 and beta) and a polarizing
-  splitter feeding two detectors; the Dove pair and the half-wave pair
-  are built once per call over all settings.
+  splitter feeding two detectors; the fixed plates are built once per
+  process, and each call builds only the Dove pair and hwp(beta).
 
 The settings map as chi_A = 2*m*alpha (m the OAM magnitude, 2 by default)
 and chi_B = 2*beta; for the heralded Bell state the correlation is
@@ -49,6 +49,7 @@ from .qstate import (
     NORM_TOL,
     PhotonState,
     TruncationError,
+    _frozen,
     _Record,
     apply_bob,
     oam_dim,
@@ -60,12 +61,12 @@ LOST_WEIGHT_TOL = 1e-9
 
 @cache
 def _fixed_plates():
-    """qwp(pi/4), qwp(-pi/4) and hwp(0) of the analyzer chain, built on first use."""
-    return (
-        waveplate_op("qwp", math.pi / 4),
-        waveplate_op("qwp", -math.pi / 4),
-        waveplate_op("hwp", 0.0),
-    )
+    """The analyzer's setting-independent parts, built on first use: the
+    splitter's arm maps with qwp(pi/4) folded in, stacked as (_P_H Q, _P_V Q),
+    and hwp(0) after qwp(-pi/4) as one 2x2 tail."""
+    qwp_in = waveplate_op("qwp", math.pi / 4).blocks[..., 0]
+    tail = waveplate_op("hwp", 0.0).compose(waveplate_op("qwp", -math.pi / 4))
+    return _frozen([_P_H @ qwp_in, _P_V @ qwp_in]), tail.blocks[..., 0]
 
 
 class LostWeightError(ValueError):
@@ -136,9 +137,17 @@ def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
 
+def _finite_settings(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two analyzer settings as float arrays; a NaN or infinite entry raises ValueError."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.count_nonzero(np.isfinite(a)) < a.size or np.count_nonzero(np.isfinite(b)) < b.size:
+        raise ValueError("analyzer settings must be finite")
+    return a, b
+
+
 def _outcome_pair(a, b) -> np.ndarray:
     """Outcome states a|0> + b|1> (+1) and a|0> - b|1> (-1) as a (..., 2, 2) array."""
-    out = np.empty(np.shape(b) + (2, 2), dtype=complex)
+    out = np.empty(b.shape + (2, 2), dtype=complex)
     out[..., 0] = a
     out[..., 0, 1] = b
     out[..., 1, 1] = -b
@@ -170,25 +179,20 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
     Settings must be finite and m >= 1; m > m_max raises TruncationError.
     """
-    nrm = bob.norm()
-    if not abs(nrm**2 - 1.0) <= LOST_WEIGHT_TOL:  # written so that a NaN norm fails
-        raise ValueError(f"analyzer input must be unit norm, got {nrm}")
+    grid = bob.as_grid()
+    if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
+        raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")
     if m > bob.m_max:
         raise TruncationError(f"analyzer charge +-{m} exceeds truncation m_max={bob.m_max}")
-    chi_a = np.asarray(chi_a, dtype=float)
-    chi_b = np.asarray(chi_b, dtype=float)
-    if not (np.isfinite(chi_a).all() and np.isfinite(chi_b).all()):
-        raise ValueError("analyzer settings must be finite")
-    sub = bob.as_grid()[:, [bob.m_max - m, bob.m_max + m]]  # (spin, -m/+m)
-    amps = np.einsum(
-        "...ak,...bs,sk->...ab",
-        _oam_outcomes(chi_a).conj(), _spin_outcomes(chi_b).conj(), sub,
-    )
+    chi_a, chi_b = _finite_settings(chi_a, chi_b)
+    sub = grid[:, [bob.m_max - m, bob.m_max + m]].conj()  # (spin, -m/+m)
+    # The conjugate of each overlap <outcome|sub>: the same bytes once squared.
+    amps = np.einsum("...ak,...bs,sk->...ab", _oam_outcomes(chi_a), _spin_outcomes(chi_b), sub)
     probs = (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
     lost = 1.0 - probs.sum(axis=-1)
-    if np.any(lost > LOST_WEIGHT_TOL):
+    if (lost > LOST_WEIGHT_TOL).any():
         raise LostWeightError(
             f"probability weight {np.max(lost):.3g} lies outside the +-{m} analyzer subspace"
         )
@@ -223,22 +227,18 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     it the two arms reach the recombiner in orthogonal OAM modes, nothing
     interferes, and every detector fires with probability 1/4.
     """
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-        raise ValueError("analyzer settings must be finite")
+    beta = _finite_settings(alpha, beta)[1]  # dove_pair_op converts alpha itself
     m_max = bob.m_max
-    qwp_in, qwp_out, hwp_0 = _fixed_plates()
-    grid = qwp_in._apply_grid(bob.as_grid(), m_max)
-    arm_t = _P_H @ grid
-    arm_r = (_P_V @ grid)[:, ::-1]  # image inversion m -> -m
-    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r, m_max)
+    splitter, tail = _fixed_plates()
+    arm_t, arm_r = splitter @ bob.as_grid()
+    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r[:, ::-1], m_max)  # inversion m -> -m
 
     # Symmetric 50/50 recombiner, phase i on reflection: ports "plus", "minus".
-    s = math.sqrt(0.5)
-    ports = np.stack([s * (arm_t + 1j * arm_r), s * (1j * arm_t + arm_r)], axis=-3)
-    ports = qwp_out._apply_grid(ports, m_max)
-    hwp_pair = waveplate_op("hwp", beta[..., None]).compose(hwp_0)  # None: the port axis
-    ports = hwp_pair._apply_grid(ports, m_max)
-    det = _CIRC_TO_LIN @ ports  # rows: detectors H (+1) and V (-1) per port
+    ports = np.empty(arm_r.shape[:-2] + (2,) + arm_t.shape, dtype=complex)
+    ports[..., 0, :, :] = arm_t + 1j * arm_r
+    ports[..., 1, :, :] = 1j * arm_t + arm_r
+    ports *= math.sqrt(0.5)
+    hwp_beta = waveplate_op("hwp", beta[..., None])  # None: the port axis
+    det = _CIRC_TO_LIN @ hwp_beta._apply_grid(tail @ ports, m_max)  # detectors H (+1), V (-1)
     probs = np.einsum("...k,...k->...", det.conj(), det).real
     return probs.reshape(probs.shape[:-2] + (4,))

@@ -12,7 +12,7 @@ import pytest
 
 from spinorbit import __version__
 from spinorbit.chsh import GENERATOR_ID, RngSeed
-from spinorbit.cli import main, parse_angle
+from spinorbit.cli import build_parser, cmd_run, main, parse_angle
 from spinorbit.qstate import TruncationError
 
 FIG2 = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")
@@ -360,6 +360,30 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "bench has no herald stage; nothing to analyze\n"
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("source spdc\nfilter smf side=bob\n", "BenchError",
+             "bench has no herald stage; nothing to analyze"),
+            ("source spdc\nqplate q=banana\n", "ParseError",
+             "line 2, column 10: expected a number, got 'banana' [bad-number]"),
+            ("source spdc\nherald basis=H side=bob\n", "CompileError",
+             "line 2: herald must act on side=alice"),
+        ],
+    )
+    def test_cmd_run_raises_and_main_alone_prints(self, tmp_path, capsys, text, error, message):
+        from spinorbit import benchdsl
+
+        bench = tmp_path / "bad.bench"
+        bench.write_text(text)
+        with pytest.raises(getattr(benchdsl, error)) as exc:
+            cmd_run(build_parser().parse_args(["run", str(bench)]))
+        assert isinstance(exc.value, benchdsl.BenchError)
+        assert str(exc.value) == message
+        assert capsys.readouterr().err == ""
+        assert main(["run", str(bench)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_truncation_above_the_limit_exits_2(self, tmp_path, capsys):
         bench = tmp_path / "huge.bench"
         bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1e7 side=bob\nherald\n")
@@ -576,6 +600,17 @@ class TestColdStart:
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_without_a_bench_never_load_benchdsl(self, tmp_path):
+        argvs = [["chsh"], ["chsh", "--seed", "-1"], ["nchv"],
+                 ["sweep", "--points", "4", "--out", str(tmp_path / "s.csv")],
+                 ["field", "--q", "2", "--n-r", "2", "--n-phi", "4",
+                  "--out", str(tmp_path / "f.csv")]]
+        code = ("import sys; from spinorbit.cli import main; "
+                f"codes = [main(argv) for argv in {argvs!r}]; "
+                "print(codes, 'spinorbit.benchdsl' in sys.modules, file=sys.stderr)")
+        proc = fresh_python("-c", code)
+        assert proc.stderr.splitlines()[-1] == "[0, 1, 0, 0, 0] False"
 
     def test_run_loads_no_dataclasses(self):
         code = ("import sys; from spinorbit.cli import main; "

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spinorbit import experiment
 from spinorbit.chsh import RngSeed, sweep
-from spinorbit.elements import QPlateSpec
+from spinorbit.elements import _P_H, _P_V, QPlateSpec, dove_pair_op, waveplate_op
 from spinorbit.experiment import (
     LostWeightError,
     _oam_outcomes,
@@ -23,9 +24,11 @@ from spinorbit.experiment import (
     spin_orbit_bell_state,
 )
 from spinorbit.qstate import (
+    _CIRC_TO_LIN,
     NORM_TOL,
     SPIN_LABELS,
     BipartiteState,
+    ElementOp,
     PhotonState,
     TruncationError,
     states_equal_up_to_phase,
@@ -433,6 +436,91 @@ class TestInterferometer:
         angles[bad][1] = value
         with pytest.raises(ValueError, match="analyzer settings must be finite"):
             interferometer_detect(bell, angles["alpha"], angles["beta"])
+
+
+def replay_detect(bob, alpha, beta):
+    """Reference analyzer: every element applied on its own, none composed or folded.
+
+    qwp(pi/4), each splitter arm, the image inversion on the reflected arm,
+    the Dove pair, the recombiner, then per port qwp(-pi/4), hwp(0), hwp(beta)
+    and the detectors' H/V rows.
+    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    m_max = bob.m_max
+    grid = waveplate_op("qwp", math.pi / 4)._apply_grid(bob.as_grid(), m_max)
+    arm_t = _P_H @ grid
+    arm_r = (_P_V @ grid)[:, ::-1]
+    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r, m_max)
+    plus, minus = np.broadcast_arrays(
+        SQRT_HALF * (arm_t + 1j * arm_r), SQRT_HALF * (1j * arm_t + arm_r)
+    )
+    ports = np.stack([plus, minus], axis=-3)
+    for plate in (waveplate_op("qwp", -math.pi / 4), waveplate_op("hwp", 0.0),
+                  waveplate_op("hwp", beta[..., None])):
+        ports = plate._apply_grid(ports, m_max)
+    det = _CIRC_TO_LIN @ ports
+    probs = (np.abs(det) ** 2).sum(axis=-1)
+    return probs.reshape(probs.shape[:-2] + (4,))
+
+
+def random_unit_state(rng, m_max):
+    amps = rng.normal(size=2 * (2 * m_max + 1)) + 1j * rng.normal(size=2 * (2 * m_max + 1))
+    return PhotonState(m_max, amps / np.linalg.norm(amps))
+
+
+class TestInterferometerReplay:
+    """The composed fast path against the element-by-element reference."""
+
+    @pytest.mark.parametrize("m_max", range(1, 7))
+    def test_scalar_settings_match_replay(self, m_max):
+        rng = np.random.default_rng(100 + m_max)
+        for _ in range(20):
+            bob = random_unit_state(rng, m_max)
+            alpha, beta = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
+            fast, ref = interferometer_detect(bob, alpha, beta), replay_detect(bob, alpha, beta)
+            assert fast.shape == ref.shape == (4,)
+            assert np.max(np.abs(fast - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("m_max", range(1, 7))
+    def test_broadcast_settings_match_replay(self, m_max):
+        rng = np.random.default_rng(200 + m_max)
+        for _ in range(5):
+            bob = random_unit_state(rng, m_max)
+            alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=(7, 1))
+            beta = rng.uniform(-2 * math.pi, 2 * math.pi, size=5)
+            fast, ref = interferometer_detect(bob, alpha, beta), replay_detect(bob, alpha, beta)
+            assert fast.shape == ref.shape == (7, 5, 4)
+            assert np.max(np.abs(fast - ref)) <= 1e-15
+
+    def test_replay_matches_kernel_on_the_bell_state(self):
+        bell = spin_orbit_bell_state()
+        grid = np.linspace(-math.pi / 2, math.pi / 2, 9)
+        alpha, beta = grid[:, None], grid[None, :]
+        np.testing.assert_allclose(
+            replay_detect(bell, alpha, beta), joint_probabilities(bell, 4 * alpha, 2 * beta),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_each_call_builds_only_the_setting_dependent_elements(self, monkeypatch):
+        bell = spin_orbit_bell_state()
+        interferometer_detect(bell, 0.1, 0.2)  # the fixed plates are built on first use
+        built = []
+
+        def recording(build):
+            def wrapper(*args):
+                built.append((build.__name__, args[:1]))
+                return build(*args)
+            return wrapper
+
+        def no_compose(self, other):
+            raise AssertionError("interferometer_detect composed elements")
+
+        monkeypatch.setattr(experiment, "dove_pair_op", recording(dove_pair_op))
+        monkeypatch.setattr(experiment, "waveplate_op", recording(waveplate_op))
+        monkeypatch.setattr(ElementOp, "compose", no_compose)
+        interferometer_detect(bell, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+        assert [name for name, _ in built] == ["dove_pair_op", "waveplate_op"]
+        assert built[1][1] == ("hwp",)
 
 
 _ANGLE_ARRAYS = hnp.arrays(
