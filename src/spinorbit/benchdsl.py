@@ -16,9 +16,10 @@ side, variant tokens and element builder.  Exactly one ``source`` stage, on
 resolves defaults, so :func:`serialize` followed by :func:`parse` reproduces
 the AST structurally; comments are not preserved.  :class:`BenchPipeline`
 (also named ``compile_bench``) compiles an AST and builds each distinct
-element once; equal stages share one element.  Alice takes only spin-only
-elements, and a filter leaving a norm below 1e-12 gives weight 0, as a herald
-does.
+element once; equal stages share one element.  Unless given one, the
+truncation ``m_max`` is the widest charge the bench needs (fig2: 2).  Alice
+takes only spin-only elements, and a filter leaving a norm below 1e-12 gives
+weight 0, as a herald does.
 """
 
 from __future__ import annotations
@@ -332,16 +333,16 @@ class BenchPipeline(_Record):
     None for the herald.  Each distinct element is built once; equal stages
     (same keyword and params) share one element.
 
-    By default ``m_max`` is the widest single-pass bound over the q-plates or
-    the bench's reach (:func:`_reach`), whichever is larger.  Each rule is
-    checked once, before any build where it can be: the params, the q-plate
-    bounds, the stage order, the truncation (an integer from 0 to
-    :data:`MAX_M_MAX`, a fault located at the stage that sets it), then the
-    sides (:func:`_step_fault`); each fault is a CompileError.  The compile also
-    fixes the window :meth:`run` applies each element to: the reach, widened to
-    every element's |shift| and capped at ``m_max``.  Last, a bench with a
-    q-plate but no mode filter gets a UserWarning.  The fields are ``ast`` and
-    ``m_max``; copies compile, and warn, again.
+    One rule sizes the bench: it needs the larger of its reach (:func:`_reach`)
+    and every q-plate's |2q|, Alice's included.  By default ``m_max`` is that
+    need, and the window :meth:`run` applies each element to is the need capped
+    at ``m_max`` (the whole truncation if an element acts on Alice).  Each rule
+    is checked once, before any build where it can be: the params, each q (2q an
+    integer, else a ValueError), the stage order, the truncation (an integer
+    from 0 to :data:`MAX_M_MAX`, a fault located at the stage that sets it),
+    then the sides (:func:`_step_fault`); each other fault is a CompileError.
+    Last, a bench with a q-plate but no mode filter gets a UserWarning.  The
+    fields are ``ast`` and ``m_max``; copies compile, and warn, again.
     """
 
     __slots__ = ("ast", "m_max", "_steps", "_window")
@@ -350,14 +351,11 @@ class BenchPipeline(_Record):
         for stage in ast.stages:
             if (fault := _params_fault(stage)) is not None:
                 raise CompileError(stage.line, fault)
-        bounds = [(experiment.default_m_max(stage.params["q"]), stage.line)
+        # QPlateSpec checks each q before _reach rounds 2q; on a tie the plate's line wins.
+        plates = [(abs(QPlateSpec(stage.params["q"]).two_q), stage.line)
                   for stage in ast.stages if stage.keyword == "qplate"]
-        reach, reach_line = _reach(ast.stages)
-        line = 1
-        if m_max is None:
-            m_max, line = max(bounds, key=lambda bound: bound[0], default=(2, 1))
-            if reach > m_max:
-                m_max, line = reach, reach_line
+        need, line = max([*plates, _reach(ast.stages)], key=lambda bound: bound[0])
+        m_max, line = (need, line) if m_max is None else (m_max, 1)
         if (fault := _order_fault(ast.stages)) is not None:
             raise CompileError(*fault)
         if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 0:
@@ -380,10 +378,8 @@ class BenchPipeline(_Record):
         # Alice's matrix product rounds a column by where it sits in the row and
         # can leave -0.0 outside the reach, so a bench with an Alice element
         # keeps the whole truncation.
-        window = max([reach, *(abs(op.shift) for _, op in steps if op is not None)])
-        if any(stage.side == "alice" and op is not None for stage, op in steps):
-            window = m_max
-        _Record.__init__(self, ast, m_max, tuple(steps), min(m_max, window))
+        alice = any(stage.side == "alice" and op is not None for stage, op in steps)
+        _Record.__init__(self, ast, m_max, tuple(steps), m_max if alice else min(m_max, need))
         keywords = {stage.keyword for stage in ast.stages}
         if "qplate" in keywords and "filter" not in keywords:
             warnings.warn("bench has a q-plate but no mode filter; an ideal source carries "

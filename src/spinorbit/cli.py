@@ -271,12 +271,14 @@ def cmd_field(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # Imported here, so that the commands that run no bench never load the DSL.
+    # Imported here, so that the commands that run no bench never load the DSL or hashlib.
+    import hashlib
+
     from .benchdsl import BenchError, compile_bench, parse
 
-    with open(args.bench) as fh:
-        text = fh.read()
-    result = compile_bench(parse(text)).run()
+    with open(args.bench, "rb") as fh:
+        data = fh.read()
+    result = compile_bench(parse(data.decode())).run()
     if result.bob is None:
         raise BenchError("bench has no herald stage; nothing to analyze")
     if result.herald_probability * result.filter_weight == 0:
@@ -326,6 +328,8 @@ def cmd_run(args) -> int:
         "analyzer_m": m,
     }
     payload["manifest"] = _manifest("run", params, seed)
+    payload["manifest"].update(m_max=result.bob.m_max,
+                               bench_sha256=hashlib.sha256(data).hexdigest())
     _emit(args, payload, lines)
     return 0
 

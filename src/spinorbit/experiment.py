@@ -83,7 +83,7 @@ class HeraldOutcome(_Record):
 
 
 def default_m_max(q: float) -> int:
-    """Truncation bound for a single pass through a q-plate: 2*ceil(|2q|)."""
+    """Bound 2*ceil(|2q|): ``prepare_hybrid``'s default; benches infer theirs from the window."""
     return 2 * math.ceil(abs(2 * QPlateSpec(q).q))
 
 
@@ -187,6 +187,8 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     if m > bob.m_max:
         raise TruncationError(f"analyzer charge +-{m} exceeds truncation m_max={bob.m_max}")
     chi_a, chi_b = _finite_settings(chi_a, chi_b)
+    # The sweep CSV pins rest on this fancy index: its operand is F-ordered, the einsum sums
+    # in stride order, and the equal slice grid[:, m_max-m : m_max+m+1 : 2*m] gives other bytes.
     sub = grid[:, [bob.m_max - m, bob.m_max + m]].conj()  # (spin, -m/+m)
     # The conjugate of each overlap <outcome|sub>: the same bytes once squared.
     amps = np.einsum("...ak,...bs,sk->...ab", _oam_outcomes(chi_a), _spin_outcomes(chi_b), sub)

@@ -17,6 +17,7 @@ from spinorbit.benchdsl import (
     PipelineResult,
     Stage,
     StageSchema,
+    _reach,
     compile_bench,
     parse,
     reduce_angle,
@@ -28,6 +29,7 @@ from spinorbit.qstate import (
     NORM_TOL,
     _Record,
     BipartiteState,
+    PhotonState,
     apply,
     apply_bob,
     oam_dim,
@@ -259,7 +261,7 @@ class TestCompile:
     def test_fig2_pipeline_matches_direct_construction(self):
         pipeline = compile_bench(parse(FIG2))
         result = pipeline.run()
-        direct = herald(prepare_hybrid())
+        direct = herald(prepare_hybrid(m_max=2))
         assert result.herald_probability == pytest.approx(
             direct.probability, abs=1e-12
         )
@@ -271,7 +273,7 @@ class TestCompile:
     def test_herald_basis_matches_direct_construction(self, basis):
         text = FIG2.replace("basis=H", f"basis={basis}")
         result = compile_bench(parse(text)).run()
-        direct = herald(prepare_hybrid(), basis)
+        direct = herald(prepare_hybrid(m_max=2), basis)
         assert result.herald_probability == pytest.approx(
             direct.probability, abs=1e-12
         )
@@ -280,7 +282,7 @@ class TestCompile:
     def test_bipartite_is_the_pre_herald_state(self):
         result = compile_bench(parse(FIG2)).run()
         np.testing.assert_allclose(
-            result.bipartite.matrix, prepare_hybrid().matrix, atol=1e-12
+            result.bipartite.matrix, prepare_hybrid(m_max=2).matrix, atol=1e-12
         )
 
     def test_bench_without_herald(self):
@@ -290,7 +292,7 @@ class TestCompile:
         assert result.herald_probability is None
         assert result.analyzer_m == 2
         np.testing.assert_allclose(
-            result.bipartite.matrix, prepare_hybrid().matrix, atol=1e-12
+            result.bipartite.matrix, prepare_hybrid(m_max=2).matrix, atol=1e-12
         )
 
     def test_wider_charge_bench(self):
@@ -409,11 +411,11 @@ class TestCompile:
 
     def test_steps_are_the_elements_after_the_source(self):
         pipeline = compile_bench(parse(FIG2))
-        assert pipeline.m_max == 4
+        assert pipeline.m_max == 2
         assert [stage.keyword for stage, _ in pipeline.steps] == ["filter", "qplate", "herald"]
         filt, plate, herald_op = (op for _, op in pipeline.steps)
         assert herald_op is None
-        assert filt.name == "smf" and plate.shift == 2 and plate.m_max == 4
+        assert filt.name == "smf" and plate.shift == 2 and plate.m_max == 2
 
     def test_element_that_cannot_be_built_fails_at_compile(self):
         # A q = 1 plate shifts by 2, which m_max = 1 cannot hold.
@@ -423,9 +425,10 @@ class TestCompile:
     @pytest.mark.parametrize(
         "text,m_max,line,width",
         [
-            (FIG2.replace("q=1 ", "q=1e7 "), None, 3, 40_000_000),
-            ("source spdc\nqplate q=2 side=bob\nfilter smf side=bob\nqplate q=16384.5 side=bob\n"
-             "qplate q=0.5 side=bob\nherald\n", None, 4, 65_538),
+            (FIG2.replace("q=1 ", "q=1e7 "), None, 3, 20_000_000),
+            # The filter empties both rows, so the widest plate sets the truncation.
+            ("source spdc\nqplate q=2 side=bob\nfilter smf side=bob\nqplate q=32768.5 side=bob\n"
+             "qplate q=0.5 side=bob\nherald\n", None, 4, 65_537),
             (FIG2, MAX_M_MAX + 1, 1, 65_537),
             (cascade_text(5, q=8192), None, 15, 81_920),
         ],
@@ -457,7 +460,7 @@ class TestCompile:
     def test_truncation_at_the_limit_compiles(self, monkeypatch):
         assert MAX_M_MAX == 2**16
         calls = recorded_builds(monkeypatch)
-        pipeline = compile_bench(parse(FIG2.replace("q=1 ", "q=16384 ")))
+        pipeline = compile_bench(parse(FIG2.replace("q=1 ", "q=32768 ")))
         assert pipeline.m_max == MAX_M_MAX
         assert calls == [("filter", MAX_M_MAX), ("qplate", MAX_M_MAX)]
 
@@ -526,8 +529,8 @@ def run_outcome(run, pipeline: BenchPipeline) -> tuple:
 
 
 # The random_bench seeds below 23,000 whose q-plates add up past the widest
-# single-pass bound: each raised TruncationError when the truncation ignored the
-# reach.  Each maps to the truncation its reach now gives it.
+# single-pass bound 2*ceil(|2q|): each raised TruncationError when the truncation
+# ignored the reach.  Each maps to the truncation its reach now gives it.
 REACH_SEEDS = {
     803: 6, 808: 6, 1795: 9, 1895: 8, 2357: 5, 3012: 9, 4768: 7, 5184: 10, 6143: 9,
     6356: 10, 6585: 10, 7601: 7, 8050: 6, 9910: 8, 10388: 9, 10750: 7, 10884: 9, 11341: 8,
@@ -587,6 +590,38 @@ class TestReach:
         np.testing.assert_allclose(wide.bob.as_grid()[:, 2:-2], narrow.bob.as_grid(),
                                    atol=1e-15)
         assert wide.analyzer_m == narrow.analyzer_m == 2
+
+    def test_inferred_truncation_is_the_need_on_random_benches(self):
+        # One rule sizes a bench: m_max is the larger of its reach and every plate's
+        # |2q|, its window is all of it, and three more charges per side change no
+        # amplitude beyond roundoff.
+        def charges(state):  # rows of (Alice spin,) Bob spin, columns m + m_max
+            amps = state.vector if isinstance(state, PhotonState) else state.matrix
+            return amps.reshape(-1, oam_dim(state.m_max))
+
+        for seed in range(300):
+            ast = random_bench(np.random.default_rng(seed))
+            shifts = [abs(round(2 * s.params["q"])) for s in ast.stages if s.keyword == "qplate"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # q-plate without a mode filter
+                pipeline = compile_bench(ast)
+                wider = compile_bench(ast, pipeline.m_max + 3)
+            assert pipeline.m_max == max([_reach(ast.stages)[0], *shifts]), seed
+            assert pipeline._window == pipeline.m_max, seed
+            narrow, wide = pipeline.run(), wider.run()
+            assert wide.analyzer_m == narrow.analyzer_m, seed
+            assert wide.filter_weight == pytest.approx(narrow.filter_weight, abs=1e-15)
+            for name in ("bipartite", "bob"):
+                if getattr(narrow, name) is None:
+                    assert getattr(wide, name) is None
+                    continue
+                outer = charges(getattr(wide, name))
+                assert not outer[:, :3].any() and not outer[:, -3:].any(), seed
+                np.testing.assert_allclose(outer[:, 3:-3], charges(getattr(narrow, name)),
+                                           rtol=0, atol=1e-15, err_msg=f"seed {seed}")
+            if narrow.herald_probability is not None:
+                assert wide.herald_probability == pytest.approx(narrow.herald_probability,
+                                                                abs=1e-15)
 
     @pytest.mark.parametrize("m_max", [None, 1, 2, 3, 5, 40])
     def test_run_matches_the_full_width_replay_on_random_benches(self, m_max):
@@ -758,9 +793,9 @@ FAULT_PINS = [
     ("q-overflow", _fig2_with_q(1e308), None,
      (ValueError, None, "2q must be an integer, got q=1e+308")),
     ("q-too-wide", FIG2.replace("q=1 ", "q=1e7 "), None,
-     (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
+     (CompileError, 3, "truncation m_max=20000000 exceeds the limit 65536")),
     ("q-too-wide", _fig2_with_q(1e7), None,
-     (CompileError, 3, "truncation m_max=40000000 exceeds the limit 65536")),
+     (CompileError, 3, "truncation m_max=20000000 exceeds the limit 65536")),
     # Five plates of shift 16384 add up to 81920: the fault is at the fifth.
     ("reach-too-wide", cascade_text(5, q=8192), None,
      (CompileError, 15, "truncation m_max=81920 exceeds the limit 65536")),

@@ -274,7 +274,7 @@ class TestRunCommand:
 
     def test_plate_cascade_runs_at_its_reach(self, tmp_path, capsys):
         # Eight q=1 plates with hwp(0) between each pair carry the photon to m = +-16,
-        # past the single-pass bound of one plate (m_max = 4).
+        # far past the charges of one plate (m_max = 2).
         lines = ["source spdc", "filter smf side=bob", "qplate q=1 side=bob"]
         lines += ["hwp theta=0 side=bob", "mirror side=bob", "qplate q=1 side=bob"] * 7
         bench = tmp_path / "cascade.bench"
@@ -283,6 +283,22 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "analyzer OAM magnitude m = 16\n" in out
         assert "herald probability = 0.5" in out
+
+    def test_manifest_records_the_truncation_and_the_bench_digest(self, tmp_path, capsys):
+        bench = tmp_path / "fig2.bench"
+        with open(FIG2, "rb") as fh:
+            text = fh.read()
+        manifests = []
+        for data in (text, text + b"# edited\n"):
+            bench.write_bytes(data)
+            assert main(["run", str(bench), "--json"]) == 0
+            manifest = json.loads(capsys.readouterr().out)["manifest"]
+            assert manifest["bench_sha256"] == hashlib.sha256(data).hexdigest()
+            manifests.append(manifest)
+        assert manifests[0]["bench_sha256"] != manifests[1]["bench_sha256"]
+        assert manifests[0]["m_max"] == manifests[1]["m_max"] == 2
+        assert set(manifests[0]) == {"command", "parameters", "tool_version", "timestamp",
+                                     "m_max", "bench_sha256"}
 
     def test_counts_reported_with_shots(self, capsys):
         assert main(["run", FIG2, "--shots", "1000", "--seed", "5",
@@ -311,9 +327,14 @@ class TestRunCommand:
         assert main(["run", "/nonexistent/path.bench"]) == 1
 
     def test_analyzer_mismatch_exits_3(self, capsys):
-        # Forcing a +-4 analyzer on a +-2 state loses all the weight.
-        assert main(["run", FIG2, "--analyzer-m", "4"]) == 3
+        # Forcing a +-1 analyzer on a +-2 state loses all the weight.
+        assert main(["run", FIG2, "--analyzer-m", "1"]) == 3
         assert "numeric contract violation" in capsys.readouterr().err
+        # A +-4 analyzer lies outside fig2's truncation, which is its reach of 2.
+        assert main(["run", FIG2, "--analyzer-m", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "spinorbit: error: --analyzer-m 4 exceeds the bench truncation m_max=2\n"
+        )
 
     def test_zero_weight_herald_exits_1(self, tmp_path, capsys):
         # A q-plate before the fiber filter moves every photon out of m = 0.
@@ -349,9 +370,11 @@ class TestRunCommand:
         assert err == (
             "spinorbit: error: cannot infer the analyzer OAM magnitude; pass --analyzer-m\n"
         )
-        # --analyzer-m still overrides: the analyzer runs and finds no weight at +-1.
-        assert main(["run", str(bench), "--analyzer-m", "1"]) == 3
-        assert "numeric contract violation" in capsys.readouterr().err
+        # A bench that moves no OAM compiles at m_max = 0, so no analyzer charge fits.
+        assert main(["run", str(bench), "--analyzer-m", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "spinorbit: error: --analyzer-m 1 exceeds the bench truncation m_max=0\n"
+        )
 
     def test_bench_without_herald_exits_2(self, tmp_path, capsys):
         bench = tmp_path / "open.bench"
@@ -390,7 +413,7 @@ class TestRunCommand:
         assert main(["run", str(bench)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "line 3: truncation m_max=40000000 exceeds the limit 65536\n"
+        assert captured.err == "line 3: truncation m_max=20000000 exceeds the limit 65536\n"
 
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
@@ -432,7 +455,7 @@ class TestRunCommand:
         bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")
         assert main(["run", str(bench), "--analyzer-m", "99"]) == 1
         assert capsys.readouterr().err == (
-            "spinorbit: error: --analyzer-m 99 exceeds the bench truncation m_max=4\n"
+            "spinorbit: error: --analyzer-m 99 exceeds the bench truncation m_max=2\n"
         )
 
     def test_usage_error_exits_1(self, capsys):

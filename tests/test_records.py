@@ -410,7 +410,7 @@ class TestBenchPipelineRecord:
         with pytest.raises(AttributeError):
             _PIPELINE.steps = ()
         assert "steps" not in repr(_PIPELINE)
-        assert repr(_PIPELINE) == f"BenchPipeline(ast={_PIPELINE.ast!r}, m_max=4)"
+        assert repr(_PIPELINE) == f"BenchPipeline(ast={_PIPELINE.ast!r}, m_max=2)"
 
     def test_two_compiles_of_one_bench_are_equal(self):
         again = compile_bench(parse(_FIG2))
