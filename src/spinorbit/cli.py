@@ -45,7 +45,7 @@ from .chsh import (
     sweep,
 )
 from .elements import QPlateSpec, symmetry_order
-from .experiment import LostWeightError, correlation, joint_probabilities
+from .experiment import LOST_WEIGHT_TOL, LostWeightError, correlation, joint_probabilities
 from .qstate import TruncationError
 
 SEED_ENV_VAR = "SPINORBIT_SEED"
@@ -296,6 +296,12 @@ def cmd_run(args) -> int:
 
     probs = joint_probabilities(result.bob, args.chi_a, args.chi_b, m=m)
     e_exact = correlation(probs)
+    # The optical chain measures what the kernel reports only on the q-plate span.
+    bob = result.bob
+    off_span = 1.0 - abs(bob.amplitude("L", -m)) ** 2 - abs(bob.amplitude("R", m)) ** 2
+    if off_span > LOST_WEIGHT_TOL:
+        warnings.warn(f"weight {off_span:.3g} lies off the q-plate output span |L,-{m}>, "
+                      f"|R,+{m}>, where the optical-chain analyzer measures other probabilities")
     lines = [
         f"bench: {args.bench}",
         f"herald probability = {_fmt(result.herald_probability)}",
@@ -309,6 +315,7 @@ def cmd_run(args) -> int:
         "analyzer_m": m,
         "probabilities": list(probs),
         "e_exact": e_exact,
+        "off_span_weight": off_span,
     }
     seed = None
     if args.shots:

@@ -19,8 +19,9 @@ are provided and must agree on the span of the q-plate outputs |L,-m>, |R,+m>:
   plate at 45 deg, polarizing splitter, Dove-prism pair at relative angle
   alpha, non-polarizing recombiner, then per output port a quarter-wave
   plate at -45 deg, two half-wave elements (0 and beta) and a polarizing
-  splitter feeding two detectors; the fixed plates are built once per
-  process, and each call builds only the Dove pair and hwp(beta).
+  splitter feeding two detectors; the fixed plates fold into one map
+  built once per process, and each call builds no element: the Dove pair
+  and hwp(beta) are phase vectors.
 
 The settings map as chi_A = 2*m*alpha (m the OAM magnitude, 2 by default)
 and chi_B = 2*beta; for the heralded Bell state the correlation is
@@ -38,7 +39,6 @@ from .elements import (
     _P_H,
     _P_V,
     QPlateSpec,
-    dove_pair_op,
     qplate_op,
     smf_filter_op,
     waveplate_op,
@@ -61,12 +61,10 @@ LOST_WEIGHT_TOL = 1e-9
 
 @cache
 def _fixed_plates():
-    """The analyzer's setting-independent parts, built on first use: the
-    splitter's arm maps with qwp(pi/4) folded in, stacked as (_P_H Q, _P_V Q),
-    and hwp(0) after qwp(-pi/4) as one 2x2 tail."""
-    qwp_in = waveplate_op("qwp", math.pi / 4).blocks[..., 0]
-    tail = waveplate_op("hwp", 0.0).compose(waveplate_op("qwp", -math.pi / 4))
-    return _frozen([_P_H @ qwp_in, _P_V @ qwp_in]), tail.blocks[..., 0]
+    """The analyzer's setting-independent front map (2, 2, 2), built on first use: per
+    splitter arm P = _P_H, _P_V, qwp(-pi/4) P qwp(pi/4) times the recombiner's 1/sqrt(2)."""
+    qwp_in, qwp_out = (waveplate_op("qwp", t).blocks[..., 0] for t in (math.pi / 4, -math.pi / 4))
+    return _frozen([qwp_out @ arm @ qwp_in * math.sqrt(0.5) for arm in (_P_H, _P_V)])
 
 
 class LostWeightError(ValueError):
@@ -228,19 +226,21 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     inversion (odd mirror parity), applied before its Dove prism.  Without
     it the two arms reach the recombiner in orthogonal OAM modes, nothing
     interferes, and every detector fires with probability 1/4.
-    """
-    beta = _finite_settings(alpha, beta)[1]  # dove_pair_op converts alpha itself
-    m_max = bob.m_max
-    splitter, tail = _fixed_plates()
-    arm_t, arm_r = splitter @ bob.as_grid()
-    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r[:, ::-1], m_max)  # inversion m -> -m
 
+    No element is built or applied per call.  Per port, hwp(beta) hwp(0)
+    qwp(-pi/4) acts alike on both arms, so it commutes with the recombiner,
+    and hwp(beta) = diag(e^{i beta}, e^{-i beta}) X with X hwp(0) = 1 (X swaps
+    L and R): :func:`_fixed_plates` holds the rest.  The reflected arm lies in
+    the range of _P_V, where the Dove pair _P_H + e^{2 i m alpha} _P_V is the
+    phase e^{2 i m alpha} per charge m, which commutes with qwp(-pi/4).
+    """
+    alpha, beta = _finite_settings(alpha, beta)
+    arm_t, arm_r = _fixed_plates() @ bob.as_grid()
+    charges = np.arange(-bob.m_max, bob.m_max + 1)
+    arm_r = arm_r[:, ::-1] * np.exp(2j * alpha[..., None, None] * charges)  # inversion, Dove pair
     # Symmetric 50/50 recombiner, phase i on reflection: ports "plus", "minus".
-    ports = np.empty(arm_r.shape[:-2] + (2,) + arm_t.shape, dtype=complex)
-    ports[..., 0, :, :] = arm_t + 1j * arm_r
-    ports[..., 1, :, :] = 1j * arm_t + arm_r
-    ports *= math.sqrt(0.5)
-    hwp_beta = waveplate_op("hwp", beta[..., None])  # None: the port axis
-    det = _CIRC_TO_LIN @ hwp_beta._apply_grid(tail @ ports, m_max)  # detectors H (+1), V (-1)
+    ports = np.stack([arm_t + 1j * arm_r, 1j * arm_t + arm_r], axis=-3)
+    hwp_beta = np.exp(beta[..., None, None] * [1j, -1j])  # on the columns L, R
+    det = (_CIRC_TO_LIN * hwp_beta)[..., None, :, :] @ ports  # detectors H (+1), V (-1)
     probs = np.einsum("...k,...k->...", det.conj(), det).real
     return probs.reshape(probs.shape[:-2] + (4,))

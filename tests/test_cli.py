@@ -450,6 +450,31 @@ class TestRunCommand:
         )
         assert captured.out.splitlines()[1:] == reference[1:]  # all but the bench path
 
+    def test_off_span_weight_is_reported_and_warned(self, tmp_path, capsys):
+        bench = tmp_path / "offspan.bench"
+        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n"
+                         "hwp theta=0 side=bob\nherald basis=H side=alice\n")
+        assert main(["run", str(bench), "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["off_span_weight"] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(payload["probabilities"], [0.4268, 0.0732, 0.0732, 0.4268],
+                                   atol=5e-5)
+        assert captured.err == (
+            "spinorbit: warning: weight 1 lies off the q-plate output span |L,-2>, |R,+2>, "
+            "where the optical-chain analyzer measures other probabilities\n"
+        )
+        assert main(["run", str(bench)]) == 0
+        text = capsys.readouterr()
+        assert len(text.out.splitlines()) == 5 and text.err == captured.err
+
+    @pytest.mark.parametrize("argv", [[FIG2], [FIG2, "--analyzer-m", "2", "--chi-a", "0.3"]])
+    def test_on_span_runs_report_no_off_span_weight(self, argv, capsys):
+        assert main(["run", *argv, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert abs(json.loads(captured.out)["off_span_weight"]) <= 1e-9
+        assert captured.err == ""
+
     def test_failure_after_the_missing_filter_lint_is_one_line(self, tmp_path, capsys):
         bench = tmp_path / "unfiltered.bench"
         bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")

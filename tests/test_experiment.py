@@ -1,13 +1,16 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_benchdsl import random_bench
 
-from spinorbit import experiment
+from spinorbit import elements, experiment
+from spinorbit.benchdsl import compile_bench, parse
 from spinorbit.chsh import RngSeed, sweep
 from spinorbit.elements import _P_H, _P_V, QPlateSpec, dove_pair_op, waveplate_op
 from spinorbit.experiment import (
@@ -36,6 +39,9 @@ from spinorbit.qstate import (
 )
 
 SQRT_HALF = math.sqrt(0.5)
+
+# random_bench seeds whose bench has a herald and leaves Bob nonzero weight, at m_max 0 to 7.
+BENCH_SEEDS = (3, 4, 5, 7, 8, 12, 13, 24, 30, 36)
 
 
 def brute_force_joint_probabilities(bob, chi_a, chi_b, m=2):
@@ -471,7 +477,7 @@ def random_unit_state(rng, m_max):
 class TestInterferometerReplay:
     """The composed fast path against the element-by-element reference."""
 
-    @pytest.mark.parametrize("m_max", range(1, 7))
+    @pytest.mark.parametrize("m_max", range(7))
     def test_scalar_settings_match_replay(self, m_max):
         rng = np.random.default_rng(100 + m_max)
         for _ in range(20):
@@ -481,7 +487,7 @@ class TestInterferometerReplay:
             assert fast.shape == ref.shape == (4,)
             assert np.max(np.abs(fast - ref)) <= 1e-15
 
-    @pytest.mark.parametrize("m_max", range(1, 7))
+    @pytest.mark.parametrize("m_max", range(7))
     def test_broadcast_settings_match_replay(self, m_max):
         rng = np.random.default_rng(200 + m_max)
         for _ in range(5):
@@ -501,26 +507,70 @@ class TestInterferometerReplay:
             rtol=0, atol=1e-12,
         )
 
-    def test_each_call_builds_only_the_setting_dependent_elements(self, monkeypatch):
+    def test_each_call_builds_no_element(self, monkeypatch):
         bell = spin_orbit_bell_state()
         interferometer_detect(bell, 0.1, 0.2)  # the fixed plates are built on first use
-        built = []
 
-        def recording(build):
-            def wrapper(*args):
-                built.append((build.__name__, args[:1]))
-                return build(*args)
-            return wrapper
+        def no_build(*args, **kwargs):
+            raise AssertionError("interferometer_detect built or composed an element")
 
-        def no_compose(self, other):
-            raise AssertionError("interferometer_detect composed elements")
+        for module in (elements, experiment):  # experiment imports only waveplate_op
+            for name in ("dove_pair_op", "waveplate_op"):
+                monkeypatch.setattr(module, name, no_build, raising=False)
+        for name in ("__init__", "compose"):
+            monkeypatch.setattr(ElementOp, name, no_build)
+        probs = interferometer_detect(bell, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+        assert probs.shape == (2, 4)
 
-        monkeypatch.setattr(experiment, "dove_pair_op", recording(dove_pair_op))
-        monkeypatch.setattr(experiment, "waveplate_op", recording(waveplate_op))
-        monkeypatch.setattr(ElementOp, "compose", no_compose)
-        interferometer_detect(bell, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
-        assert [name for name, _ in built] == ["dove_pair_op", "waveplate_op"]
-        assert built[1][1] == ("hwp",)
+    @pytest.mark.parametrize("alpha,beta,shape", [
+        (np.array(0.7), np.array(-1.3), (4,)),
+        (1, -2, (4,)),
+        (np.linspace(-3, 3, 6).reshape(2, 3), np.array([0.5, -0.25, 2.0]), (2, 3, 4)),
+    ])
+    def test_setting_kinds_match_replay(self, alpha, beta, shape):
+        bob = random_unit_state(np.random.default_rng(301), 3)
+        fast, ref = interferometer_detect(bob, alpha, beta), replay_detect(bob, alpha, beta)
+        assert fast.shape == ref.shape == shape
+        assert np.max(np.abs(fast - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", BENCH_SEEDS)
+    def test_bench_outputs_match_replay(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the filterless q-plate lint
+            result = compile_bench(random_bench(np.random.default_rng(seed))).run()
+        assert result.bob is not None and result.herald_probability * result.filter_weight > 0
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=(5, 1))
+        beta = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
+        fast = interferometer_detect(result.bob, alpha, beta)
+        assert np.max(np.abs(fast - replay_detect(result.bob, alpha, beta))) <= 1e-15
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_settings_rejected(self, value):
+        bell = spin_orbit_bell_state()
+        for alpha, beta in ((value, 0.2), (0.1, value)):
+            with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
+                interferometer_detect(bell, alpha, beta)
+
+
+# A bench whose Bob output (|L,+2> + |R,-2>)/sqrt(2) lies wholly off the q-plate span.
+OFF_SPAN_BENCH = (
+    "source spdc\nfilter smf side=bob\nqplate q=1 side=bob\nhwp theta=0 side=bob\n"
+    "herald basis=H side=alice\n"
+)
+
+
+def test_routes_differ_off_the_qplate_span():
+    """The two routes are different measurements off the span: here E has opposite signs."""
+    bob = compile_bench(parse(OFF_SPAN_BENCH)).run().bob
+    expected = PhotonState.from_amplitudes(2, {("L", 2): SQRT_HALF, ("R", -2): SQRT_HALF})
+    assert states_equal_up_to_phase(bob, expected)
+    kernel = joint_probabilities(bob, math.pi / 2, math.pi / 4)
+    chain = interferometer_detect(bob, math.pi / 8, math.pi / 8)
+    np.testing.assert_allclose(kernel, [0.4268, 0.0732, 0.0732, 0.4268], atol=5e-5)
+    np.testing.assert_allclose(chain, [0.0732, 0.4268, 0.4268, 0.0732], atol=5e-5)
+    np.testing.assert_allclose(chain, replay_detect(bob, math.pi / 8, math.pi / 8),
+                               rtol=0, atol=1e-15)
 
 
 _ANGLE_ARRAYS = hnp.arrays(
