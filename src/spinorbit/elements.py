@@ -3,10 +3,10 @@
 Every constructor returns an immutable :class:`~spinorbit.qstate.ElementOp`:
 one 2x2 block over the circular polarization basis (L, R), either shared
 by every OAM charge m or given per charge, followed by an integer shift
-of the OAM charge.  Storage and application cost grow as O(m_max).  Angles
-broadcast: an array of angles gives one element whose blocks carry the
-angles' shape as leading axes.  ``.matrix`` densifies a single element for
-inspection only.  Conventions fixed here:
+of the OAM charge.  Storage and application cost grow as O(m_max).  Each
+element holds one hardware setting: its angle is a scalar, and a settings
+scan belongs to the analyzers in :mod:`spinorbit.experiment`.  ``.matrix``
+densifies an element for inspection only.  Conventions fixed here:
 
 * A q-plate with axis pattern alpha(r, phi) = q*phi + alpha0 flips the
   circular polarization and shifts m by +-2q, with transition phases
@@ -80,14 +80,17 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
     return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
-def _label(kind: str, theta, angle: np.ndarray) -> str:
-    """Element name with its angle ``theta``; an element over many angles keeps the kind only."""
-    return f"{kind}({theta})" if angle.ndim == 0 else kind
+def _angle(value) -> np.ndarray:
+    """An element's angle as a 0-d float array; any other shape raises ValueError."""
+    angle = np.asarray(value, dtype=float)
+    if angle.ndim:
+        raise ValueError(f"angle must be a scalar, got shape {angle.shape}")
+    return angle
 
 
 def _rotation(theta: np.ndarray) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
-    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def waveplate_op(kind: str, theta) -> ElementOp:
@@ -96,20 +99,18 @@ def waveplate_op(kind: str, theta) -> ElementOp:
     kind "qwp": quarter-wave retarder with fast axis at theta.
     kind "hwp": half-wave element imprinting circular phase theta (see the
     module docstring for the angle convention).
-    An array theta gives blocks of shape theta.shape + (2, 2, 1).
     """
     kind = kind.lower()
-    angle = np.asarray(theta, dtype=float)
+    angle = _angle(theta)
     if kind == "qwp":
         lin = _rotation(angle) @ np.diag([1.0, 1j]) @ _rotation(-angle)
         circ = _CIRC_TO_LIN.conj().T @ lin @ _CIRC_TO_LIN
     elif kind == "hwp":
-        phases = np.exp(angle[..., None] * np.array([1j, -1j]))  # e^{i theta}, e^{-i theta}
-        circ = np.zeros(angle.shape + (2, 2), dtype=complex)
-        circ[..., 0, 1], circ[..., 1, 0] = phases[..., 0], phases[..., 1]
+        plus, minus = np.exp(angle * np.array([1j, -1j]))  # e^{i theta}, e^{-i theta}
+        circ = np.array([[0, plus], [minus, 0]])
     else:
         raise ValueError(f"unknown wave plate kind {kind!r}")
-    return ElementOp(circ[..., None], name=_label(kind, theta, angle))
+    return ElementOp(circ, name=f"{kind}({theta})")
 
 
 def dove_pair_op(alpha, m_max: int) -> ElementOp:
@@ -117,14 +118,12 @@ def dove_pair_op(alpha, m_max: int) -> ElementOp:
 
     Per OAM charge m, the component carried on the |V> arm is advanced by
     e^{i 2 m alpha} while the |H> arm is untouched; for m = 0 the arms stay
-    in phase regardless of alpha.  Polarization is unaffected.  An array
-    alpha gives blocks of shape alpha.shape + (2, 2, 2*m_max+1).
+    in phase regardless of alpha.  Polarization is unaffected.
     """
-    angle = np.asarray(alpha, dtype=float)
-    turns = np.zeros(angle.shape + (1, 1, 2 * m_max + 1), dtype=complex)  # i 2 m alpha
-    turns.imag = angle[..., None, None, None] * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
+    turns = np.zeros(2 * m_max + 1, dtype=complex)  # i 2 m alpha
+    turns.imag = _angle(alpha) * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
     blocks = _P_H[..., None] + np.exp(turns, out=turns) * _P_V[..., None]
-    return ElementOp(blocks, m_max=m_max, name=_label("dove_pair", alpha, angle))
+    return ElementOp(blocks, m_max=m_max, name=f"dove_pair({alpha})")
 
 
 def smf_filter_op(m_max: int) -> ElementOp:

@@ -143,6 +143,14 @@ def _finite_settings(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _unit_grid(bob: PhotonState) -> np.ndarray:
+    """Bob's (spin, m) grid; a squared norm off 1 by more than LOST_WEIGHT_TOL raises ValueError."""
+    grid = bob.as_grid()
+    if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
+        raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")
+    return grid
+
+
 def _outcome_pair(a, b) -> np.ndarray:
     """Outcome states a|0> + b|1> (+1) and a|0> - b|1> (-1) as a (..., 2, 2) array."""
     out = np.empty(b.shape + (2, 2), dtype=complex)
@@ -177,9 +185,7 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
     Settings must be finite and m >= 1; m > m_max raises TruncationError.
     """
-    grid = bob.as_grid()
-    if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
-        raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")
+    grid = _unit_grid(bob)
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")
     if m > bob.m_max:
@@ -220,7 +226,8 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     (4,).  Returns detector probabilities (p_pp, p_pm, p_mp, p_mm) labeled
     as in :func:`joint_probabilities`; with chi_a = 2*m*alpha and
     chi_b = 2*beta the two routes agree on states prepared by the q-plate
-    chain.  Settings must be finite.
+    chain.  The input must be unit norm, as for :func:`joint_probabilities`,
+    and settings must be finite.
 
     The reflected path of the recombination loop carries one extra image
     inversion (odd mirror parity), applied before its Dove prism.  Without
@@ -234,8 +241,9 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     the range of _P_V, where the Dove pair _P_H + e^{2 i m alpha} _P_V is the
     phase e^{2 i m alpha} per charge m, which commutes with qwp(-pi/4).
     """
+    grid = _unit_grid(bob)
     alpha, beta = _finite_settings(alpha, beta)
-    arm_t, arm_r = _fixed_plates() @ bob.as_grid()
+    arm_t, arm_r = _fixed_plates() @ grid
     charges = np.arange(-bob.m_max, bob.m_max + 1)
     arm_r = arm_r[:, ::-1] * np.exp(2j * alpha[..., None, None] * charges)  # inversion, Dove pair
     # Symmetric 50/50 recombiner, phase i on reflection: ports "plus", "minus".

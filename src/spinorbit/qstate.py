@@ -229,8 +229,8 @@ class ElementOp(_Record):
     """Optical element: a 2x2 spin block per OAM charge, then an OAM shift.
 
     ``blocks`` is a 2x2 array over (L, R), stored as (2, 2, 1), or a
-    (2, 2, 2*m_max+1) array indexed last by the input charge m + m_max.
-    Leading axes, if any, index settings and broadcast against the grid's.
+    (2, 2, 2*m_max+1) array indexed last by the input charge m + m_max; an
+    element holds one setting, so any other shape raises ValueError.
     Applying the element maps each column m of the (spin, m) grid through
     its block, then moves the L row to m - shift and the R row to m + shift.
     Amplitude above NORM_TOL carried past |m| <= m_max raises
@@ -247,7 +247,7 @@ class ElementOp(_Record):
         blocks = _frozen(blocks)
         blocks = blocks[..., None] if blocks.ndim == 2 else blocks
         n_oam = 1 if m_max is None else oam_dim(m_max)
-        if blocks.shape[-3:] not in ((2, 2, 1), (2, 2, n_oam)):
+        if blocks.shape not in ((2, 2, 1), (2, 2, n_oam)):
             raise ValueError(f"blocks {blocks.shape} do not fit m_max={m_max}")
         if shift and (m_max is None or abs(shift) > m_max):
             raise ValueError(f"m_max={m_max} cannot hold a +-{abs(shift)} OAM shift")
@@ -277,17 +277,8 @@ class ElementOp(_Record):
 
     def is_unitary(self, tol: float = NORM_TOL) -> bool:
         """Every block unitary and no amplitude shifted out of the truncation."""
-        gram = np.einsum("...sto,...suo->...otu", self.blocks.conj(), self.blocks)
+        gram = np.einsum("sto,suo->otu", self.blocks.conj(), self.blocks)
         return self.shift == 0 and bool(np.max(np.abs(gram - np.eye(2))) <= tol)
-
-    def compose(self, other: "ElementOp") -> "ElementOp":
-        """This element applied after ``other``; both must be unshifted."""
-        if self.shift or other.shift:
-            raise ValueError("elements with an OAM shift do not compose")
-        if None not in (self.m_max, other.m_max) and self.m_max != other.m_max:
-            raise BasisMismatchError("cannot compose elements on different truncations")
-        blocks = np.einsum("...sto,...tuo->...suo", self.blocks, other.blocks)
-        return ElementOp(blocks, m_max=self.m_max if other.m_max is None else other.m_max)
 
     def _apply_grid(self, grid: np.ndarray, m_max: int) -> np.ndarray:
         """Apply to a (..., 2, n) grid of states at truncation m_max.

@@ -52,7 +52,7 @@ def test_criterion_01_exact_chsh():
     s = chsh_S(TSIRELSON_SETTINGS, lambda a, b: expectation(bell, a, b))
     err = abs(s - 2 * SQRT2)
     report(1, "exact CHSH S = 2*sqrt(2) at the stated settings", err <= 1e-12,
-           f"S={s!r}, |err|={err:.2e}")
+           f"S={float(s)!r}, |err|={err:.2e}")
 
 
 def test_criterion_02_correlation_law():

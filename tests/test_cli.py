@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_benchdsl import cascade_text
 
 from spinorbit import __version__
 from spinorbit.chsh import GENERATOR_ID, RngSeed
@@ -283,6 +284,44 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "analyzer OAM magnitude m = 16\n" in out
         assert "herald probability = 0.5" in out
+
+    @pytest.mark.parametrize("text,argv,expected", [
+        (None, ["--shots", "10000", "--seed", "7"], [
+            "herald probability = 0.50000000000000022",
+            "analyzer OAM magnitude m = 2",
+            "p(A+B+)=0.42677669529663692 p(A+B-)=0.073223304703363093 "
+            "p(A-B+)=0.073223304703363093 p(A-B-)=0.42677669529663692",
+            "E(1.5707963267948966, 0.78539816339744828) = 0.70710678118654757",
+            "counts (shots=10000): (4307, 762, 720, 4211)  e_est = 0.7036",
+        ]),
+        (cascade_text(), [], [
+            "herald probability = 0.50000000000000022",
+            "analyzer OAM magnitude m = 16",
+            "p(A+B+)=0.42677669529663692 p(A+B-)=0.073223304703363093 "
+            "p(A-B+)=0.073223304703363093 p(A-B-)=0.42677669529663692",
+            "E(1.5707963267948966, 0.78539816339744828) = 0.70710678118654757",
+        ]),
+        ("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\ndove alpha=0.3 side=bob\n"
+         "qwp theta=0.2 side=bob\nhwp theta=0.1 side=bob\nherald basis=H side=alice\n",
+         ["--shots", "1000", "--seed", "3"], [
+            "herald probability = 0.50000000000000056",
+            "analyzer OAM magnitude m = 2",
+            "p(A+B+)=0.50620059310242871 p(A+B-)=0.42814783578288274 "
+            "p(A-B+)=0.02725241233614575 p(A-B-)=0.03839915877854283",
+            "E(1.5707963267948966, 0.78539816339744828) = 0.08919950376194305",
+            "counts (shots=1000): (494, 439, 26, 41)  e_est = 0.070000000000000007",
+        ]),
+    ], ids=["fig2", "cascade", "dove-qwp-hwp"])
+    def test_stdout_after_the_bench_line_is_pinned(self, tmp_path, capsys, text, argv,
+                                                   expected):
+        path = FIG2
+        if text is not None:
+            path = tmp_path / "pinned.bench"
+            path.write_text(text)
+        assert main(["run", str(path), *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"bench: {path}"
+        assert lines[1:] == expected
 
     def test_manifest_records_the_truncation_and_the_bench_digest(self, tmp_path, capsys):
         bench = tmp_path / "fig2.bench"

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from test_benchdsl import random_bench
+from test_benchdsl import random_alice_bench, random_bench
 
 from spinorbit import elements, experiment
 from spinorbit.benchdsl import compile_bench, parse
 from spinorbit.chsh import RngSeed, sweep
 from spinorbit.elements import _P_H, _P_V, QPlateSpec, dove_pair_op, waveplate_op
 from spinorbit.experiment import (
+    LOST_WEIGHT_TOL,
     LostWeightError,
     _oam_outcomes,
     _spin_outcomes,
@@ -363,6 +364,15 @@ class TestExpectation:
 
 
 class TestInterferometer:
+    @pytest.mark.parametrize("scale", [0.0, 2.0, math.nan])
+    def test_non_unit_input_rejected_like_the_kernel(self, scale):
+        bell = spin_orbit_bell_state()
+        bob = PhotonState(bell.m_max, bell.vector * scale)
+        message = f"^analyzer input must be unit norm, got {bob.norm()}$"
+        for route in (joint_probabilities, interferometer_detect):
+            with pytest.raises(ValueError, match=message):
+                route(bob, 0.1, math.nan)  # the norm is checked before the settings
+
     def test_matches_projector_shortcut_at_peak(self):
         bell = spin_orbit_bell_state()
         alpha, beta = math.radians(22.5), math.radians(22.5)
@@ -447,26 +457,23 @@ class TestInterferometer:
 def replay_detect(bob, alpha, beta):
     """Reference analyzer: every element applied on its own, none composed or folded.
 
-    qwp(pi/4), each splitter arm, the image inversion on the reflected arm,
-    the Dove pair, the recombiner, then per port qwp(-pi/4), hwp(0), hwp(beta)
-    and the detectors' H/V rows.
+    Per setting of the broadcast (alpha, beta): qwp(pi/4), each splitter arm,
+    the image inversion on the reflected arm, the Dove pair, the recombiner,
+    then per port qwp(-pi/4), hwp(0), hwp(beta) and the detectors' H/V rows.
     """
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     m_max = bob.m_max
     grid = waveplate_op("qwp", math.pi / 4)._apply_grid(bob.as_grid(), m_max)
-    arm_t = _P_H @ grid
-    arm_r = (_P_V @ grid)[:, ::-1]
-    arm_r = dove_pair_op(alpha, m_max)._apply_grid(arm_r, m_max)
-    plus, minus = np.broadcast_arrays(
-        SQRT_HALF * (arm_t + 1j * arm_r), SQRT_HALF * (1j * arm_t + arm_r)
-    )
-    ports = np.stack([plus, minus], axis=-3)
-    for plate in (waveplate_op("qwp", -math.pi / 4), waveplate_op("hwp", 0.0),
-                  waveplate_op("hwp", beta[..., None])):
-        ports = plate._apply_grid(ports, m_max)
-    det = _CIRC_TO_LIN @ ports
-    probs = (np.abs(det) ** 2).sum(axis=-1)
-    return probs.reshape(probs.shape[:-2] + (4,))
+    arm_t, inverted = _P_H @ grid, (_P_V @ grid)[:, ::-1]
+    probs = np.empty(alpha.shape + (4,))
+    for idx in np.ndindex(alpha.shape):
+        arm_r = dove_pair_op(alpha[idx], m_max)._apply_grid(inverted, m_max)
+        ports = np.stack([SQRT_HALF * (arm_t + 1j * arm_r), SQRT_HALF * (1j * arm_t + arm_r)])
+        for plate in (waveplate_op("qwp", -math.pi / 4), waveplate_op("hwp", 0.0),
+                      waveplate_op("hwp", beta[idx])):
+            ports = plate._apply_grid(ports, m_max)
+        probs[idx] = (np.abs(_CIRC_TO_LIN @ ports) ** 2).sum(axis=-1).reshape(4)
+    return probs
 
 
 def random_unit_state(rng, m_max):
@@ -512,13 +519,12 @@ class TestInterferometerReplay:
         interferometer_detect(bell, 0.1, 0.2)  # the fixed plates are built on first use
 
         def no_build(*args, **kwargs):
-            raise AssertionError("interferometer_detect built or composed an element")
+            raise AssertionError("interferometer_detect built an element")
 
         for module in (elements, experiment):  # experiment imports only waveplate_op
             for name in ("dove_pair_op", "waveplate_op"):
                 monkeypatch.setattr(module, name, no_build, raising=False)
-        for name in ("__init__", "compose"):
-            monkeypatch.setattr(ElementOp, name, no_build)
+        monkeypatch.setattr(ElementOp, "__init__", no_build)
         probs = interferometer_detect(bell, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
         assert probs.shape == (2, 4)
 
@@ -571,6 +577,37 @@ def test_routes_differ_off_the_qplate_span():
     np.testing.assert_allclose(chain, [0.0732, 0.4268, 0.4268, 0.0732], atol=5e-5)
     np.testing.assert_allclose(chain, replay_detect(bob, math.pi / 8, math.pi / 8),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("generator", [random_bench, random_alice_bench],
+                         ids=["bob", "alice"])
+def test_bench_outputs_keep_weights_and_agree_on_the_span(generator):
+    """Over seeds 0-499: the filter weight and the herald probability lie in
+    [0, 1] up to rounding, and on each heralded output with one analyzer charge
+    m and no weight off the q-plate span the chain at (alpha, beta) equals the
+    kernel at (2 m alpha, 2 beta)."""
+    on_span = 0
+    for seed in range(500):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the filterless q-plate lint
+            result = compile_bench(generator(np.random.default_rng(seed))).run()
+        prob, weight, m = result.herald_probability, result.filter_weight, result.analyzer_m
+        assert 0.0 <= weight <= 1 + 1e-12
+        if prob is None:
+            continue
+        assert 0.0 <= prob <= 1 + 1e-12
+        if prob * weight == 0 or m is None:
+            continue
+        bob = result.bob
+        off_span = 1.0 - abs(bob.amplitude("L", -m)) ** 2 - abs(bob.amplitude("R", m)) ** 2
+        if off_span > LOST_WEIGHT_TOL:
+            continue
+        alpha, beta = np.random.default_rng(seed).uniform(-2 * math.pi, 2 * math.pi, size=(2, 64))
+        chain = interferometer_detect(bob, alpha, beta)
+        kernel = joint_probabilities(bob, 2 * m * alpha, 2 * beta, m=m)
+        assert np.max(np.abs(chain - kernel)) <= 1e-12, seed
+        on_span += 1
+    assert on_span >= 30  # 37 outputs from each generator at these seeds
 
 
 _ANGLE_ARRAYS = hnp.arrays(

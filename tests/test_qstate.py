@@ -122,40 +122,20 @@ class TestElementOp:
             ElementOp(np.eye(2), shift=1)
         with pytest.raises(ValueError):
             ElementOp(np.eye(2), shift=3, m_max=2)
+        with pytest.raises(ValueError, match=r"^blocks \(3, 2, 2, 1\) do not fit"):
+            ElementOp(np.ones((3, 2, 2, 1)))  # an element holds one setting
 
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(BasisMismatchError):
             apply(ElementOp(np.eye(2), m_max=1), PhotonState.basis_state("L", 0, 2))
-
-    def test_shifted_elements_do_not_compose(self):
-        op = ElementOp([[0, 1], [1, 0]], shift=1, m_max=2)
-        with pytest.raises(ValueError):
-            op.compose(op)
 
     def test_alice_rejects_oam_elements(self):
         # The bench compiler lets only spin_only elements act on Alice's photon.
         for op in (
             ElementOp([[0, 1], [1, 0]], shift=1, m_max=2),
             ElementOp(np.ones((2, 2, 5)), m_max=2),
-            ElementOp(np.ones((3, 2, 2, 1))),  # one spin block per setting
         ):
             assert not op.spin_only
-
-    def test_leading_setting_axes_broadcast(self):
-        # A (3, 2, 2, 5) stack acts as three elements, each on the same grid.
-        rng = np.random.default_rng(19)
-        blocks = rng.normal(size=(3, 2, 2, 5)) + 1j * rng.normal(size=(3, 2, 2, 5))
-        stack = ElementOp(blocks, m_max=2)
-        flip = ElementOp([[0, 1], [1, 0]])
-        state = random_state(2, rng)
-        out = flip.compose(stack)._apply_grid(state.as_grid(), 2)
-        assert out.shape == (3, 2, 5)
-        for grid, b in zip(out, blocks):
-            single = flip.compose(ElementOp(b, m_max=2))
-            np.testing.assert_array_equal(grid, apply(single, state).as_grid())
-        assert not stack.is_unitary()
-        with pytest.raises(ValueError):
-            ElementOp(np.ones((3, 2, 2, 4)), m_max=2)
 
     @pytest.mark.parametrize("shift", [-3, -2, -1, 0, 1, 2, 3])
     def test_apply_matches_dense_matrix(self, shift):
