@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -40,7 +40,6 @@ from .elements import (
 from .experiment import (
     HeraldOutcome,
     LostWeightError,
-    default_m_max,
     expectation,
     herald,
     interferometer_detect,
@@ -80,7 +79,6 @@ __all__ = [
     "apply_bob",
     "chsh_S",
     "chsh_monte_carlo",
-    "default_m_max",
     "dove_pair_op",
     "estimate_E",
     "expectation",

@@ -314,7 +314,7 @@ class PipelineResult(_Record):
     ``bipartite`` is the two-photon state just before the herald (the final
     state if the bench has none); ``bob`` is Bob's heralded and further
     processed photon, None without a herald, as is ``herald_probability``.
-    ``filter_weight`` is the product of the filters' transmitted weights.
+    ``filter_weight`` is the product of each filter's (norm after / norm before)**2.
     ``analyzer_m`` is the single nonzero |m| of the final state's OAM
     support (charges whose largest amplitude exceeds NORM_TOL), else None.
     """
@@ -412,13 +412,14 @@ class BenchPipeline(_Record):
                 outcome = experiment.herald(bipartite, stage.params["basis"])
                 grid, herald_prob = outcome.state.as_grid().copy(), outcome.probability
                 continue
+            before = float(np.linalg.norm(grid)) if stage.keyword == "filter" else None
             if stage.side == "alice":
                 grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
             else:
                 grid[..., centre] = op._apply_grid(grid[..., centre], m_max)
-            if stage.keyword == "filter":
+            if before is not None:
                 norm = float(np.linalg.norm(grid))
-                weight *= norm**2 if norm >= NORM_TOL else 0.0
+                weight *= (norm / before) ** 2 if norm >= NORM_TOL else 0.0
                 grid = grid / norm if norm >= NORM_TOL else np.zeros_like(grid)
 
         peaks = np.abs(grid).reshape(-1, grid.shape[-1]).max(axis=0)

@@ -81,10 +81,12 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
 
 
 def _angle(value) -> np.ndarray:
-    """An element's angle as a 0-d float array; any other shape raises ValueError."""
+    """An element's angle as a 0-d float array; any other shape or a non-finite one raises."""
     angle = np.asarray(value, dtype=float)
     if angle.ndim:
         raise ValueError(f"angle must be a scalar, got shape {angle.shape}")
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {float(angle)}")
     return angle
 
 

@@ -80,13 +80,8 @@ class HeraldOutcome(_Record):
         _Record.__init__(self, state, probability)
 
 
-def default_m_max(q: float) -> int:
-    """Bound 2*ceil(|2q|): ``prepare_hybrid``'s default; benches infer theirs from the window."""
-    return 2 * math.ceil(abs(2 * QPlateSpec(q).q))
-
-
-def spdc_source(m_max: int = 4) -> BipartiteState:
-    """Photon-pair source in (|H>_A |H>_B + |V>_A |V>_B)/sqrt(2), Bob m = 0."""
+def spdc_source(m_max: int = 0) -> BipartiteState:
+    """Photon-pair source in (|H>_A |H>_B + |V>_A |V>_B)/sqrt(2), Bob m = 0; m_max 0 by default."""
     h = spin_ket("H")
     v = spin_ket("V")
     amps = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)  # (Alice, Bob spin, m)
@@ -100,10 +95,10 @@ def prepare_hybrid(
     """Source, fiber filter on Bob, then Bob's q-plate.
 
     For q = 1 the result is
-    (|L>_A (|L,-2>)_B + |R>_A (|R,+2>)_B) / sqrt(2).
+    (|L>_A (|L,-2>)_B + |R>_A (|R,+2>)_B) / sqrt(2).  By default m_max is |2q|,
+    the widest charge it holds, as in the compiled bench of these stages.
     """
-    if m_max is None:
-        m_max = default_m_max(spec.q)
+    m_max = abs(spec.two_q) if m_max is None else m_max
     state = spdc_source(m_max)
     state = apply_bob(smf_filter_op(m_max), state)  # weight 1 for this source
     return apply_bob(qplate_op(spec, m_max), state)
@@ -128,9 +123,8 @@ def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
 
 
 def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
-    """The heralded single-photon Bell state (|L,-m> + |R,+m>)/sqrt(2)."""
-    if m_max is None:
-        m_max = 2 * m
+    """The heralded single-photon Bell state (|L,-m> + |R,+m>)/sqrt(2); m_max m by default."""
+    m_max = m if m_max is None else m_max
     amp = math.sqrt(0.5)
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 

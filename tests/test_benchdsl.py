@@ -492,6 +492,7 @@ def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
     m_max = pipeline.m_max
     state, bipartite, prob, weight = spdc_source(m_max), None, None, 1.0
     for stage, op in pipeline.steps:
+        before = state.norm() if stage.keyword == "filter" else None
         if op is None:
             bipartite = state
             outcome = herald(state, stage.params["basis"])
@@ -500,10 +501,10 @@ def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
             state = BipartiteState(m_max, op.blocks[..., 0] @ state.matrix)
         else:
             state = apply(op, state) if prob is not None else apply_bob(op, state)
-        if stage.keyword == "filter":
+        if before is not None:
             amps = state.vector if prob is not None else state.matrix
             norm = float(np.linalg.norm(amps))
-            weight *= norm**2 if norm >= NORM_TOL else 0.0
+            weight *= (norm / before) ** 2 if norm >= NORM_TOL else 0.0
             state = type(state)(m_max, amps / norm if norm >= NORM_TOL else np.zeros_like(amps))
     amps = state.vector if prob is not None else state.matrix
     peaks = np.abs(amps).reshape(-1, oam_dim(m_max)).max(axis=0)

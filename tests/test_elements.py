@@ -306,6 +306,18 @@ class TestOneSetting:
             build(angle)
         assert str(err.value) == f"angle must be a scalar, got shape {np.shape(angle)}"
 
+    @pytest.mark.parametrize("angle,shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (np.array(math.nan), "nan"),
+    ], ids=["inf", "-inf", "nan", "array-nan"])
+    @pytest.mark.parametrize("build", [
+        lambda a: waveplate_op("qwp", a), lambda a: waveplate_op("hwp", a),
+        lambda a: dove_pair_op(a, 2),
+    ], ids=["qwp", "hwp", "dove"])
+    def test_non_finite_angle_rejected(self, build, angle, shown):
+        with pytest.raises(ValueError) as err:
+            build(angle)
+        assert str(err.value) == f"angle must be finite, got {shown}"
+
     def test_blocks_and_names_are_pinned(self):
         # Bench digests and CLI outputs rest on these bytes; names print each angle as given.
         digest = hashlib.sha256()

@@ -18,7 +18,6 @@ from spinorbit.experiment import (
     LostWeightError,
     _oam_outcomes,
     _spin_outcomes,
-    default_m_max,
     expectation,
     herald,
     interferometer_detect,
@@ -115,16 +114,26 @@ class TestPrepareHybrid:
         assert state.amplitude("R", "R", 4) == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_default_truncation_bound(self):
-        assert default_m_max(1) == 4
-        assert default_m_max(2) == 8
-        assert default_m_max(0.5) == 2
+        """Each library state defaults to the widest charge it holds."""
+        assert [prepare_hybrid(QPlateSpec(q)).m_max for q in (1, 2, 0.5)] == [2, 4, 1]
+        assert [spin_orbit_bell_state(m).m_max for m in (1, 2, 3)] == [1, 2, 3]
+        assert spdc_source().m_max == 0
+
+    @pytest.mark.parametrize("q", [0.5, 1, 1.5, 2, -1])
+    def test_equals_the_compiled_bench(self, q):
+        compiled = compile_bench(
+            parse(f"source spdc\nfilter smf side=bob\nqplate q={q} side=bob\n")
+        ).run().bipartite
+        state = prepare_hybrid(QPlateSpec(q))
+        assert state.m_max == compiled.m_max
+        assert state.matrix.tobytes() == compiled.matrix.tobytes()
 
 
 class TestHerald:
     def test_collapses_to_bell_state(self):
         outcome = herald(prepare_hybrid())
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
-        assert states_equal_up_to_phase(outcome.state, spin_orbit_bell_state(m_max=4))
+        assert states_equal_up_to_phase(outcome.state, spin_orbit_bell_state())
 
     def test_product_input_passes_through(self):
         bob = tensor("L", 0, m_max=2)
@@ -163,7 +172,7 @@ class TestHerald:
             (SPIN_LABELS[s], m - bob.m_max): grid[s, m] for s, m in zip(*np.nonzero(grid))
         }
         extended = BipartiteState.from_amplitudes(
-            4,
+            bob.m_max,
             {
                 ("L", spin, m): SQRT_HALF * amp
                 for (spin, m), amp in amps.items()
@@ -559,6 +568,25 @@ class TestInterferometerReplay:
                 interferometer_detect(bell, alpha, beta)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_analyzer_bytes_do_not_depend_on_the_truncation(seed):
+    """At q = 1 the heralded state gives the same bytes from both routes at m_max 2
+    (the default since 0.15.0) and 4, point by point over a 16x16 grid of (alpha,
+    beta) that covers a full turn of chi_A = 4 alpha and chi_B = 2 beta.  (At
+    q = 0.5 the chain's bytes do differ between truncations.)"""
+    rng = np.random.default_rng(seed)
+    a0, b0 = rng.uniform(0.0, math.pi / 32), rng.uniform(0.0, math.pi / 16)
+    grid = [(a0 + i * math.pi / 32, b0 + j * math.pi / 16) for i in range(16) for j in range(16)]
+    outputs = []
+    for m_max in (2, 4):
+        bob = herald(prepare_hybrid(m_max=m_max)).state
+        outputs.append(b"".join(
+            interferometer_detect(bob, a, b).tobytes()
+            + joint_probabilities(bob, 4 * a, 2 * b).tobytes() for a, b in grid
+        ))
+    assert outputs[0] == outputs[1]
+
+
 # A bench whose Bob output (|L,+2> + |R,-2>)/sqrt(2) lies wholly off the q-plate span.
 OFF_SPAN_BENCH = (
     "source spdc\nfilter smf side=bob\nqplate q=1 side=bob\nhwp theta=0 side=bob\n"
@@ -582,8 +610,8 @@ def test_routes_differ_off_the_qplate_span():
 @pytest.mark.parametrize("generator", [random_bench, random_alice_bench],
                          ids=["bob", "alice"])
 def test_bench_outputs_keep_weights_and_agree_on_the_span(generator):
-    """Over seeds 0-499: the filter weight and the herald probability lie in
-    [0, 1] up to rounding, and on each heralded output with one analyzer charge
+    """Over seeds 0-499: the filter weight lies in [0, 1], the herald probability
+    too up to rounding, and on each heralded output with one analyzer charge
     m and no weight off the q-plate span the chain at (alpha, beta) equals the
     kernel at (2 m alpha, 2 beta)."""
     on_span = 0
@@ -592,7 +620,7 @@ def test_bench_outputs_keep_weights_and_agree_on_the_span(generator):
             warnings.simplefilter("ignore", UserWarning)  # the filterless q-plate lint
             result = compile_bench(generator(np.random.default_rng(seed))).run()
         prob, weight, m = result.herald_probability, result.filter_weight, result.analyzer_m
-        assert 0.0 <= weight <= 1 + 1e-12
+        assert 0.0 <= weight <= 1.0
         if prob is None:
             continue
         assert 0.0 <= prob <= 1 + 1e-12

@@ -9,7 +9,7 @@ PUBLIC = [
     "BipartiteState", "CIRCLE_SETTINGS", "ChshSettings", "CountRecord", "ElementOp",
     "HeraldOutcome", "LostWeightError", "McEstimate", "PhotonState",
     "QPlateSpec", "RngSeed", "SweepRow", "SweepTable", "TSIRELSON_SETTINGS",
-    "apply", "apply_bob", "chsh_S", "chsh_monte_carlo", "default_m_max", "dove_pair_op",
+    "apply", "apply_bob", "chsh_S", "chsh_monte_carlo", "dove_pair_op",
     "estimate_E", "expectation",
     "herald", "inner", "interferometer_detect", "joint_probabilities", "mirror_op",
     "nchv_max_S", "pair_probabilities", "prepare_hybrid", "qplate_op",
