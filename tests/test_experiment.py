@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -566,6 +567,108 @@ class TestInterferometerReplay:
         for alpha, beta in ((value, 0.2), (0.1, value)):
             with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
                 interferometer_detect(bell, alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_overflowing_dove_phase_rejected(self, alpha):
+        """2*m*alpha overflows at m = 2 for |alpha| = 1e308: rejected like a non-finite setting."""
+        bell = spin_orbit_bell_state()
+        for alphas in (alpha, np.array([0.1, alpha])):
+            with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
+                interferometer_detect(bell, alphas, 0.0)
+
+    def test_large_finite_settings_stay_finite(self):
+        """beta = 1e308 has a finite hwp phase, and so has alpha = 1e308 on m = 0 alone."""
+        probs = interferometer_detect(spin_orbit_bell_state(), 0.0, 1e308)
+        assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
+        flat = PhotonState.from_amplitudes(0, {("L", 0): SQRT_HALF, ("R", 0): SQRT_HALF})
+        assert interferometer_detect(flat, 1e308, 0.3).tobytes() == (
+            interferometer_detect(flat, 0.0, 0.3).tobytes()
+        )
+
+
+def clear_memos():
+    for memo in (experiment._unit_grid, experiment._chain_arms):
+        memo.cache_clear()
+
+
+@pytest.fixture
+def empty_memos():
+    clear_memos()
+
+
+def both_routes(bob, alpha, beta):
+    """Bytes of the chain at (alpha, beta) and of the kernel at (4 alpha, 2 beta)."""
+    chain = interferometer_detect(bob, alpha, beta)
+    return chain, [chain.tobytes(), joint_probabilities(bob, 4 * alpha, 2 * beta).tobytes()]
+
+
+class TestStateMemos:
+    """Each state's checked grid and chain arms are built once and kept for one state."""
+
+    def test_alternating_states_match_fresh_calls(self, empty_memos):
+        rng = np.random.default_rng(401)
+        alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=(4, 1))
+        beta = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
+        a = herald(prepare_hybrid()).state
+        b = herald(prepare_hybrid(QPlateSpec(1, 0.3))).state
+        expected = {}
+        for bob in (a, b):
+            clear_memos()
+            expected[bob] = both_routes(bob, alpha, beta)[1]
+        for bob in (a, b, a, b, a):
+            chain, outputs = both_routes(bob, alpha, beta)
+            assert outputs == expected[bob]
+            assert np.max(np.abs(chain - replay_detect(bob, alpha, beta))) <= 1e-15
+
+    def test_each_memo_holds_at_most_one_state(self, empty_memos):
+        rng = np.random.default_rng(402)
+        for m_max in (0, 2, 5, 2):
+            interferometer_detect(random_unit_state(rng, m_max), 0.1, 0.2)
+            joint_probabilities(spin_orbit_bell_state(1, m_max=max(m_max, 1)), 0.3, 0.4, m=1)
+            for memo in (experiment._unit_grid, experiment._chain_arms):
+                assert memo.cache_info().currsize == 1
+
+    def test_kernel_only_calls_leave_the_chain_memo_empty(self, empty_memos):
+        bell = spin_orbit_bell_state()
+        joint_probabilities(bell, 0.1, 0.2)
+        expectation(bell, np.linspace(0, 1, 5), 0.3)
+        sweep(0.4, [0.1, 0.2], shots=10, seed=RngSeed(3))
+        result = compile_bench(parse(OFF_SPAN_BENCH)).run()
+        joint_probabilities(result.bob, math.pi / 2, math.pi / 4)
+        assert experiment._chain_arms.cache_info().currsize == 0
+        assert experiment._unit_grid.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, math.nan])
+    def test_non_unit_state_raises_on_every_call(self, empty_memos, scale):
+        bad = PhotonState(2, spin_orbit_bell_state().vector * scale)
+        good = spin_orbit_bell_state()
+        for _ in range(3):
+            for route in (interferometer_detect, joint_probabilities):
+                with pytest.raises(ValueError, match="^analyzer input must be unit norm"):
+                    route(bad, 0.1, 0.2)
+                route(good, 0.1, 0.2)
+
+
+# sha256 of joint_probabilities(...).tobytes() over a 16x16 grid, computed before the
+# per-state memos: (m_max, analyzer m, digest) per seeded random state on spin x {-m, +m}.
+KERNEL_DIGESTS = (
+    (2, 2, "80ebaf280e9d2b624eee24d2e983baccdc51b769746cbc1dae6d1c8217ae75b9"),
+    (3, 3, "24481af86dfdcb7458ca0bf00005afca1c944e01ebae8b6a552c3d502568328a"),
+    (6, 2, "74850a0af641951de6390a41a14f4106bdfd497122b45809bbfe09e1efcf1568"),
+)
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_DIGESTS)))
+def test_kernel_bytes_are_pinned(seed):
+    m_max, m, digest = KERNEL_DIGESTS[seed]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    labels = (("L", -m), ("R", -m), ("L", m), ("R", m))
+    bob = PhotonState.from_amplitudes(m_max, dict(zip(labels, amps / np.linalg.norm(amps))))
+    chi = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+    probs = joint_probabilities(bob, chi[:, None], chi[None, :], m=m)
+    assert probs.shape == (16, 16, 4) and probs.dtype == np.float64
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed", [0, 1])
