@@ -19,12 +19,9 @@ are provided and must agree on the span of the q-plate outputs |L,-m>, |R,+m>:
   plate at 45 deg, polarizing splitter, Dove-prism pair at relative angle
   alpha, non-polarizing recombiner, then per output port a quarter-wave
   plate at -45 deg, two half-wave elements (0 and beta) and a polarizing
-  splitter feeding two detectors; the fixed plates fold into one map
-  built once per process, and each call builds no element: the Dove pair
-  and hwp(beta) are phase vectors.  Both routes keep the last state's
-  norm-checked grid, and the chain its two arms up to the recombiner, so a
-  scan pays per call only for its settings; these one-entry memos rely on
-  states being immutable.
+  splitter feeding two detectors; the fixed plates and the recombiner's
+  port factors fold into one map built once per process, and each call
+  builds no element: the Dove pair and hwp(beta) are phase vectors.
 
 The settings map as chi_A = 2*m*alpha (m the OAM magnitude, 2 by default)
 and chi_B = 2*beta; for the heralded Bell state the correlation is
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -66,10 +63,12 @@ _HWP_PHASES = _frozen([1j, -1j])  # hwp(beta) on the columns L, R, per unit beta
 
 @cache
 def _fixed_plates():
-    """The analyzer's setting-independent front map (2, 2, 2), built on first use: per
-    splitter arm P = _P_H, _P_V, qwp(-pi/4) P qwp(pi/4) times the recombiner's 1/sqrt(2)."""
+    """The analyzer's setting-independent front map (2, 2, 2, 2), built on first use: per
+    splitter arm P = _P_H, _P_V, qwp(-pi/4) P qwp(pi/4) times the recombiner's factor into
+    each output port, (1, i)/sqrt(2) for the transmitted arm and (i, 1)/sqrt(2) for the other."""
     qwp_in, qwp_out = (waveplate_op("qwp", t).blocks[..., 0] for t in (math.pi / 4, -math.pi / 4))
-    return _frozen([qwp_out @ arm @ qwp_in * math.sqrt(0.5) for arm in (_P_H, _P_V)])
+    arm_t, arm_r = (qwp_out @ arm @ qwp_in * math.sqrt(0.5) for arm in (_P_H, _P_V))
+    return _frozen([[arm_t, 1j * arm_t], [1j * arm_r, arm_r]])
 
 
 class LostWeightError(ValueError):
@@ -142,22 +141,12 @@ def _finite_settings(a, b, a_max=sys.float_info.max) -> tuple[np.ndarray, np.nda
     return a, b
 
 
-@lru_cache(maxsize=1)  # sound: states hash by identity, and the held state's id is not reused
 def _unit_grid(bob: PhotonState) -> np.ndarray:
     """Bob's (spin, m) grid; a squared norm off 1 by more than LOST_WEIGHT_TOL raises ValueError."""
     grid = bob.as_grid()
     if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
         raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")
     return grid
-
-
-@lru_cache(maxsize=1)
-def _chain_arms(bob: PhotonState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chain's part fixed by the state: each arm times its recombiner factors per port,
-    transmitted (1, i) and inverted reflected (i, 1), and the Dove exponent 2i*m per charge."""
-    arm_t, arm_r = _fixed_plates() @ _unit_grid(bob)
-    arm_r, charges = arm_r[:, ::-1], np.arange(-bob.m_max, bob.m_max + 1)  # image inversion
-    return _frozen([arm_t, 1j * arm_t]), _frozen([1j * arm_r, arm_r]), _frozen(2j * charges)
 
 
 def _outcome_pair(a, b) -> np.ndarray:
@@ -236,7 +225,8 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     as in :func:`joint_probabilities`; with chi_a = 2*m*alpha and
     chi_b = 2*beta the two routes agree on states prepared by the q-plate
     chain.  The input must be unit norm, as for :func:`joint_probabilities`,
-    and settings finite, |alpha| at most the largest float / (2*m_max + 1).
+    and settings finite, |alpha| at most sys.float_info.max / (2*m_max + 1)
+    so that every Dove phase 2*m*alpha is finite.
 
     The reflected path of the recombination loop carries one extra image
     inversion (odd mirror parity), applied before its Dove prism.  Without
@@ -248,15 +238,14 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     and hwp(beta) = diag(e^{i beta}, e^{-i beta}) X with X hwp(0) = 1 (X swaps
     L and R): :func:`_fixed_plates` holds the rest.  The reflected arm lies in
     the range of _P_V, where the Dove pair _P_H + e^{2 i m alpha} _P_V is the
-    phase e^{2 i m alpha} per charge m, which commutes with qwp(-pi/4).  The
-    checked grid and both arms up to the recombiner depend only on the state:
-    :func:`_chain_arms` builds them once for the last state analyzed, which is
-    sound because states are immutable.
+    phase e^{2 i m alpha} per charge m, which commutes with qwp(-pi/4), and
+    the recombiner's port factors commute with both.
     """
-    ports_t, ports_r, dove = _chain_arms(bob)
-    alpha, beta = _finite_settings(alpha, beta, sys.float_info.max / dove.size)
-    # Dove pair on the reflected arm; symmetric 50/50 recombiner: ports "plus", "minus".
-    ports = ports_t + ports_r * np.exp(alpha[..., None, None, None] * dove)
+    grid = _unit_grid(bob)
+    alpha, beta = _finite_settings(alpha, beta, sys.float_info.max / (2 * bob.m_max + 1))
+    arms = _fixed_plates() @ grid  # (transmitted, reflected) x ports "plus", "minus"
+    dove = np.exp(alpha[..., None, None, None] * (2j * np.arange(-bob.m_max, bob.m_max + 1)))
+    ports = arms[0] + arms[1, ..., ::-1] * dove  # reflected arm: image inversion, Dove pair
     hwp_beta = np.exp(beta[..., None, None] * _HWP_PHASES)
     det = (_CIRC_TO_LIN * hwp_beta)[..., None, :, :] @ ports  # detectors H (+1), V (-1)
     probs = np.einsum("...k,...k->...", det.conj(), det).real

@@ -586,71 +586,8 @@ class TestInterferometerReplay:
         )
 
 
-def clear_memos():
-    for memo in (experiment._unit_grid, experiment._chain_arms):
-        memo.cache_clear()
-
-
-@pytest.fixture
-def empty_memos():
-    clear_memos()
-
-
-def both_routes(bob, alpha, beta):
-    """Bytes of the chain at (alpha, beta) and of the kernel at (4 alpha, 2 beta)."""
-    chain = interferometer_detect(bob, alpha, beta)
-    return chain, [chain.tobytes(), joint_probabilities(bob, 4 * alpha, 2 * beta).tobytes()]
-
-
-class TestStateMemos:
-    """Each state's checked grid and chain arms are built once and kept for one state."""
-
-    def test_alternating_states_match_fresh_calls(self, empty_memos):
-        rng = np.random.default_rng(401)
-        alpha = rng.uniform(-2 * math.pi, 2 * math.pi, size=(4, 1))
-        beta = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
-        a = herald(prepare_hybrid()).state
-        b = herald(prepare_hybrid(QPlateSpec(1, 0.3))).state
-        expected = {}
-        for bob in (a, b):
-            clear_memos()
-            expected[bob] = both_routes(bob, alpha, beta)[1]
-        for bob in (a, b, a, b, a):
-            chain, outputs = both_routes(bob, alpha, beta)
-            assert outputs == expected[bob]
-            assert np.max(np.abs(chain - replay_detect(bob, alpha, beta))) <= 1e-15
-
-    def test_each_memo_holds_at_most_one_state(self, empty_memos):
-        rng = np.random.default_rng(402)
-        for m_max in (0, 2, 5, 2):
-            interferometer_detect(random_unit_state(rng, m_max), 0.1, 0.2)
-            joint_probabilities(spin_orbit_bell_state(1, m_max=max(m_max, 1)), 0.3, 0.4, m=1)
-            for memo in (experiment._unit_grid, experiment._chain_arms):
-                assert memo.cache_info().currsize == 1
-
-    def test_kernel_only_calls_leave_the_chain_memo_empty(self, empty_memos):
-        bell = spin_orbit_bell_state()
-        joint_probabilities(bell, 0.1, 0.2)
-        expectation(bell, np.linspace(0, 1, 5), 0.3)
-        sweep(0.4, [0.1, 0.2], shots=10, seed=RngSeed(3))
-        result = compile_bench(parse(OFF_SPAN_BENCH)).run()
-        joint_probabilities(result.bob, math.pi / 2, math.pi / 4)
-        assert experiment._chain_arms.cache_info().currsize == 0
-        assert experiment._unit_grid.cache_info().currsize == 1
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0, math.nan])
-    def test_non_unit_state_raises_on_every_call(self, empty_memos, scale):
-        bad = PhotonState(2, spin_orbit_bell_state().vector * scale)
-        good = spin_orbit_bell_state()
-        for _ in range(3):
-            for route in (interferometer_detect, joint_probabilities):
-                with pytest.raises(ValueError, match="^analyzer input must be unit norm"):
-                    route(bad, 0.1, 0.2)
-                route(good, 0.1, 0.2)
-
-
-# sha256 of joint_probabilities(...).tobytes() over a 16x16 grid, computed before the
-# per-state memos: (m_max, analyzer m, digest) per seeded random state on spin x {-m, +m}.
+# sha256 of joint_probabilities(...).tobytes() over a 16x16 grid, computed with version
+# 0.15.0: (m_max, analyzer m, digest) per seeded random state on spin x {-m, +m}.
 KERNEL_DIGESTS = (
     (2, 2, "80ebaf280e9d2b624eee24d2e983baccdc51b769746cbc1dae6d1c8217ae75b9"),
     (3, 3, "24481af86dfdcb7458ca0bf00005afca1c944e01ebae8b6a552c3d502568328a"),
