@@ -1,9 +1,9 @@
 """A small line-oriented description language for optical benches.
 
-One stage per line: a keyword, an optional bare variant token, then
-``name=value`` parameters.  ``#`` starts a comment, blank lines are
-ignored, and numbers accept a ``deg`` suffix (stored as radians).  The
-canonical heralded-preparation bench reads::
+One stage per line: a keyword, then its variant token bare if it has one
+(optional), then ``name=value`` parameters.  ``#`` starts a comment, blank
+lines are ignored, and numbers accept a ``deg`` suffix (stored as radians).
+The canonical heralded-preparation bench reads::
 
     source spdc
     filter smf side=bob
@@ -11,15 +11,16 @@ canonical heralded-preparation bench reads::
     herald basis=H side=alice
 
 Each keyword's meaning is one :data:`SCHEMAS` row: its parameters, default
-side, variant tokens and element builder.  Exactly one ``source`` stage, on
-``side=both``, must come first and at most one ``herald`` is allowed.  Parsing
-resolves defaults, so :func:`serialize` followed by :func:`parse` reproduces
-the AST structurally; comments are not preserved.  :class:`BenchPipeline`
-(also named ``compile_bench``) compiles an AST and builds each distinct
-element once; equal stages share one element.  Unless given one, the
-truncation ``m_max`` is the widest charge the bench needs (fig2: 2).  Alice
-takes only spin-only elements, and a filter leaving a norm below 1e-12 gives
-weight 0, as a herald does.
+side and element builder.  One :class:`ParamSpec` rule checks every
+parameter, ``side=`` and the variant (the ``kind`` parameter) included.
+Exactly one ``source`` stage, on ``side=both``, must come first and at most
+one ``herald`` is allowed.  Parsing resolves defaults, so :func:`serialize`
+followed by :func:`parse` reproduces the AST structurally; comments are not
+preserved.  :class:`BenchPipeline` (also named ``compile_bench``) compiles
+an AST and builds each distinct element once; equal stages share one
+element.  Unless given one, the truncation ``m_max`` is the widest charge
+the bench needs (fig2: 2).  Alice takes only spin-only elements, and a
+filter leaving a norm below 1e-12 gives weight 0, as a herald does.
 """
 
 from __future__ import annotations
@@ -84,20 +85,21 @@ class ParamSpec(_Record):
 
 
 class StageSchema(_Record):
-    """What a keyword means: its parameters, default side, bare variant tokens
-    (the first is the default) and ``build(params, m_max)``, which makes its
-    element; ``build`` is None for the source and the herald."""
+    """What a keyword means: its parameters, default side and
+    ``build(params, m_max)``, which makes its element; ``build`` is None for
+    the source and the herald.  A ``kind`` parameter is the stage's variant,
+    written as a bare token right after the keyword."""
 
-    __slots__ = ("params", "default_side", "kind_choices", "build")
+    __slots__ = ("params", "default_side", "build")
 
-    def __init__(self, params: tuple[ParamSpec, ...], default_side: str,
-                 kind_choices: tuple[str, ...] | None = None, build=None):
-        _Record.__init__(self, params, default_side, kind_choices, build)
+    def __init__(self, params: tuple[ParamSpec, ...], default_side: str, build=None):
+        _Record.__init__(self, params, default_side, build)
 
 
 SCHEMAS: dict[str, StageSchema] = {
-    "source": StageSchema((), "both", ("spdc",)),
-    "filter": StageSchema((), "bob", ("smf",), lambda p, m_max: smf_filter_op(m_max)),
+    "source": StageSchema((ParamSpec("kind", default="spdc", choices=("spdc",)),), "both"),
+    "filter": StageSchema((ParamSpec("kind", default="smf", choices=("smf",)),), "bob",
+                          build=lambda p, m_max: smf_filter_op(m_max)),
     "qplate": StageSchema(
         (ParamSpec("q"), ParamSpec("alpha0", default=0.0, angle=True)), "bob",
         build=lambda p, m_max: qplate_op(QPlateSpec(p["q"], p["alpha0"]), m_max),
@@ -113,7 +115,8 @@ SCHEMAS: dict[str, StageSchema] = {
                           "alice"),
 }
 
-_SIDES = ("alice", "bob", "both")
+#: Every stage takes ``side=``; parsing moves it from the params to :attr:`Stage.side`.
+_SIDE = ParamSpec("side", choices=("alice", "bob", "both"))
 
 #: The widest truncation a bench may use.  Each OAM element holds a 2x2 block
 #: per charge, (2, 2, 2*m_max+1) complex: about 8 MB at this bound.
@@ -172,47 +175,19 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
     if schema is None:
         raise ParseError(line_no, kw_col, "unknown-keyword", f"unknown stage {keyword!r}")
 
+    by_name = {p.name: p for p in (*schema.params, _SIDE)}
     params: dict = {}
-    side = None
-    rest = tokens[1:]
-
-    if rest and "=" not in rest[0][0]:
-        token, col = rest[0]
-        if schema.kind_choices is None:
-            raise ParseError(
-                line_no, col, "unknown-keyword",
-                f"stage {keyword!r} takes no positional token",
-            )
-        if token not in schema.kind_choices:
-            raise ParseError(
-                line_no, col, "unknown-keyword",
-                f"unknown {keyword} variant {token!r}",
-            )
-        params["kind"] = token
-        rest = rest[1:]
-    elif schema.kind_choices is not None:
-        params["kind"] = schema.kind_choices[0]
-
-    by_name = {p.name: p for p in schema.params}
-    for token, col in rest:
-        if "=" not in token:
-            raise ParseError(
-                line_no, col, "unknown-keyword",
-                f"expected name=value, got bare token {token!r}",
-            )
-        name, value = token.split("=", 1)
-        value_col = col + len(name) + 1
-        if name == "side":
-            if side is not None:
-                raise ParseError(line_no, col, "duplicate-param", "side given twice")
-            if value not in _SIDES:
+    for i, (token, col) in enumerate(tokens[1:]):
+        name, eq, value = token.partition("=")
+        if not eq:  # only the token after the keyword may be bare: the variant
+            if i or "kind" not in by_name:
                 raise ParseError(
-                    line_no, value_col, "unknown-keyword", f"unknown side {value!r}"
+                    line_no, col, "unknown-keyword",
+                    f"expected name=value, got bare token {token!r}",
                 )
-            side = value
-            continue
+            name, value = "kind", token
         spec = by_name.get(name)
-        if spec is None:
+        if spec is None or (eq and name == "kind"):  # the variant is written bare only
             raise ParseError(
                 line_no, col, "unknown-keyword",
                 f"unknown parameter {name!r} for stage {keyword!r}",
@@ -221,22 +196,20 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
             raise ParseError(
                 line_no, col, "duplicate-param", f"parameter {name!r} given twice"
             )
+        value_col = col + len(token) - len(value)
         if spec.choices is None:
             num = _parse_number(value, line_no, value_col)
             params[name] = reduce_angle(num) if spec.angle else num
-        else:
-            if not _IDENT_RE.match(value):
-                raise ParseError(
-                    line_no, value_col, "unknown-keyword",
-                    f"expected an identifier, got {value!r}",
-                )
-            if value not in spec.choices:
-                raise ParseError(
-                    line_no, value_col, "unknown-keyword",
-                    f"{name!r} must be one of {spec.choices}, got {value!r}",
-                )
+        elif value in spec.choices:
             params[name] = value
+        else:
+            raise ParseError(
+                line_no, value_col, "unknown-keyword",
+                f"{name!r} must be one of {spec.choices}, got {value!r}"
+                if _IDENT_RE.match(value) else f"expected an identifier, got {value!r}",
+            )
 
+    side = params.pop("side", schema.default_side)
     for spec in schema.params:
         if spec.name not in params:
             if spec.default is None:
@@ -246,12 +219,7 @@ def _parse_stage(tokens: list[tuple[str, int]], line_no: int) -> Stage:
                 )
             params[spec.name] = reduce_angle(float(spec.default)) if spec.angle else spec.default
 
-    return Stage(
-        keyword=keyword,
-        params=params,
-        side=side if side is not None else schema.default_side,
-        line=line_no,
-    )
+    return Stage(keyword, params, side, line_no)
 
 
 def parse(text: str) -> BenchAst:
@@ -296,13 +264,11 @@ def serialize(ast: BenchAst) -> str:
     """Canonical text form; parse(serialize(ast)) equals ast structurally."""
     lines = []
     for stage in ast.stages:
-        schema = SCHEMAS[stage.keyword]
         parts = [stage.keyword]
-        if schema.kind_choices is not None:
-            parts.append(str(stage.params["kind"]))
-        for spec in schema.params:
+        for spec in SCHEMAS[stage.keyword].params:
             value = stage.params[spec.name]
-            parts.append(f"{spec.name}={value if spec.choices else f'{float(value):.17g}'}")
+            value = value if spec.choices else f"{float(value):.17g}"
+            parts.append(str(value) if spec.name == "kind" else f"{spec.name}={value}")
         parts.append(f"side={stage.side}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -471,7 +437,8 @@ def _reach(stages) -> tuple[int, int]:
 
 def _params_fault(stage: Stage):
     """Why a stage breaks its schema, else None: an unknown keyword, a
-    parameter missing, a number not finite or an identifier outside its choices."""
+    parameter missing, a number not finite, an identifier outside its choices
+    or a parameter the schema does not list."""
     schema = SCHEMAS.get(stage.keyword)
     if schema is None:
         return f"unknown stage {stage.keyword!r}"
@@ -484,6 +451,10 @@ def _params_fault(stage: Stage):
                 return f"{spec.name!r} must be a finite number, got {value!r}"
         elif value not in spec.choices:
             return f"{spec.name!r} must be one of {spec.choices}, got {value!r}"
+    if len(stage.params) > len(schema.params):  # each listed name is present: one is not listed
+        known = {spec.name for spec in schema.params}
+        name = next(name for name in stage.params if name not in known)
+        return f"unknown parameter {name!r} for stage {stage.keyword!r}"
     return None
 
 

@@ -31,6 +31,7 @@ axis pattern.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -120,10 +121,15 @@ def dove_pair_op(alpha, m_max: int) -> ElementOp:
 
     Per OAM charge m, the component carried on the |V> arm is advanced by
     e^{i 2 m alpha} while the |H> arm is untouched; for m = 0 the arms stay
-    in phase regardless of alpha.  Polarization is unaffected.
+    in phase regardless of alpha.  Polarization is unaffected.  |alpha| above
+    sys.float_info.max / (2*m_max + 1), where a phase 2*m*alpha could
+    overflow, raises ValueError.
     """
+    angle = _angle(alpha)
+    if abs(angle) > sys.float_info.max / (2 * m_max + 1):
+        raise ValueError(f"Dove angle {float(angle)} overflows a phase 2*m*alpha at m_max={m_max}")
     turns = np.zeros(2 * m_max + 1, dtype=complex)  # i 2 m alpha
-    turns.imag = _angle(alpha) * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
+    turns.imag = angle * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
     blocks = _P_H[..., None] + np.exp(turns, out=turns) * _P_V[..., None]
     return ElementOp(blocks, m_max=m_max, name=f"dove_pair({alpha})")
 

@@ -56,7 +56,7 @@ def recorded_builds(monkeypatch) -> list:
             return inner(params, m_max)
 
         monkeypatch.setitem(SCHEMAS, keyword, StageSchema(
-            schema.params, schema.default_side, schema.kind_choices, build))
+            schema.params, schema.default_side, build))
     return calls
 
 
@@ -64,8 +64,6 @@ def make_stage(keyword, side=None, line=0, **params):
     """Build a resolved stage the way the parser would."""
     schema = SCHEMAS[keyword]
     resolved = {}
-    if schema.kind_choices is not None:
-        resolved["kind"] = params.pop("kind", schema.kind_choices[0])
     for spec in schema.params:
         value = params.pop(spec.name, spec.default)
         if spec.angle:
@@ -176,6 +174,38 @@ class TestParse:
             parse("source spdc\nhwp theta=x\nhwp theta=x\n")
         assert (err.value.line, err.value.column, err.value.kind) == (2, 11, "bad-number")
         assert str(err.value) == "line 2, column 11: expected a number, got 'x' [bad-number]"
+
+    @pytest.mark.parametrize("text,line,column,kind,message", [
+        ("source spdc\nqwp 0.5", 2, 5, "unknown-keyword",
+         "expected name=value, got bare token '0.5'"),
+        ("source spdc\nfilter xx", 2, 8, "unknown-keyword",
+         "'kind' must be one of ('smf',), got 'xx'"),
+        ("source spdc\nfilter 1x", 2, 8, "unknown-keyword", "expected an identifier, got '1x'"),
+        ("source spdc\nfilter smf smf", 2, 12, "unknown-keyword",
+         "expected name=value, got bare token 'smf'"),
+        ("source spdc\nqwp theta=1 x", 2, 13, "unknown-keyword",
+         "expected name=value, got bare token 'x'"),
+        ("source spdc\nqwp side=bob theta=1 side=bob", 2, 22, "duplicate-param",
+         "parameter 'side' given twice"),
+        ("source spdc\nqwp theta=1 side=carol", 2, 18, "unknown-keyword",
+         "'side' must be one of ('alice', 'bob', 'both'), got 'carol'"),
+        ("source spdc\nqwp theta=1 foo=2", 2, 13, "unknown-keyword",
+         "unknown parameter 'foo' for stage 'qwp'"),
+        ("source spdc\nherald basis=H!", 2, 14, "unknown-keyword",
+         "expected an identifier, got 'H!'"),
+        # The variant is written bare only.
+        ("source kind=spdc", 1, 8, "unknown-keyword",
+         "unknown parameter 'kind' for stage 'source'"),
+        ("source spdc\nfilter kind=smf", 2, 8, "unknown-keyword",
+         "unknown parameter 'kind' for stage 'filter'"),
+    ], ids=["bare-without-variant", "unknown-variant", "variant-not-identifier",
+            "second-bare", "bare-after-param", "side-twice", "unknown-side", "unknown-param",
+            "choice-not-identifier", "source-kind-named", "filter-kind-named"])
+    def test_token_fault_is_located(self, text, line, column, kind, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.kind, err.value.message) == (
+            line, column, kind, message)
 
     def test_error_position_indexes_input(self):
         text = "source spdc\nqplate q=oops side=bob\n"
@@ -805,6 +835,13 @@ FAULT_PINS = [
     ("m_max-too-narrow", FIG2, 1, (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),
     ("m_max-too-narrow", _fig2_with_q(1.0), 1,
      (ValueError, None, "m_max=1 cannot hold a +-2 OAM shift")),
+    # serialize would drop 'foo', so the bench would not survive a round trip.
+    ("unknown-param", (_SOURCE, Stage("qwp", {"theta": 0.1, "foo": 3.0}, "bob", 2)), None,
+     (CompileError, 2, "unknown parameter 'foo' for stage 'qwp'")),
+    ("bad-kind", (_SOURCE, Stage("filter", {"kind": "bogus"}, "bob", 2)), None,
+     (CompileError, 2, "'kind' must be one of ('smf',), got 'bogus'")),
+    ("missing-kind", (_SOURCE, Stage("filter", {}, "bob", 2)), None,
+     (CompileError, 2, "stage 'filter' is missing parameter 'kind'")),
 ]
 
 

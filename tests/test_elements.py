@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ class TestDovePair:
         assert op.is_unitary(1e-12)
         state = tensor(spin_ket("H"), 3, m_max=3)
         np.testing.assert_allclose(apply(op, state).vector, state.vector, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_overflowing_phase_rejected(self, alpha):
+        with pytest.raises(ValueError, match="overflows a phase 2\\*m\\*alpha at m_max=2"):
+            dove_pair_op(alpha, 2)
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 7])
+    def test_largest_angle_is_unitary(self, m_max):
+        bound = sys.float_info.max / (2 * m_max + 1)
+        for alpha in (bound, -bound):
+            assert dove_pair_op(alpha, m_max).is_unitary(1e-12)
+        with pytest.raises(ValueError):
+            dove_pair_op(math.nextafter(bound, math.inf), m_max)
+
+    def test_any_finite_angle_at_zero_charge(self):
+        np.testing.assert_array_equal(dove_pair_op(1e308, 0).blocks, dove_pair_op(0.0, 0).blocks)
 
 
 class TestSmfFilter:

@@ -292,6 +292,10 @@ class TestJointProbabilities:
         with pytest.raises(TruncationError):
             joint_probabilities(bell, 0.0, 0.0, m=3)
 
+    def test_zero_charge_rejected(self):
+        with pytest.raises(ValueError, match="^analyzer OAM magnitude must be a positive"):
+            joint_probabilities(spin_orbit_bell_state(), 0.0, 0.0, m=0)
+
     def test_non_finite_setting_rejected(self):
         bell = spin_orbit_bell_state()
         with pytest.raises(ValueError, match="finite"):

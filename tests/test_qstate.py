@@ -13,6 +13,7 @@ from spinorbit.qstate import (
     PhotonState,
     TruncationError,
     apply,
+    basis_index,
     inner,
     spin_ket,
     states_equal_up_to_phase,
@@ -77,6 +78,39 @@ class TestTensor:
         with pytest.raises(TruncationError):
             tensor("L", {3: 1.0}, m_max=2)
 
+    def test_truncation_inferred_from_widest_charge(self):
+        state = tensor("R", {-3: 0.6, 1: 0.8})
+        assert state.m_max == 3
+        assert (state.amplitude("R", -3), state.amplitude("R", 1)) == (0.6, 0.8)
+
+    def test_factor_types_rejected(self):
+        with pytest.raises(TypeError, match="^first tensor factor must be a spin state$"):
+            tensor(0, "H")
+        with pytest.raises(TypeError, match="^second tensor factor must be a spin state or"):
+            tensor("H", 1.5)
+
+
+class TestBasisLabels:
+    def test_index_is_spin_major(self):
+        assert basis_index("L", -2, 2) == 0
+        assert basis_index("R", 2, 2) == 9
+
+    def test_bad_spin_rejected(self):
+        with pytest.raises(ValueError, match="^spin must be 'L' or 'R', got 'H'$"):
+            basis_index("H", 0, 2)
+
+    def test_charge_beyond_truncation_rejected(self):
+        with pytest.raises(TruncationError, match="^\\|m\\|=3 exceeds truncation m_max=2$"):
+            basis_index("L", -3, 2)
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="^unknown polarization label 'X'$"):
+            spin_ket("X")
+
+    def test_three_vector_rejected(self):
+        with pytest.raises(ValueError, match="^spin state must have exactly two components$"):
+            spin_ket([1.0, 0.0, 0.0])
+
 
 class TestApply:
     def test_identity_leaves_state(self):
@@ -90,6 +124,11 @@ class TestApply:
         out = apply(x, PhotonState.basis_state("L", 0, 2))
         assert out.amplitude("R", 0) == pytest.approx(1.0)
         assert out.norm() == pytest.approx(1.0)
+
+    def test_bipartite_state_rejected(self):
+        pair = BipartiteState(1, np.zeros((2, 6)))
+        with pytest.raises(TypeError, match="^use apply_bob for bipartite states$"):
+            apply(ElementOp(np.eye(2), m_max=1), pair)
 
     def test_basis_mismatch_rejected(self):
         op = ElementOp(np.eye(2), m_max=1)
@@ -173,6 +212,19 @@ class TestInner:
         assert inner(bell, PhotonState.basis_state("L", -2, 2)) == pytest.approx(
             SQRT_HALF
         )
+
+    def test_bipartite_overlap(self):
+        rng = np.random.default_rng(5)
+        a, b = (BipartiteState(1, rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6)))
+                for _ in range(2))
+        assert inner(a, b) == np.vdot(a.matrix, b.matrix)
+        assert inner(a, a) == pytest.approx(np.linalg.norm(a.matrix) ** 2, abs=1e-12)
+
+    def test_truncation_mismatch_rejected(self):
+        with pytest.raises(BasisMismatchError, match="^states use different truncations$"):
+            inner(BipartiteState(1, np.zeros((2, 6))), BipartiteState(2, np.zeros((2, 10))))
+        with pytest.raises(BasisMismatchError, match="^states use different truncations$"):
+            inner(PhotonState.basis_state("L", 0, 1), PhotonState.basis_state("L", 0, 2))
 
     def test_conjugate_linear_in_first_argument(self):
         a = spin_ket("L") * 1j
