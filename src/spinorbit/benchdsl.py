@@ -302,11 +302,11 @@ class BenchPipeline(_Record):
     One rule sizes the bench: it needs the larger of its reach (:func:`_reach`)
     and every q-plate's |2q|, Alice's included.  By default ``m_max`` is that
     need, and the window :meth:`run` applies each element to is the need capped
-    at ``m_max`` (the whole truncation if an element acts on Alice).  Each rule
-    is checked once, before any build where it can be: the params, each q (2q an
-    integer, else a ValueError), the stage order, the truncation (an integer
-    from 0 to :data:`MAX_M_MAX`, a fault located at the stage that sets it),
-    then the sides (:func:`_step_fault`); each other fault is a CompileError.
+    at ``m_max``.  Each rule is checked once, before any build where it can be:
+    the params, each q (2q an integer, else a ValueError), the stage order, the
+    truncation (an integer from 0 to :data:`MAX_M_MAX`, a fault located at the
+    stage that sets it), then the sides (:func:`_step_fault`); each other fault
+    is a CompileError.
     Last, a bench with a q-plate but no mode filter gets a UserWarning.  The
     fields are ``ast`` and ``m_max``; copies compile, and warn, again.
     """
@@ -341,11 +341,7 @@ class BenchPipeline(_Record):
             if (fault := _step_fault(stage, op, after_herald)) is not None:
                 raise CompileError(stage.line, fault)
             after_herald = after_herald or stage.keyword == "herald"
-        # Alice's matrix product rounds a column by where it sits in the row and
-        # can leave -0.0 outside the reach, so a bench with an Alice element
-        # keeps the whole truncation.
-        alice = any(stage.side == "alice" and op is not None for stage, op in steps)
-        _Record.__init__(self, ast, m_max, tuple(steps), m_max if alice else min(m_max, need))
+        _Record.__init__(self, ast, m_max, tuple(steps), min(m_max, need))
         keywords = {stage.keyword for stage in ast.stages}
         if "qplate" in keywords and "filter" not in keywords:
             warnings.warn("bench has a q-plate but no mode filter; an ideal source carries "
@@ -362,7 +358,8 @@ class BenchPipeline(_Record):
         up to the herald and (Bob spin, m + m_max) after it, through the steps.
 
         The array keeps every charge, but each element acts only on the
-        compiled window |m| <= W, outside which no step puts amplitude.  The
+        compiled window |m| <= W, outside which no step puts amplitude; an
+        Alice element acts on the (Bob spin, Alice spin, m) view.  The
         herald, a filter's norm, the analyzer support and the returned states
         read the whole array.
         A filter output of norm below NORM_TOL has weight 0, as a herald's has.
@@ -379,10 +376,8 @@ class BenchPipeline(_Record):
                 grid, herald_prob = outcome.state.as_grid().copy(), outcome.probability
                 continue
             before = float(np.linalg.norm(grid)) if stage.keyword == "filter" else None
-            if stage.side == "alice":
-                grid = (op.blocks[..., 0] @ grid.reshape(2, -1)).reshape(grid.shape)
-            else:
-                grid[..., centre] = op._apply_grid(grid[..., centre], m_max)
+            rows = grid.swapaxes(0, 1) if stage.side == "alice" else grid
+            rows[..., centre] = op._apply_grid(rows[..., centre], m_max)
             if before is not None:
                 norm = float(np.linalg.norm(grid))
                 weight *= (norm / before) ** 2 if norm >= NORM_TOL else 0.0

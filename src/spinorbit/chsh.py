@@ -29,6 +29,7 @@ when a row is read.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cache
 from itertools import product, repeat, starmap
@@ -94,18 +95,22 @@ class CountRecord(_Record):
 class RngSeed(_Record):
     """Seed plus stream index for reproducible, parallel-safe sampling.
 
-    Identical (seed, stream) values reproduce identical draws bit for bit;
-    distinct streams are statistically independent.
+    Both are integers, stored as Python ints.  Identical (seed, stream)
+    values reproduce identical draws bit for bit; distinct streams are
+    statistically independent.
     """
 
     __slots__ = ("seed", "stream")
 
     def __init__(self, seed: int, stream: int = 0):
+        for name, value in (("seed", seed), ("stream", stream)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if stream < 0:
             raise ValueError("stream index must be non-negative")
-        _Record.__init__(self, seed, stream)
+        _Record.__init__(self, int(seed), int(stream))  # the lane hash needs Python ints
 
     def generator(self, lane: int) -> np.random.Generator:
         """``default_rng(SeedSequence(seed, spawn_key=(stream, lane)))``: one lane's PCG64.
@@ -346,7 +351,8 @@ def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarra
     words, which one vectorised SeedSequence hash computes for the whole
     block (:func:`_lane_states`).  The block is checked once, before any
     draw: entries >= -1e-12, each row summing to 1 within 1e-9 (so a NaN
-    entry fails), 1 <= shots <= 2**63 - 1 (an int64 draw count).
+    entry fails), shots an integer from 1 to 2**63 - 1 (an int64 draw count)
+    and ``seed`` an :class:`RngSeed`.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
@@ -357,10 +363,14 @@ def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarra
     bad = ~(np.abs(sums - 1.0) <= 1e-9)
     if np.any(bad):
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > 2**63 - 1:
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
+    if not isinstance(seed, RngSeed):
+        raise ValueError(f"sampling needs an RngSeed, got {seed!r}")
     states = _lane_states(seed, first_lane, len(p))
     lane_seed = _lane_seed_type()
     p = np.clip(p, 0.0, None)
@@ -439,8 +449,9 @@ def sweep(
     built until it is read.  Row k draws from its own generator on the lane
     (stream, first_row + k), so a one-point sweep with ``first_row=k``
     reproduces row k, whatever the evaluation order.  ``shots = 0`` skips
-    sampling and leaves the count columns None.  The grid must be a
-    non-empty one-dimensional sequence; the table holds a copy of it.
+    sampling, takes ``seed=None`` and leaves the count columns None.  The
+    grid must be a non-empty one-dimensional sequence; the table holds a
+    copy of it.
     """
     chi_a = np.asarray(chi_a_grid, dtype=float)
     if chi_a.ndim != 1:

@@ -115,6 +115,8 @@ def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
     raises ValueError.  A zero-probability herald comes back flagged: zero
     state, probability 0.
     """
+    if not isinstance(state, BipartiteState):
+        raise TypeError(f"herald takes a BipartiteState, got {type(state).__name__}")
     chi = spin_ket(alice_basis)
     nrm = math.sqrt(sum(abs(v) ** 2 for v in chi))
     if not abs(nrm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
@@ -143,6 +145,8 @@ def _finite_settings(a, b, a_max=sys.float_info.max) -> tuple[np.ndarray, np.nda
 
 def _unit_grid(bob: PhotonState) -> np.ndarray:
     """Bob's (spin, m) grid; a squared norm off 1 by more than LOST_WEIGHT_TOL raises ValueError."""
+    if not isinstance(bob, PhotonState):
+        raise TypeError(f"the analyzer takes Bob's heralded PhotonState, got {type(bob).__name__}")
     grid = bob.as_grid()
     if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
         raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")

@@ -360,13 +360,17 @@ def apply(op: ElementOp, state):
 
 def apply_bob(op: ElementOp, state: BipartiteState) -> BipartiteState:
     """Apply an element to Bob's photon, leaving Alice untouched."""
+    if not isinstance(state, BipartiteState):
+        raise TypeError(f"apply_bob takes a BipartiteState, got {type(state).__name__}; "
+                        "use apply for single-photon states")
     grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
     out = op._apply_grid(grids, state.m_max)
     return BipartiteState(state.m_max, out.reshape(2, -1))
 
 
 def inner(a, b) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
+    """Inner product <a|b>, conjugate-linear in the first argument; a state
+    pairs only with a state of its own kind."""
     if isinstance(a, PhotonState) and isinstance(b, PhotonState):
         if a.m_max != b.m_max:
             raise BasisMismatchError("states use different truncations")
@@ -375,6 +379,9 @@ def inner(a, b) -> complex:
         if a.m_max != b.m_max:
             raise BasisMismatchError("states use different truncations")
         return complex(np.vdot(a.matrix, b.matrix))
+    if isinstance(a, (PhotonState, BipartiteState)) or isinstance(b, (PhotonState, BipartiteState)):
+        raise TypeError(f"inner takes two PhotonStates, two BipartiteStates or two spin kets, "
+                        f"got {type(a).__name__} and {type(b).__name__}")
     return complex(np.vdot(spin_ket(a), spin_ket(b)))
 
 

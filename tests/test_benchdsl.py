@@ -518,7 +518,8 @@ class TestCompile:
 
 def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
     """The pipeline's steps replayed on the whole truncation through apply_bob,
-    apply and herald, with the filter and analyzer arithmetic of BenchPipeline.run."""
+    apply, herald and, for Alice, ``_apply_grid`` on the (Bob spin, Alice spin, m)
+    view, with the filter and analyzer arithmetic of BenchPipeline.run."""
     m_max = pipeline.m_max
     state, bipartite, prob, weight = spdc_source(m_max), None, None, 1.0
     for stage, op in pipeline.steps:
@@ -528,7 +529,8 @@ def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
             outcome = herald(state, stage.params["basis"])
             state, prob = outcome.state, outcome.probability
         elif stage.side == "alice":
-            state = BipartiteState(m_max, op.blocks[..., 0] @ state.matrix)
+            rows = op._apply_grid(state.matrix.reshape(2, 2, -1).swapaxes(0, 1), m_max)
+            state = BipartiteState(m_max, rows.swapaxes(0, 1).reshape(2, -1))
         else:
             state = apply(op, state) if prob is not None else apply_bob(op, state)
         if before is not None:
@@ -583,7 +585,7 @@ WINDOW_BENCHES = [
     ("alice-step", "source spdc\nqwp theta=0.3 side=alice\nqplate q=1 side=bob\n"
                    "hwp theta=1.1 side=alice\nherald basis=V\n", 9),
     ("no-plate", "source spdc\nqwp theta=0.7 side=bob\ndove alpha=0.5 side=bob\n", 7),
-    # Alice's matrix product leaves -0.0 in columns that no later step rewrites.
+    # An Alice step on the window: the columns outside the reach must stay exact +0.0.
     ("alice-signed-zero", "source spdc\nqwp theta=1.8796 side=alice\nherald basis=V\n", 3),
     # A norm over two amplitudes rounds otherwise than over the same two among zeros.
     ("filter-of-one-charge", "source spdc\nherald basis=H\nqwp theta=1.9959 side=bob\n"
@@ -671,8 +673,8 @@ class TestReach:
 
     @pytest.mark.parametrize("m_max", [None, 1, 3, 6, 20])
     def test_run_matches_the_full_width_replay_with_alice_steps(self, m_max):
-        # Alice's matrix product can leave -0.0 outside the reach, which a
-        # windowed Bob step would not rewrite: such benches keep the whole truncation.
+        # Alice's steps contract through the element's own einsum, like Bob's, so
+        # they run on the window and must match the replay on the whole truncation.
         ran = 0
         for seed in range(300):
             try:
@@ -686,6 +688,15 @@ class TestReach:
             assert run_outcome(BenchPipeline.run, pipeline) == want, seed
             ran += want[0] == "ok"
         assert ran >= 100
+
+    def test_alice_bench_runs_on_its_window(self):
+        text = ("source spdc\nqwp theta=0.3 side=alice\nfilter smf side=bob\n"
+                "qplate q=1 side=bob\nherald basis=V\n")
+        pipeline = compile_bench(parse(text), 40)
+        assert pipeline._window == 2
+        outcome = run_outcome(BenchPipeline.run, pipeline)
+        assert outcome[0] == "ok"
+        assert outcome == run_outcome(full_width_run, pipeline)
 
     @pytest.mark.parametrize("text,m_max", [row[1:] for row in WINDOW_BENCHES],
                              ids=[row[0] for row in WINDOW_BENCHES])

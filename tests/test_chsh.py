@@ -193,6 +193,34 @@ class TestSampleRows:
             _sample_rows([[0.25] * 4] * 2, 2**63, RngSeed(0), 0)
 
 
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True, "10"])
+    def test_non_integer_shots_rejected_before_the_lane_hash(self, shots, monkeypatch):
+        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
+        with pytest.raises(ValueError, match=f"^shots must be an integer, got {shots!r}$"):
+            _sample_rows([[0.25] * 4] * 2, shots, RngSeed(0), 0)
+
+    def test_non_integer_shots_rejected_by_every_sampler(self):
+        message = "^shots must be an integer, got 10.5$"
+        with pytest.raises(ValueError, match=message):
+            sweep(0.3, [0.1, 0.2], 10.5, RngSeed(1))
+        with pytest.raises(ValueError, match=message):
+            sample_counts([0.25] * 4, 10.5, RngSeed(1))
+        with pytest.raises(ValueError, match="^shots must be an integer, got 100.5$"):
+            chsh_monte_carlo(TSIRELSON_SETTINGS, 100.5, RngSeed(1))
+
+    def test_numpy_integer_shots_and_seeds_pass(self):
+        want = sweep(0.3, [0.1, 0.2], 10, RngSeed(1, 2))
+        got = sweep(0.3, [0.1, 0.2], np.int64(10), RngSeed(np.int64(1), np.uint8(2)))
+        np.testing.assert_array_equal(got.counts, want.counts)
+        np.testing.assert_array_equal(got.e_estimated, want.e_estimated)
+
+    def test_missing_seed_rejected_before_the_lane_hash(self, monkeypatch):
+        assert sweep(0.3, [0.1], 0, None).counts is None  # an exact sweep draws nothing
+        monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
+        with pytest.raises(ValueError, match="^sampling needs an RngSeed, got None$"):
+            sweep(0.3, [0.1], 10, None)
+
+
 def no_lane_hash(*args):
     raise AssertionError("the block was hashed before it was checked")
 
@@ -451,3 +479,17 @@ class TestSettingsValidation:
             RngSeed(-1)
         with pytest.raises(ValueError):
             RngSeed(0, stream=-2)
+
+    @pytest.mark.parametrize("args,message", [
+        ((1.5,), "seed must be an integer, got 1.5"),
+        ((0, 0.5), "stream must be an integer, got 0.5"),
+        ((True,), "seed must be an integer, got True"),
+        ((None,), "seed must be an integer, got None"),
+        ((-1,), "seed must fit in an unsigned 64-bit integer"),
+        ((2**64,), "seed must fit in an unsigned 64-bit integer"),
+        ((0, -2), "stream index must be non-negative"),
+    ])
+    def test_seed_faults_raise_one_line_at_construction(self, args, message):
+        with pytest.raises(ValueError) as err:
+            RngSeed(*args)
+        assert str(err.value) == message

@@ -136,6 +136,10 @@ class TestHerald:
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
         assert states_equal_up_to_phase(outcome.state, spin_orbit_bell_state())
 
+    def test_photon_state_rejected(self):
+        with pytest.raises(TypeError, match="^herald takes a BipartiteState, got PhotonState$"):
+            herald(spin_orbit_bell_state())
+
     def test_product_input_passes_through(self):
         bob = tensor("L", 0, m_max=2)
         pair = BipartiteState.from_amplitudes(
@@ -386,6 +390,12 @@ class TestInterferometer:
         for route in (joint_probabilities, interferometer_detect):
             with pytest.raises(ValueError, match=message):
                 route(bob, 0.1, math.nan)  # the norm is checked before the settings
+
+    def test_bipartite_input_rejected_by_both_routes(self):
+        message = "^the analyzer takes Bob's heralded PhotonState, got BipartiteState$"
+        for route in (joint_probabilities, interferometer_detect):
+            with pytest.raises(TypeError, match=message):
+                route(prepare_hybrid(), 0.1, 0.2)
 
     def test_matches_projector_shortcut_at_peak(self):
         bell = spin_orbit_bell_state()

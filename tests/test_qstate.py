@@ -13,6 +13,7 @@ from spinorbit.qstate import (
     PhotonState,
     TruncationError,
     apply,
+    apply_bob,
     basis_index,
     inner,
     spin_ket,
@@ -130,6 +131,12 @@ class TestApply:
         with pytest.raises(TypeError, match="^use apply_bob for bipartite states$"):
             apply(ElementOp(np.eye(2), m_max=1), pair)
 
+    def test_photon_state_rejected_by_apply_bob(self):
+        message = ("^apply_bob takes a BipartiteState, got PhotonState; "
+                   "use apply for single-photon states$")
+        with pytest.raises(TypeError, match=message):
+            apply_bob(ElementOp(np.eye(2), m_max=1), PhotonState.basis_state("L", 0, 1))
+
     def test_basis_mismatch_rejected(self):
         op = ElementOp(np.eye(2), m_max=1)
         with pytest.raises(BasisMismatchError):
@@ -225,6 +232,22 @@ class TestInner:
             inner(BipartiteState(1, np.zeros((2, 6))), BipartiteState(2, np.zeros((2, 10))))
         with pytest.raises(BasisMismatchError, match="^states use different truncations$"):
             inner(PhotonState.basis_state("L", 0, 1), PhotonState.basis_state("L", 0, 2))
+
+    @pytest.mark.parametrize("kinds", [("photon", "pair"), ("pair", "photon"),
+                                       ("photon", "ket"), ("ket", "pair")])
+    def test_states_of_two_kinds_rejected(self, kinds):
+        made = {"photon": PhotonState.basis_state("L", 0, 1),
+                "pair": BipartiteState(1, np.eye(2, 6)), "ket": "H"}
+        a, b = (made[kind] for kind in kinds)
+        message = ("^inner takes two PhotonStates, two BipartiteStates or two spin kets, "
+                   f"got {type(a).__name__} and {type(b).__name__}$")
+        for compare in (inner, states_equal_up_to_phase):
+            with pytest.raises(TypeError, match=message):
+                compare(a, b)
+
+    def test_two_spin_kets(self):
+        assert inner("H", spin_ket("L")) == pytest.approx(SQRT_HALF)
+        assert states_equal_up_to_phase("R", spin_ket("R") * 1j)
 
     def test_conjugate_linear_in_first_argument(self):
         a = spin_ket("L") * 1j
