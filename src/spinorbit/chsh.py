@@ -46,6 +46,13 @@ GENERATOR_ID = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class ChshSettings(_Record):
     """The four analyzer phases entering S."""
 
@@ -103,14 +110,12 @@ class RngSeed(_Record):
     __slots__ = ("seed", "stream")
 
     def __init__(self, seed: int, stream: int = 0):
-        for name, value in (("seed", seed), ("stream", stream)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        seed, stream = _integer("seed", seed), _integer("stream", stream)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if stream < 0:
             raise ValueError("stream index must be non-negative")
-        _Record.__init__(self, int(seed), int(stream))  # the lane hash needs Python ints
+        _Record.__init__(self, seed, stream)  # the lane hash needs Python ints
 
     def generator(self, lane: int) -> np.random.Generator:
         """``default_rng(SeedSequence(seed, spawn_key=(stream, lane)))``: one lane's PCG64.
@@ -363,8 +368,7 @@ def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarra
     bad = ~(np.abs(sums - 1.0) <= 1e-9)
     if np.any(bad):
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
+    shots = _integer("shots", shots)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > 2**63 - 1:
@@ -448,16 +452,18 @@ def sweep(
     the result is one :class:`SweepTable` of their columns, and no row is
     built until it is read.  Row k draws from its own generator on the lane
     (stream, first_row + k), so a one-point sweep with ``first_row=k``
-    reproduces row k, whatever the evaluation order.  ``shots = 0`` skips
-    sampling, takes ``seed=None`` and leaves the count columns None.  The
-    grid must be a non-empty one-dimensional sequence; the table holds a
-    copy of it.
+    reproduces row k, whatever the evaluation order.  ``shots`` and
+    ``first_row`` are non-negative integers, checked before the analyzer runs;
+    ``shots = 0`` skips sampling, takes ``seed=None`` and leaves the count
+    columns None.  The grid must be a non-empty one-dimensional sequence; the
+    table holds a copy of it.
     """
     chi_a = np.asarray(chi_a_grid, dtype=float)
     if chi_a.ndim != 1:
         raise ValueError("chi_A grid must be one-dimensional")
     if len(chi_a) == 0:
         raise ValueError("chi_A grid must not be empty")
+    shots, first_row = _integer("shots", shots), _integer("first_row", first_row)
     if shots < 0:
         raise ValueError("shots must be non-negative")
     if first_row < 0:
@@ -487,7 +493,7 @@ def chsh_monte_carlo(
     (stream, k).  The standard error treats the four runs as independent
     multinomials: SE = sqrt(sum_i (1 - E_i^2) / shots).
     """
-    if shots_per_setting < 2:
+    if _integer("shots", shots_per_setting) < 2:
         raise ValueError("need at least two shots per setting")
     probs = pair_probabilities(settings, bob, m)
     draws = _sample_rows(probs, shots_per_setting, seed, 0)

@@ -9,21 +9,24 @@ Subcommands:
 * ``run``    execute a .bench file and analyze the prepared state
 
 Angles accept plain radians, ``pi`` fractions (``pi/2``, ``-pi``, ``0.75pi``)
-or degrees (``22.5deg``).  Every file output gets a sidecar
-``<name>.manifest.json`` recording the resolved parameters, tool version and,
-if the command draws, seed and RNG identity; stdout commands embed the same
-manifest in their ``--json`` form.  Exit codes: 0 success, 1 usage error,
-invalid value or file error, 2 bench parse/semantic error, 3 numeric contract
-violation.  A failed command prints one error line; :func:`main` prints the
-warnings after a successful command's output.
+or degrees (``22.5deg``), with at most one sign, at the front.  Every file
+output gets a sidecar ``<name>.manifest.json`` recording the command's options
+as parsed, tool version and, if the command draws, seed and RNG identity;
+stdout commands embed the same manifest in their ``--json`` form.  Exit codes:
+0 success, 1 usage error, invalid value or file error, 2 bench parse/semantic
+error, 3 numeric contract violation.  A failed command prints one error line
+and leaves no output file; :func:`main` prints the warnings after a successful
+command's output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -62,13 +65,15 @@ def parse_angle(text: str) -> float:
             sign = -1.0
         s = s[1:]
     try:
+        if s.startswith(("+", "-")):  # one sign, at the front
+            raise ValueError
         if s.endswith("deg"):
             return sign * math.radians(float(s[:-3]))
         if "pi" in s:
             pre, _, post = s.partition("pi")
             value = float(pre) if pre else 1.0
             if post:
-                if not post.startswith("/"):
+                if not post.startswith("/") or post.startswith(("/+", "/-")):
                     raise ValueError
                 value /= float(post[1:])
             return sign * value * math.pi
@@ -103,10 +108,17 @@ def _rng_seed(args) -> RngSeed:
     return RngSeed(seed, args.stream)
 
 
-def _manifest(command: str, params: dict, seed: RngSeed | None) -> dict:
+# Options a manifest does not record: the command's name, its handler, the output's form,
+# and the seed and stream, which are top-level keys when the command draws.
+_UNRECORDED = frozenset({"command", "func", "json", "seed", "stream"})
+
+
+def _manifest(args, seed: RngSeed | None, **resolved) -> dict:
+    """The command's manifest: its options as parsed (None left out), ``resolved`` over them."""
+    params = {k: v for k, v in vars(args).items() if k not in _UNRECORDED and v is not None}
     man = {
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        "parameters": {**params, **resolved},
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -115,30 +127,37 @@ def _manifest(command: str, params: dict, seed: RngSeed | None) -> dict:
     return man
 
 
-def _write_manifest(path: str, manifest: dict) -> str:
-    base, _ = os.path.splitext(path)
-    man_path = base + ".manifest.json"
-    with open(man_path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_outputs(args, header: list[str], columns: list[np.ndarray], manifest: dict) -> str:
+    """Write equal-length columns as a CSV at ``args.out``, then its sidecar manifest.
+
+    Returns the sidecar's path, ``<name>.manifest.json``.  If a write fails, the
+    regular files this call opened are removed before the error propagates, so a
+    failed command leaves no output; a file it never opened is left alone.
+    """
+    man_path = os.path.splitext(args.out)[0] + ".manifest.json"
+    # Integer columns print as integers, every other column as a float that round-trips.
+    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
+    opened = []
+    try:
+        with open(args.out, "w", newline="\n") as fh:
+            opened.append(args.out)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        with open(man_path, "w", newline="\n") as fh:
+            opened.append(man_path)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):  # never a device or a link
+                    os.remove(path)
+        raise
     return man_path
 
 
-def _write_table(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns as a CSV with one header line."""
-    # Integer columns print as integers, every other column as a float that round-trips.
-    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-
-
-def _settings_params(settings: ChshSettings) -> dict:
-    return {name: getattr(settings, name) for name in ChshSettings.__slots__}
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
@@ -156,9 +175,10 @@ def _angle_args(parser, names_defaults):
 
 def cmd_chsh(args) -> int:
     settings = ChshSettings(args.chi_a, args.chi_a_prime, args.chi_b, args.chi_b_prime)
-    params = {**_settings_params(settings), "mode": args.mode}
     lines = []
     if args.mode == "exact":
+        if args.shots is not None:
+            raise ValueError("exact mode takes no --shots")
         e_values = correlation(pair_probabilities(settings)).tolist()
         s = chsh_combination(e_values)
         payload = {"e_values": e_values, "s": s}
@@ -167,7 +187,6 @@ def cmd_chsh(args) -> int:
         if args.shots is None:
             raise ValueError("montecarlo mode requires --shots")
         seed = _rng_seed(args)
-        params.update({"shots": args.shots})
         result = chsh_monte_carlo(settings, args.shots, seed)
         e_values = list(result.e_estimates)
         s = result.s_estimate
@@ -183,7 +202,7 @@ def cmd_chsh(args) -> int:
     lines.append(f"S = {_fmt(s)}")
     if args.mode == "montecarlo":
         lines.append(f"standard error = {_fmt(payload['standard_error'])}")
-    payload["manifest"] = _manifest("chsh", params, seed)
+    payload["manifest"] = _manifest(args, seed)
     _emit(args, payload, lines)
     return 0
 
@@ -205,17 +224,9 @@ def cmd_sweep(args) -> int:
     if with_counts:
         header += ["e_est"]
         columns.append(table.e_estimated)
-    _write_table(args.out, header, columns)
-
-    params = {
-        "chi_b": args.chi_b,
-        "points": n,
-        "shots": args.shots,
-        "out": args.out,
-    }
-    manifest = _manifest("sweep", params, seed)
+    manifest = _manifest(args, seed)
     manifest["circle_rows"] = np.flatnonzero(table.is_circle).tolist()
-    man_path = _write_manifest(args.out, manifest)
+    man_path = _write_outputs(args, header, columns, manifest)
     print(f"wrote {len(table)} rows to {args.out} (manifest: {man_path})")
     return 0
 
@@ -237,7 +248,7 @@ def cmd_nchv(args) -> int:
         "quantum_s": quantum,
         "gap": gap,
         "assignment": result.argmax,
-        "manifest": _manifest("nchv", _settings_params(settings), None),
+        "manifest": _manifest(args, None),
     }
     _emit(args, payload, lines)
     return 0
@@ -252,19 +263,11 @@ def cmd_field(args) -> int:
     phi = 2 * math.pi * np.arange(n_phi) / n_phi
     # One row per (r, phi), phi fastest; the pattern is the same at every radius.
     columns = [np.repeat(r, n_phi), np.tile(phi, n_r), np.tile(spec.axis_angle(phi), n_r)]
-    _write_table(args.out, ["r", "phi", "alpha"], columns)
     order = symmetry_order(spec.q)
-    params = {
-        "q": spec.q,
-        "alpha0": spec.alpha0,
-        "n_r": args.n_r,
-        "n_phi": args.n_phi,
-        "out": args.out,
-    }
-    manifest = _manifest("field", params, None)
+    manifest = _manifest(args, None)
     manifest["symmetry_order"] = order
     manifest["rotationally_invariant"] = order is None
-    man_path = _write_manifest(args.out, manifest)
+    man_path = _write_outputs(args, ["r", "phi", "alpha"], columns, manifest)
     desc = "rotationally invariant" if order is None else f"{order}-fold symmetric"
     print(f"wrote axis pattern ({desc}) to {args.out} (manifest: {man_path})")
     return 0
@@ -327,14 +330,7 @@ def cmd_run(args) -> int:
         )
         payload["counts"] = counts.as_tuple()
         payload["e_estimated"] = e_est
-    params = {
-        "bench": args.bench,
-        "chi_a": args.chi_a,
-        "chi_b": args.chi_b,
-        "shots": args.shots,
-        "analyzer_m": m,
-    }
-    payload["manifest"] = _manifest("run", params, seed)
+    payload["manifest"] = _manifest(args, seed, analyzer_m=m)
     payload["manifest"].update(m_max=result.bob.m_max,
                                bench_sha256=hashlib.sha256(data).hexdigest())
     _emit(args, payload, lines)

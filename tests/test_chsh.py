@@ -383,6 +383,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(0.0, [0.1], shots=10, seed=RngSeed(0), first_row=-1)
 
+    @pytest.mark.parametrize("shots,first_row,message", [
+        (10, 0.5, "first_row must be an integer, got 0.5"),
+        (10, True, "first_row must be an integer, got True"),
+        (0.0, 0, "shots must be an integer, got 0.0"),
+        (None, 0, "shots must be an integer, got None"),
+    ])
+    def test_non_integer_counts_rejected_before_the_analyzer(self, shots, first_row, message,
+                                                             monkeypatch):
+        def no_analyzer(*args, **kwargs):
+            raise AssertionError("the analyzer ran before the counts were checked")
+
+        monkeypatch.setattr(chsh, "joint_probabilities", no_analyzer)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(0.3, [0.1], shots, RngSeed(1), first_row=first_row)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(0.0, [], shots=0, seed=RngSeed(0))
@@ -452,6 +467,10 @@ class TestMonteCarlo:
     def test_too_few_shots_rejected(self):
         with pytest.raises(ValueError):
             chsh_monte_carlo(TSIRELSON_SETTINGS, 1, RngSeed(0))
+
+    def test_shots_of_none_rejected(self):
+        with pytest.raises(ValueError, match="^shots must be an integer, got None$"):
+            chsh_monte_carlo(TSIRELSON_SETTINGS, None, RngSeed(0))
 
     def test_kernel_and_sampler_share_the_unit_probability_rule(self):
         # The squared norm is the total probability the sampler checks, so a

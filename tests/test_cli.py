@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -46,7 +47,8 @@ class TestAngleParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "deg", "1..2", "pi/0", "pi/0.0"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "deg", "1..2", "pi/0", "pi/0.0",
+                                      "--1", "+-0.5", "-+1deg", "pi/-2", "-pi/+2"])
     def test_rejected_forms(self, text):
         with pytest.raises((ValueError, argparse.ArgumentTypeError)):
             parse_angle(text)
@@ -97,6 +99,10 @@ class TestChshCommand:
         assert capsys.readouterr().err == (
             "spinorbit: error: montecarlo mode requires --shots\n"
         )
+
+    def test_exact_mode_takes_no_shots(self, capsys):
+        assert main(["chsh", "--shots", "5"]) == 1
+        assert capsys.readouterr() == ("", "spinorbit: error: exact mode takes no --shots\n")
 
 
 class TestSweepCommand:
@@ -598,6 +604,90 @@ class TestFileErrors:
         assert len(err.splitlines()) == 1
         assert not missing.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv", [["sweep", "--points", "4"], ["field", "--q", "1"]],
+                             ids=["sweep", "field"])
+    def test_failed_sidecar_leaves_no_csv(self, argv, tmp_path, capsys):
+        (tmp_path / "s.manifest.json").mkdir()
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinorbit: error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["s.manifest.json"]
+
+    def test_unopened_files_survive_a_failed_write(self, tmp_path, capsys, monkeypatch):
+        # An earlier run's sidecar stays when the rerun fails at the CSV, which it opened.
+        argv = ["sweep", "--points", "4", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        sidecar = (tmp_path / "s.manifest.json").read_bytes()
+
+        def full_disk_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if str(path).endswith(".csv"):
+                def no_space(*_):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                fh.write = fh.writelines = no_space
+            return fh
+
+        monkeypatch.setattr("spinorbit.cli.open", full_disk_open, raising=False)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.manifest.json"]
+        assert (tmp_path / "s.manifest.json").read_bytes() == sidecar
+
+    def test_a_link_written_through_survives(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "s.csv"
+        link.symlink_to(target)
+        (tmp_path / "s.manifest.json").mkdir()
+        assert main(["sweep", "--points", "4", "--out", str(link)]) == 1
+        assert link.is_symlink() and target.exists()
+
+
+def rerun_outputs(argv, out, capsys):
+    """Run ``argv`` to a CSV at ``out`` or to JSON on stdout; its manifest and its output."""
+    if argv[0] in ("sweep", "field"):
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        return manifest, out.read_bytes()
+    assert main([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return payload.pop("manifest"), payload
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--chi-b=-pi/8"],
+        ["chsh", "--mode", "montecarlo", "--shots", "1000", "--stream", "2"],
+        ["nchv", "--chi-a-prime", "22.5deg"],
+        ["sweep", "--points", "16", "--chi-b", "0.3"],
+        ["sweep", "--points", "16", "--shots", "500", "--stream", "1"],
+        ["field", "--q", "1.5", "--alpha0", "pi/5", "--n-r", "3", "--n-phi", "7"],
+        ["run", FIG2, "--chi-a", "0.4"],
+        ["run", FIG2, "--shots", "1000", "--seed", "5"],
+    ], ids=["chsh-exact", "chsh-montecarlo", "nchv", "sweep-exact", "sweep-sampled", "field",
+            "run", "run-shots"])
+    def test_the_manifest_alone_reproduces_the_output(self, argv, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("SPINORBIT_SEED", "11")  # a drawn seed must be in the manifest
+        manifest, output = rerun_outputs(argv, tmp_path / "a.csv", capsys)
+        monkeypatch.delenv("SPINORBIT_SEED")
+        params = dict(manifest["parameters"])
+        rebuilt = [manifest["command"]]
+        if "bench" in params:
+            rebuilt.append(params.pop("bench"))
+        params.pop("out", None)  # the rerun writes to a fresh path
+        for name, value in params.items():
+            rebuilt += [f"--{name.replace('_', '-')}", str(value)]
+        for key in ("seed", "stream"):
+            if key in manifest:
+                rebuilt += [f"--{key}", str(manifest[key])]
+        again, output_again = rerun_outputs(rebuilt, tmp_path / "b.csv", capsys)
+        assert output_again == output
+        for man in (manifest, again):
+            del man["timestamp"]
+            man["parameters"].pop("out", None)
+        assert again == manifest
 
 
 class TestSeedEnvironment:
