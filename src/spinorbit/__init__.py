@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,
@@ -20,7 +20,7 @@ from .chsh import (
     SweepRow,
     SweepTable,
     TSIRELSON_SETTINGS,
-    chsh_S,
+    chsh_combination,
     chsh_monte_carlo,
     estimate_E,
     nchv_max_S,
@@ -40,7 +40,7 @@ from .elements import (
 from .experiment import (
     HeraldOutcome,
     LostWeightError,
-    expectation,
+    correlation,
     herald,
     interferometer_detect,
     joint_probabilities,
@@ -56,8 +56,6 @@ from .qstate import (
     apply_bob,
     inner,
     spin_ket,
-    states_equal_up_to_phase,
-    tensor,
 )
 
 __all__ = [
@@ -77,11 +75,11 @@ __all__ = [
     "TSIRELSON_SETTINGS",
     "apply",
     "apply_bob",
-    "chsh_S",
+    "chsh_combination",
     "chsh_monte_carlo",
+    "correlation",
     "dove_pair_op",
     "estimate_E",
-    "expectation",
     "herald",
     "inner",
     "interferometer_detect",
@@ -96,9 +94,7 @@ __all__ = [
     "spdc_source",
     "spin_ket",
     "spin_orbit_bell_state",
-    "states_equal_up_to_phase",
     "sweep",
     "symmetry_order",
-    "tensor",
     "waveplate_op",
 ]

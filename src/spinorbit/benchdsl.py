@@ -366,14 +366,14 @@ class BenchPipeline(_Record):
         """
         m_max, window = self.m_max, self._window
         centre = slice(m_max - window, m_max + window + 1)
-        grid = experiment.spdc_source(m_max).matrix.reshape(2, 2, -1).copy()
+        grid = experiment.spdc_source(m_max).grid.copy()
         bipartite = bob = herald_prob = None
         weight = 1.0
         for stage, op in self._steps:
             if op is None:
-                bipartite = BipartiteState(m_max, grid.reshape(2, -1))
+                bipartite = BipartiteState(m_max, grid)
                 outcome = experiment.herald(bipartite, stage.params["basis"])
-                grid, herald_prob = outcome.state.as_grid().copy(), outcome.probability
+                grid, herald_prob = outcome.state.grid.copy(), outcome.probability
                 continue
             before = float(np.linalg.norm(grid)) if stage.keyword == "filter" else None
             rows = grid.swapaxes(0, 1) if stage.side == "alice" else grid
@@ -387,9 +387,9 @@ class BenchPipeline(_Record):
         magnitudes = {abs(int(m) - m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
         analyzer_m = magnitudes.pop() if len(magnitudes) == 1 else None
         if herald_prob is None:
-            bipartite = BipartiteState(m_max, grid.reshape(2, -1))
+            bipartite = BipartiteState(m_max, grid)
         else:
-            bob = PhotonState(m_max, grid.reshape(-1))
+            bob = PhotonState(m_max, grid)
         return PipelineResult(bipartite, bob, herald_prob, weight, analyzer_m or None)
 
 

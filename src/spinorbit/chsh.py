@@ -33,7 +33,7 @@ import numbers
 import operator
 from functools import cache
 from itertools import product, repeat, starmap
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -220,11 +220,6 @@ class McEstimate(_Record):
 def chsh_combination(e_values: Sequence[float]) -> float:
     """S = E1 + E2 - E3 + E4 from correlations in :meth:`ChshSettings.pairs` order."""
     return e_values[0] + e_values[1] - e_values[2] + e_values[3]
-
-
-def chsh_S(settings: ChshSettings, e_func: Callable[[float, float], float]) -> float:
-    """Evaluate S from a correlation function over setting pairs."""
-    return chsh_combination([e_func(a, b) for a, b in settings.pairs()])
 
 
 def pair_probabilities(

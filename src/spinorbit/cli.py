@@ -9,7 +9,9 @@ Subcommands:
 * ``run``    execute a .bench file and analyze the prepared state
 
 Angles accept plain radians, ``pi`` fractions (``pi/2``, ``-pi``, ``0.75pi``)
-or degrees (``22.5deg``), with at most one sign, at the front.  Every file
+or degrees (``22.5deg``), with at most one sign, at the front; a negative
+exponent form takes the ``=`` spelling (``--chi-b=-1e-05``), as argparse
+reads a separate ``-1e-05`` token as an option.  Every file
 output gets a sidecar ``<name>.manifest.json`` recording the command's options
 as parsed, tool version and, if the command draws, seed and RNG identity;
 stdout commands embed the same manifest in their ``--json`` form.  Exit codes:

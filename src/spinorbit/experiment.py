@@ -90,7 +90,7 @@ def spdc_source(m_max: int = 0) -> BipartiteState:
     v = spin_ket("V")
     amps = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)  # (Alice, Bob spin, m)
     amps[:, :, m_max] = (np.outer(h, h) + np.outer(v, v)) / math.sqrt(2)
-    return BipartiteState(m_max, amps.reshape(2, -1))
+    return BipartiteState(m_max, amps)
 
 
 def prepare_hybrid(
@@ -147,7 +147,7 @@ def _unit_grid(bob: PhotonState) -> np.ndarray:
     """Bob's (spin, m) grid; a squared norm off 1 by more than LOST_WEIGHT_TOL raises ValueError."""
     if not isinstance(bob, PhotonState):
         raise TypeError(f"the analyzer takes Bob's heralded PhotonState, got {type(bob).__name__}")
-    grid = bob.as_grid()
+    grid = bob.grid
     if not abs(np.vdot(grid, grid).real - 1.0) <= LOST_WEIGHT_TOL:  # a NaN norm fails too
         raise ValueError(f"analyzer input must be unit norm, got {bob.norm()}")
     return grid
@@ -208,17 +208,13 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
 
 
 def correlation(outcomes):
-    """p_pp + p_mm - p_pm - p_mp over the last axis of (p_pp, p_pm, p_mp, p_mm) weights."""
+    """p_pp + p_mm - p_pm - p_mp over the last axis of (p_pp, p_pm, p_mp, p_mm) weights.
+
+    Of :func:`joint_probabilities` for the heralded Bell state it is
+    E(chi_a, chi_b) = sin(chi_a + chi_b).
+    """
     p = np.asarray(outcomes)
     return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
-
-
-def expectation(bob: PhotonState, chi_a, chi_b, m: int = 2):
-    """Correlation E(chi_a, chi_b) of :func:`joint_probabilities`, broadcast like it.
-
-    Equals sin(chi_a + chi_b) for the heralded Bell state.
-    """
-    return correlation(joint_probabilities(bob, chi_a, chi_b, m=m))
 
 
 def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""State vectors and operators for a single photon's polarization and OAM.
+"""States and operators for a single photon's polarization and OAM.
 
 A single photon carries two coupled degrees of freedom here: spin (circular
 polarization, labels "L" and "R") and orbital angular momentum (an integer
-topological charge m, truncated to |m| <= m_max).  States are dense complex
-vectors over the ordered label set
+topological charge m, truncated to |m| <= m_max).  A state stores its
+amplitudes as a grid indexed (spin, m + m_max), of shape (2, 2*m_max+1),
+with Alice's spin as a leading axis for a pair; every element acts on that
+grid.  A state's flat field is a view of the grid in the label order
 
     ("L", -M), ..., ("L", +M), ("R", -M), ..., ("R", +M)
 
@@ -16,8 +18,7 @@ The linear polarization basis is fixed as
     |V> = (|L> - |R>) / (i sqrt(2))
 
 and every element matrix elsewhere in the package is derived under this
-convention.  Global phases are physical bookkeeping and never stripped;
-use :func:`states_equal_up_to_phase` when a ray-level comparison is wanted.
+convention.  Global phases are physical bookkeeping and never stripped.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ def basis_index(spin: str, m: int, m_max: int) -> int:
     if abs(m) > m_max:
         raise TruncationError(f"|m|={abs(m)} exceeds truncation m_max={m_max}")
     return SPIN_LABELS.index(spin) * oam_dim(m_max) + (m + m_max)
-
-
-def basis_labels(m_max: int) -> tuple[tuple[str, int], ...]:
-    return tuple((s, m) for s in SPIN_LABELS for m in range(-m_max, m_max + 1))
 
 
 def spin_ket(state: Union[str, np.ndarray]) -> np.ndarray:
@@ -144,18 +141,47 @@ class _Record:
         return type(self), self._fields()
 
 
-class PhotonState(_Record):
-    """Single-photon amplitude vector over the (spin, m) basis."""
+def _frozen_grid(values, m_max: int, lead: tuple) -> np.ndarray:
+    """``values`` as a read-only C-ordered complex copy; the flat layout
+    (*lead, 4*m_max+2) comes back as the grid (*lead, 2, 2*m_max+1)."""
+    grid = np.array(values, dtype=complex, order="C")
+    if grid.shape == (*lead, state_dim(m_max)):
+        grid = grid.reshape(*lead, 2, -1)
+    grid.setflags(write=False)
+    return grid
 
-    __slots__ = ("m_max", "vector")
+
+class _State(_Record):
+    """A state record whose amplitudes live on its (..., 2, 2*m_max+1) grid.
+
+    The constructor takes the grid or the flat field; the field is a view of
+    the grid, which the derived ``_grid`` slot holds.
+    """
+
+    __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    @property
+    def grid(self) -> np.ndarray:
+        """The read-only amplitudes indexed (..., spin, m + m_max)."""
+        return self._grid
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self._grid))
+
+
+class PhotonState(_State):
+    """Single-photon amplitudes on the (2, 2*m_max+1) (spin, m) grid;
+    ``vector`` is the grid read flat over the (spin, m) labels."""
+
+    __slots__ = ("m_max", "vector", "_grid")
+
     def __init__(self, m_max: int, vector: np.ndarray):
-        vec = _frozen(vector)
-        if vec.shape != (state_dim(m_max),):
-            raise ValueError(f"vector length {vec.shape} does not match m_max={m_max}")
-        _Record.__init__(self, m_max, vec)
+        grid = _frozen_grid(vector, m_max, ())
+        if grid.shape != (2, oam_dim(m_max)):
+            raise ValueError(f"vector length {grid.shape} does not match m_max={m_max}")
+        _Record.__init__(self, m_max, grid.reshape(-1), grid)
 
     @classmethod
     def zero(cls, m_max: int) -> "PhotonState":
@@ -179,31 +205,23 @@ class PhotonState(_Record):
     def amplitude(self, spin: str, m: int) -> complex:
         return complex(self.vector[basis_index(spin, m, self.m_max)])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
 
-    def as_grid(self) -> np.ndarray:
-        """View as a (2, 2*m_max+1) array indexed by (spin, m + m_max)."""
-        return self.vector.reshape(2, oam_dim(self.m_max))
-
-
-class BipartiteState(_Record):
+class BipartiteState(_State):
     """Two-photon amplitudes: Alice spin only, Bob spin and OAM.
 
     Alice's photon is analyzed in polarization alone (her OAM is fixed at
-    zero by the source and never stored).  ``matrix`` has shape
-    (2, state_dim): rows Alice L/R, columns Bob's labels.
+    zero by the source and never stored).  The grid has shape
+    (2, 2, 2*m_max+1), indexed (Alice spin, Bob spin, m + m_max); ``matrix``
+    is its (2, 4*m_max+2) view: rows Alice L/R, columns Bob's labels.
     """
 
-    __slots__ = ("m_max", "matrix")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ("m_max", "matrix", "_grid")
 
     def __init__(self, m_max: int, matrix: np.ndarray):
-        mat = _frozen(matrix)
-        if mat.shape != (2, state_dim(m_max)):
+        grid = _frozen_grid(matrix, m_max, (2,))
+        if grid.shape != (2, 2, oam_dim(m_max)):
             raise ValueError("matrix shape does not match m_max")
-        _Record.__init__(self, m_max, mat)
+        _Record.__init__(self, m_max, grid.reshape(2, -1), grid)
 
     @classmethod
     def from_amplitudes(
@@ -220,9 +238,6 @@ class BipartiteState(_Record):
                 SPIN_LABELS.index(alice_spin), basis_index(bob_spin, m, self.m_max)
             ]
         )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 class ElementOp(_Record):
@@ -254,31 +269,19 @@ class ElementOp(_Record):
         _Record.__init__(self, blocks, int(shift), m_max, name)
 
     @property
-    def basis(self) -> tuple:
-        return SPIN_LABELS if self.m_max is None else basis_labels(self.m_max)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
     def spin_only(self) -> bool:
         """Acts on polarization alone: one 2x2 block for every charge, no shift."""
         return self.shift == 0 and self.blocks.shape == (2, 2, 1)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense matrix over :attr:`basis`, built on demand for inspection."""
-        n_oam = self.dim // 2
+        """Dense matrix over the flat (spin, m) labels, or over (L, R) when ``m_max``
+        is None: the reference the tests compare the grid contraction with."""
+        n_oam = 1 if self.m_max is None else oam_dim(self.m_max)
         blocks = np.broadcast_to(self.blocks, (2, 2, n_oam))
         rows = [[np.eye(n_oam, k=k) * blocks[s, t] for t in (0, 1)]
                 for s, k in ((0, self.shift), (1, -self.shift))]
         return _frozen(np.block(rows))
-
-    def is_unitary(self, tol: float = NORM_TOL) -> bool:
-        """Every block unitary and no amplitude shifted out of the truncation."""
-        gram = np.einsum("sto,suo->otu", self.blocks.conj(), self.blocks)
-        return self.shift == 0 and bool(np.max(np.abs(gram - np.eye(2))) <= tol)
 
     def _apply_grid(self, grid: np.ndarray, m_max: int) -> np.ndarray:
         """Apply to a (..., 2, n) grid of states at truncation m_max.
@@ -307,92 +310,32 @@ class ElementOp(_Record):
         return shifted
 
 
-def tensor(a, b, m_max: int | None = None):
-    """Tensor product of single-photon factors.
-
-    Accepted forms:
-      * two spin states -> 2x2 two-spin amplitude table (rows first factor)
-      * spin state and an OAM ket (an integer charge, or a {m: amp} map)
-        -> PhotonState
-
-    Output amplitudes are products of the input amplitudes, so the norm of
-    the result is the product of the factor norms.
-    """
-    a_vec = spin_ket(a) if isinstance(a, (str, np.ndarray, list, tuple)) else None
-    if a_vec is None:
-        raise TypeError("first tensor factor must be a spin state")
-    if isinstance(b, (str,)) or (
-        isinstance(b, (np.ndarray, list, tuple)) and np.asarray(b).size == 2
-    ):
-        b_vec = spin_ket(b)
-        return np.outer(a_vec, b_vec)
-    if isinstance(b, (int, np.integer)):
-        oam: dict[int, complex] = {int(b): 1.0}
-    elif isinstance(b, Mapping):
-        oam = {int(m): complex(v) for m, v in b.items()}
-    else:
-        raise TypeError("second tensor factor must be a spin state or an OAM ket")
-    if m_max is None:
-        m_max = max(abs(m) for m in oam)
-    if any(abs(m) > m_max for m in oam):
-        raise TruncationError("OAM ket exceeds the requested truncation")
-    amps = {
-        (spin, m): a_vec[i] * v
-        for i, spin in enumerate(SPIN_LABELS)
-        for m, v in oam.items()
-    }
-    return PhotonState.from_amplitudes(m_max, amps)
-
-
 def apply(op: ElementOp, state):
-    """Apply an element to a state; preserves norm iff the element is unitary.
-
-    Elements map the (spin, m) grid; a constant unshifted element also maps
-    a bare spin state.
+    """Apply an element to a state's grid, for a pair to Bob's photon; preserves
+    norm iff the element is unitary.  A constant unshifted element also maps a
+    bare spin state.
     """
-    if isinstance(state, BipartiteState):
-        raise TypeError("use apply_bob for bipartite states")
-    if isinstance(state, PhotonState):
-        grid = op._apply_grid(state.as_grid(), state.m_max)
-        return PhotonState(state.m_max, grid.reshape(-1))
+    if isinstance(state, _State):
+        return type(state)(state.m_max, op._apply_grid(state.grid, state.m_max))
     return op._apply_grid(spin_ket(state)[:, None], 0)[:, 0]
 
 
 def apply_bob(op: ElementOp, state: BipartiteState) -> BipartiteState:
-    """Apply an element to Bob's photon, leaving Alice untouched."""
+    """:func:`apply` for a pair only: the element acts on Bob's photon, leaving Alice untouched."""
     if not isinstance(state, BipartiteState):
         raise TypeError(f"apply_bob takes a BipartiteState, got {type(state).__name__}; "
                         "use apply for single-photon states")
-    grids = state.matrix.reshape(2, 2, oam_dim(state.m_max))
-    out = op._apply_grid(grids, state.m_max)
-    return BipartiteState(state.m_max, out.reshape(2, -1))
+    return apply(op, state)
 
 
 def inner(a, b) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument; a state
     pairs only with a state of its own kind."""
-    if isinstance(a, PhotonState) and isinstance(b, PhotonState):
+    if isinstance(a, _State) or isinstance(b, _State):
+        if type(a) is not type(b):
+            raise TypeError(f"inner takes two PhotonStates, two BipartiteStates or two spin "
+                            f"kets, got {type(a).__name__} and {type(b).__name__}")
         if a.m_max != b.m_max:
             raise BasisMismatchError("states use different truncations")
-        return complex(np.vdot(a.vector, b.vector))
-    if isinstance(a, BipartiteState) and isinstance(b, BipartiteState):
-        if a.m_max != b.m_max:
-            raise BasisMismatchError("states use different truncations")
-        return complex(np.vdot(a.matrix, b.matrix))
-    if isinstance(a, (PhotonState, BipartiteState)) or isinstance(b, (PhotonState, BipartiteState)):
-        raise TypeError(f"inner takes two PhotonStates, two BipartiteStates or two spin kets, "
-                        f"got {type(a).__name__} and {type(b).__name__}")
+        return complex(np.vdot(a.grid, b.grid))
     return complex(np.vdot(spin_ket(a), spin_ket(b)))
-
-
-def states_equal_up_to_phase(a, b, tol: float = NORM_TOL) -> bool:
-    """Ray equality of nonzero states: |<a|b>| = |a| |b| within tol, any norms.
-
-    Two zero states (norm below tol) are equal; a zero and a nonzero are not.
-    """
-    ip = abs(inner(a, b))
-    na = a.norm() if hasattr(a, "norm") else float(np.linalg.norm(spin_ket(a)))
-    nb = b.norm() if hasattr(b, "norm") else float(np.linalg.norm(spin_ket(b)))
-    if na < tol or nb < tol:
-        return na < tol and nb < tol
-    return abs(ip / (na * nb) - 1.0) <= tol

@@ -8,6 +8,7 @@ import math
 import os
 
 import numpy as np
+from oracles import basis_labels
 
 from spinorbit.benchdsl import compile_bench, parse, serialize
 from spinorbit.chsh import (
@@ -15,9 +16,10 @@ from spinorbit.chsh import (
     TSIRELSON_SETTINGS,
     ChshSettings,
     RngSeed,
-    chsh_S,
+    chsh_combination,
     chsh_monte_carlo,
     nchv_max_S,
+    pair_probabilities,
     sweep,
 )
 from spinorbit.elements import (
@@ -27,14 +29,14 @@ from spinorbit.elements import (
     waveplate_op,
 )
 from spinorbit.experiment import (
-    expectation,
+    correlation,
     herald,
     interferometer_detect,
     joint_probabilities,
     prepare_hybrid,
     spin_orbit_bell_state,
 )
-from spinorbit.qstate import tensor
+from spinorbit.qstate import PhotonState, basis_index
 
 SQRT2 = math.sqrt(2.0)
 FIG2_PATH = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")
@@ -49,7 +51,7 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_exact_chsh():
     bell = spin_orbit_bell_state()
-    s = chsh_S(TSIRELSON_SETTINGS, lambda a, b: expectation(bell, a, b))
+    s = chsh_combination(correlation(pair_probabilities(TSIRELSON_SETTINGS, bell)))
     err = abs(s - 2 * SQRT2)
     report(1, "exact CHSH S = 2*sqrt(2) at the stated settings", err <= 1e-12,
            f"S={float(s)!r}, |err|={err:.2e}")
@@ -58,27 +60,26 @@ def test_criterion_01_exact_chsh():
 def test_criterion_02_correlation_law():
     bell = spin_orbit_bell_state()
     grid = np.linspace(-math.pi, math.pi, 32, endpoint=False)
-    worst = max(
-        abs(expectation(bell, a, b) - math.sin(a + b)) for a in grid for b in grid
-    )
+    a, b = grid[:, None], grid[None, :]
+    worst = float(np.max(np.abs(correlation(joint_probabilities(bell, a, b)) - np.sin(a + b))))
     report(2, "E(chi_A, chi_B) = sin(chi_A + chi_B) on a 32x32 grid",
            worst <= 1e-12, f"max|err|={worst:.2e}")
 
 
 def test_criterion_03_qplate_mapping_and_unitarity():
     op = qplate_op(QPlateSpec(1, 0.0), 4)
-    left = op.matrix[:, op.basis.index(("L", 0))]
-    right = op.matrix[:, op.basis.index(("R", 0))]
+    left = op.matrix[:, basis_index("L", 0, 4)]
+    right = op.matrix[:, basis_index("R", 0, 4)]
     expected_l = np.zeros(18, dtype=complex)
-    expected_l[op.basis.index(("R", 2))] = 1.0
+    expected_l[basis_index("R", 2, 4)] = 1.0
     expected_r = np.zeros(18, dtype=complex)
-    expected_r[op.basis.index(("L", -2))] = 1.0
+    expected_r[basis_index("L", -2, 4)] = 1.0
     mapping_ok = np.array_equal(left, expected_l) and np.array_equal(
         right, expected_r
     )
 
     unit_dev = 0.0
-    sub = [i for i, (_, m) in enumerate(op.basis) if abs(m) <= 2]
+    sub = [i for i, (_, m) in enumerate(basis_labels(4)) if abs(m) <= 2]
     block = op.matrix[:, sub]
     unit_dev = max(
         unit_dev, float(np.max(np.abs(block.conj().T @ block - np.eye(len(sub)))))
@@ -94,7 +95,7 @@ def test_criterion_03_qplate_mapping_and_unitarity():
             np.max(
                 np.abs(
                     element.matrix.conj().T @ element.matrix
-                    - np.eye(element.dim)
+                    - np.eye(len(element.matrix))
                 )
             )
         )
@@ -145,7 +146,7 @@ def test_criterion_06_noncontextual_bound():
         for _ in range(100)
     )
     bell = spin_orbit_bell_state()
-    quantum = chsh_S(TSIRELSON_SETTINGS, lambda a, b: expectation(bell, a, b))
+    quantum = chsh_combination(correlation(pair_probabilities(TSIRELSON_SETTINGS, bell)))
     gap_err = abs((quantum - 2.0) - (2 * SQRT2 - 2))
     report(6, "16-assignment bound |S| <= 2; quantum gap = 2*sqrt(2) - 2",
            settings_ok and random_ok and gap_err <= 1e-12,
@@ -177,7 +178,8 @@ def test_criterion_08_sweep_reproduction():
             )
     bell = spin_orbit_bell_state()
     circle_dev = max(
-        abs(abs(expectation(bell, a, b)) - SQRT2 / 2) for a, b in CIRCLE_SETTINGS
+        abs(abs(correlation(joint_probabilities(bell, a, b))) - SQRT2 / 2)
+        for a, b in CIRCLE_SETTINGS
     )
     report(8, "sweep curves equal (1 +- sin)/4; circle settings give |E|=sqrt(2)/2",
            worst <= 1e-12 and circle_dev <= 1e-12,
@@ -185,7 +187,7 @@ def test_criterion_08_sweep_reproduction():
 
 
 def test_criterion_09_zero_oam_null_test():
-    state = tensor("L", 0, m_max=2)
+    state = PhotonState.basis_state("L", 0, 2)
     reference = interferometer_detect(state, 0.0, 0.37)
     probs = interferometer_detect(state, np.linspace(-math.pi, math.pi, 33), 0.37)
     worst = float(np.max(np.abs(probs - reference)))
@@ -205,10 +207,8 @@ def test_criterion_10_dsl_round_trip_and_full_stack():
         ast = parse(fh.read())
     result = compile_bench(ast).run()
     grid = np.linspace(-math.pi, math.pi, 16, endpoint=False)
-    worst = max(
-        abs(expectation(result.bob, a, b) - math.sin(a + b))
-        for a in grid
-        for b in grid
-    )
+    a, b = grid[:, None], grid[None, :]
+    worst = float(np.max(np.abs(correlation(joint_probabilities(result.bob, a, b))
+                                - np.sin(a + b))))
     report(10, "50 benches round-trip; fig2 bench satisfies the sine law",
            round_trip_ok and worst <= 1e-12, f"law err={worst:.2e}")

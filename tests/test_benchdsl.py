@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import states_equal_up_to_phase
 
 from spinorbit.benchdsl import (
     MAX_M_MAX,
@@ -24,7 +25,13 @@ from spinorbit.benchdsl import (
     serialize,
 )
 from spinorbit.elements import mirror_op, waveplate_op
-from spinorbit.experiment import expectation, herald, prepare_hybrid, spdc_source
+from spinorbit.experiment import (
+    correlation,
+    herald,
+    joint_probabilities,
+    prepare_hybrid,
+    spdc_source,
+)
 from spinorbit.qstate import (
     NORM_TOL,
     _Record,
@@ -33,7 +40,6 @@ from spinorbit.qstate import (
     apply,
     apply_bob,
     oam_dim,
-    states_equal_up_to_phase,
 )
 
 FIG2 = """\
@@ -392,7 +398,7 @@ class TestCompile:
         result = compile_bench(parse(text)).run()
         assert result.herald_probability == pytest.approx(0.5, abs=1e-12)
         for chi_a, chi_b in [(0.3, -1.1), (math.pi / 2, math.pi / 4)]:
-            e = expectation(result.bob, chi_a, chi_b, m=result.analyzer_m)
+            e = correlation(joint_probabilities(result.bob, chi_a, chi_b, m=result.analyzer_m))
             assert e == pytest.approx(math.sin(chi_a + chi_b), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -620,7 +626,7 @@ class TestReach:
         wide = compile_bench(parse(text)).run()
         narrow = compile_bench(parse(text), m_max=4).run()
         assert wide.bob.m_max == 6 and narrow.bob.m_max == 4
-        np.testing.assert_allclose(wide.bob.as_grid()[:, 2:-2], narrow.bob.as_grid(),
+        np.testing.assert_allclose(wide.bob.grid[:, 2:-2], narrow.bob.grid,
                                    atol=1e-15)
         assert wide.analyzer_m == narrow.analyzer_m == 2
 

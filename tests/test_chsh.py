@@ -13,7 +13,6 @@ from spinorbit.chsh import (
     ChshSettings,
     CountRecord,
     RngSeed,
-    chsh_S,
     chsh_combination,
     chsh_monte_carlo,
     enumerate_assignments,
@@ -27,7 +26,6 @@ from spinorbit.chsh import (
 )
 from spinorbit.experiment import (
     correlation,
-    expectation,
     joint_probabilities,
     spin_orbit_bell_state,
 )
@@ -42,20 +40,21 @@ def sine_law(chi_a, chi_b):
 
 class TestChshS:
     def test_paper_settings_reach_tsirelson(self):
-        assert chsh_S(TSIRELSON_SETTINGS, sine_law) == pytest.approx(2 * SQRT2, abs=1e-12)
+        s = chsh_combination([sine_law(a, b) for a, b in TSIRELSON_SETTINGS.pairs()])
+        assert s == pytest.approx(2 * SQRT2, abs=1e-12)
 
     def test_vanishing_correlations(self):
-        assert chsh_S(TSIRELSON_SETTINGS, lambda a, b: 0.0) == 0.0
+        assert chsh_combination([0.0 for _ in TSIRELSON_SETTINGS.pairs()]) == 0.0
 
     def test_deterministic_assignment_saturates_classical_bound(self):
         # a = b = +1 at every setting: S = 1 + 1 - 1 + 1 = 2.
-        assert chsh_S(TSIRELSON_SETTINGS, lambda a, b: 1.0) == pytest.approx(2.0)
+        assert chsh_combination([1.0 for _ in TSIRELSON_SETTINGS.pairs()]) == pytest.approx(2.0)
 
     def test_sign_pattern(self):
         # Single minus sits on the (chi_A', chi_B) term.
         settings = ChshSettings(0.0, 1.0, 0.0, 2.0)
         table = {(0.0, 0.0): 1.0, (0.0, 2.0): 2.0, (1.0, 0.0): 4.0, (1.0, 2.0): 8.0}
-        assert chsh_S(settings, lambda a, b: table[(a, b)]) == 1.0 + 2.0 - 4.0 + 8.0
+        assert chsh_combination([table[pair] for pair in settings.pairs()]) == 1.0 + 2.0 - 4.0 + 8.0
 
     def test_quantum_ceiling_on_dense_grid(self):
         grid = np.linspace(-math.pi, math.pi, 25)
@@ -77,7 +76,7 @@ class TestChshS:
         assert probs.shape == (4, 4)
         for row, (a, b) in zip(probs, settings.pairs()):
             np.testing.assert_allclose(row, joint_probabilities(bob, a, b, m=3), atol=1e-15)
-        s = chsh_S(settings, sine_law)
+        s = chsh_combination([sine_law(a, b) for a, b in settings.pairs()])
         assert chsh_combination(correlation(pair_probabilities(settings))) == pytest.approx(
             s, abs=1e-12
         )
@@ -293,7 +292,7 @@ class TestNchvBound:
 
     def test_quantum_exceeds_classical_by_gap(self):
         bell = spin_orbit_bell_state()
-        quantum = chsh_S(TSIRELSON_SETTINGS, lambda a, b: expectation(bell, a, b))
+        quantum = chsh_combination(correlation(pair_probabilities(TSIRELSON_SETTINGS, bell)))
         gap = quantum - nchv_max_S(TSIRELSON_SETTINGS).max_s
         assert gap == pytest.approx(2 * SQRT2 - 2, abs=1e-12)
 
@@ -421,7 +420,7 @@ class TestCircleSettings:
     def test_each_reaches_peak_correlation(self):
         bell = spin_orbit_bell_state()
         for chi_a, chi_b in CIRCLE_SETTINGS:
-            assert abs(expectation(bell, chi_a, chi_b)) == pytest.approx(
+            assert abs(correlation(joint_probabilities(bell, chi_a, chi_b))) == pytest.approx(
                 SQRT2 / 2, abs=1e-12
             )
 

@@ -665,8 +665,10 @@ class TestManifestRoundTrip:
         ["field", "--q", "1.5", "--alpha0", "pi/5", "--n-r", "3", "--n-phi", "7"],
         ["run", FIG2, "--chi-a", "0.4"],
         ["run", FIG2, "--shots", "1000", "--seed", "5"],
+        ["chsh", "--chi-b=-1e-05"],
+        ["sweep", "--points", "4", "--chi-b=-1e-05"],
     ], ids=["chsh-exact", "chsh-montecarlo", "nchv", "sweep-exact", "sweep-sampled", "field",
-            "run", "run-shots"])
+            "run", "run-shots", "chsh-negative-exponent", "sweep-negative-exponent"])
     def test_the_manifest_alone_reproduces_the_output(self, argv, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setenv("SPINORBIT_SEED", "11")  # a drawn seed must be in the manifest
@@ -677,8 +679,8 @@ class TestManifestRoundTrip:
         if "bench" in params:
             rebuilt.append(params.pop("bench"))
         params.pop("out", None)  # the rerun writes to a fresh path
-        for name, value in params.items():
-            rebuilt += [f"--{name.replace('_', '-')}", str(value)]
+        # One token per option: argparse takes a separate "-1e-05" for an option name.
+        rebuilt += [f"--{name.replace('_', '-')}={value}" for name, value in params.items()]
         for key in ("seed", "stream"):
             if key in manifest:
                 rebuilt += [f"--{key}", str(manifest[key])]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import states_equal_up_to_phase
 from test_benchdsl import random_alice_bench, random_bench
 
 from spinorbit import elements, experiment
@@ -19,7 +20,7 @@ from spinorbit.experiment import (
     LostWeightError,
     _oam_outcomes,
     _spin_outcomes,
-    expectation,
+    correlation,
     herald,
     interferometer_detect,
     joint_probabilities,
@@ -35,8 +36,6 @@ from spinorbit.qstate import (
     ElementOp,
     PhotonState,
     TruncationError,
-    states_equal_up_to_phase,
-    tensor,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -51,7 +50,7 @@ def brute_force_joint_probabilities(bob, chi_a, chi_b, m=2):
     Builds the four joint outcome states from their definitions with plain
     numpy over the (spin, m) grid and squares the overlaps directly.
     """
-    grid = bob.as_grid()
+    grid = bob.grid
     n = grid.shape[1]
     m_max = bob.m_max
     probs = []
@@ -141,7 +140,7 @@ class TestHerald:
             herald(spin_orbit_bell_state())
 
     def test_product_input_passes_through(self):
-        bob = tensor("L", 0, m_max=2)
+        bob = PhotonState.basis_state("L", 0, 2)
         pair = BipartiteState.from_amplitudes(
             2,
             {
@@ -172,7 +171,7 @@ class TestHerald:
 
     def test_idempotent_on_product_extension(self):
         bob = herald(prepare_hybrid()).state
-        grid = bob.as_grid()
+        grid = bob.grid
         amps = {
             (SPIN_LABELS[s], m - bob.m_max): grid[s, m] for s, m in zip(*np.nonzero(grid))
         }
@@ -288,7 +287,7 @@ class TestJointProbabilities:
         assert probs.shape == (5, 3, 4)
         assert joint_probabilities(bell, 0.1, 0.2).shape == (4,)
         np.testing.assert_allclose(
-            expectation(bell, chi_a, chi_b), np.sin(chi_a + chi_b), atol=1e-12
+            correlation(joint_probabilities(bell, chi_a, chi_b)), np.sin(chi_a + chi_b), atol=1e-12
         )
 
     def test_charge_beyond_truncation_rejected(self):
@@ -349,7 +348,7 @@ class TestExpectation:
         bell = spin_orbit_bell_state()
         grid = np.linspace(-math.pi, math.pi, 32, endpoint=False)
         worst = max(
-            abs(expectation(bell, a, b) - math.sin(a + b))
+            abs(correlation(joint_probabilities(bell, a, b)) - math.sin(a + b))
             for a in grid
             for b in grid
         )
@@ -357,17 +356,17 @@ class TestExpectation:
 
     def test_peak_pair_value(self):
         bell = spin_orbit_bell_state()
-        assert expectation(bell, math.pi / 2, math.pi / 4) == pytest.approx(
+        assert correlation(joint_probabilities(bell, math.pi / 2, math.pi / 4)) == pytest.approx(
             SQRT_HALF, abs=1e-12
         )
 
     def test_null_at_zero(self):
         bell = spin_orbit_bell_state()
-        assert expectation(bell, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert correlation(joint_probabilities(bell, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_correlation(self):
         bell = spin_orbit_bell_state()
-        assert expectation(bell, math.pi / 4, math.pi / 4) == pytest.approx(
+        assert correlation(joint_probabilities(bell, math.pi / 4, math.pi / 4)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -376,7 +375,7 @@ class TestExpectation:
         rng = np.random.default_rng(31)
         for _ in range(10):
             chi_a, chi_b = rng.uniform(-math.pi, math.pi, size=2)
-            assert expectation(bell4, chi_a, chi_b, m=4) == pytest.approx(
+            assert correlation(joint_probabilities(bell4, chi_a, chi_b, m=4)) == pytest.approx(
                 math.sin(chi_a + chi_b), abs=1e-12
             )
 
@@ -433,7 +432,7 @@ class TestInterferometer:
             np.testing.assert_allclose(detected, shortcut, atol=1e-10)
 
     def test_zero_oam_input_ignores_prism_rotation(self):
-        state = tensor("L", 0, m_max=2)
+        state = PhotonState.basis_state("L", 0, 2)
         reference = interferometer_detect(state, 0.0, 0.3)
         probs = interferometer_detect(state, np.linspace(-math.pi, math.pi, 17), 0.3)
         np.testing.assert_allclose(probs, np.broadcast_to(reference, (17, 4)), atol=1e-12)
@@ -487,7 +486,7 @@ def replay_detect(bob, alpha, beta):
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     m_max = bob.m_max
-    grid = waveplate_op("qwp", math.pi / 4)._apply_grid(bob.as_grid(), m_max)
+    grid = waveplate_op("qwp", math.pi / 4)._apply_grid(bob.grid, m_max)
     arm_t, inverted = _P_H @ grid, (_P_V @ grid)[:, ::-1]
     probs = np.empty(alpha.shape + (4,))
     for idx in np.ndindex(alpha.shape):

@@ -9,12 +9,12 @@ PUBLIC = [
     "BipartiteState", "CIRCLE_SETTINGS", "ChshSettings", "CountRecord", "ElementOp",
     "HeraldOutcome", "LostWeightError", "McEstimate", "PhotonState",
     "QPlateSpec", "RngSeed", "SweepRow", "SweepTable", "TSIRELSON_SETTINGS",
-    "apply", "apply_bob", "chsh_S", "chsh_monte_carlo", "dove_pair_op",
-    "estimate_E", "expectation",
+    "apply", "apply_bob", "chsh_combination", "chsh_monte_carlo", "correlation",
+    "dove_pair_op", "estimate_E",
     "herald", "inner", "interferometer_detect", "joint_probabilities", "mirror_op",
     "nchv_max_S", "pair_probabilities", "prepare_hybrid", "qplate_op",
     "sample_counts", "smf_filter_op", "spdc_source", "spin_ket", "spin_orbit_bell_state",
-    "states_equal_up_to_phase", "sweep", "symmetry_order", "tensor", "waveplate_op",
+    "sweep", "symmetry_order", "waveplate_op",
 ]
 
 

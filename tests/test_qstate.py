@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import is_unitary, states_equal_up_to_phase
 
-from spinorbit.experiment import herald
+from spinorbit.experiment import herald, spin_orbit_bell_state
 from spinorbit.qstate import (
     _CIRC_TO_LIN,
     NORM_TOL,
@@ -17,8 +18,6 @@ from spinorbit.qstate import (
     basis_index,
     inner,
     spin_ket,
-    states_equal_up_to_phase,
-    tensor,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -47,22 +46,32 @@ def dagger(op):
     return ElementOp(op.blocks.conj().swapaxes(0, 1), m_max=op.m_max)
 
 
+def oam_ket(amps: dict, m_max: int) -> np.ndarray:
+    """A (2*m_max+1,) OAM ket from {m: amplitude}."""
+    ket = np.zeros(2 * m_max + 1, dtype=complex)
+    for m, a in amps.items():
+        ket[m + m_max] = a
+    return ket
+
+
 class TestTensor:
+    """Product states spin x OAM, built as the outer product that is their grid."""
+
     def test_two_spin_product_state(self):
-        pair = tensor("H", "H")
+        pair = BipartiteState(0, np.outer(spin_ket("H"), spin_ket("H"))[..., None])
         # |H>|H> expands with amplitude 1/2 on every circular combination,
         # all signs positive, so each joint probability is 1/4.
-        assert pair.shape == (2, 2)
-        np.testing.assert_allclose(pair, 0.5 * np.ones((2, 2)), atol=1e-15)
+        assert pair.grid.shape == (2, 2, 1)
+        np.testing.assert_allclose(pair.matrix, 0.5 * np.ones((2, 2)), atol=1e-15)
 
     def test_spin_with_oam_charge(self):
-        state = tensor("L", 0, m_max=2)
+        state = PhotonState(2, np.outer(spin_ket("L"), oam_ket({0: 1.0}, 2)))
         assert state.amplitude("L", 0) == pytest.approx(1.0)
         assert state.norm() == pytest.approx(1.0)
 
     def test_linearity_in_spin_factor(self):
         plus = np.array([SQRT_HALF, SQRT_HALF])
-        state = tensor(plus, 2, m_max=2)
+        state = PhotonState(2, np.outer(plus, oam_ket({2: 1.0}, 2)))
         assert state.amplitude("L", 2) == pytest.approx(SQRT_HALF)
         assert state.amplitude("R", 2) == pytest.approx(SQRT_HALF)
         assert state.amplitude("L", -2) == 0
@@ -70,25 +79,57 @@ class TestTensor:
     def test_norm_multiplies(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = tensor(a, {1: 0.5, -1: 0.5}, m_max=1)
+        state = PhotonState(1, np.outer(a, oam_ket({1: 0.5, -1: 0.5}, 1)))
         assert state.norm() == pytest.approx(
             np.linalg.norm(a) * math.sqrt(0.5), abs=1e-12
         )
 
     def test_oam_beyond_truncation_rejected(self):
         with pytest.raises(TruncationError):
-            tensor("L", {3: 1.0}, m_max=2)
+            PhotonState.from_amplitudes(2, {("L", 3): 1.0})
 
     def test_truncation_inferred_from_widest_charge(self):
-        state = tensor("R", {-3: 0.6, 1: 0.8})
+        state = spin_orbit_bell_state(3)
         assert state.m_max == 3
-        assert (state.amplitude("R", -3), state.amplitude("R", 1)) == (0.6, 0.8)
+        assert state.amplitude("L", -3) == state.amplitude("R", 3) == SQRT_HALF
 
     def test_factor_types_rejected(self):
-        with pytest.raises(TypeError, match="^first tensor factor must be a spin state$"):
-            tensor(0, "H")
-        with pytest.raises(TypeError, match="^second tensor factor must be a spin state or"):
-            tensor("H", 1.5)
+        # An outer product whose OAM factor does not span the truncation is no grid.
+        with pytest.raises(ValueError, match=r"^vector length \(2, 4\) does not match m_max=2$"):
+            PhotonState(2, np.outer(spin_ket("H"), np.ones(4)))
+        with pytest.raises(ValueError, match="^matrix shape does not match m_max$"):
+            BipartiteState(1, np.outer(spin_ket("H"), spin_ket("H")))
+
+
+class TestGrid:
+    """A state holds its (spin, m) grid; the flat field is a view of it."""
+
+    @pytest.mark.parametrize("kind,lead,field", [(PhotonState, (), "vector"),
+                                                 (BipartiteState, (2,), "matrix")])
+    @pytest.mark.parametrize("m_max", [0, 2])
+    def test_grid_and_flat_forms_build_the_same_state(self, kind, lead, field, m_max):
+        rng = np.random.default_rng(m_max)
+        shape = (*lead, 2, 2 * m_max + 1)
+        grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state, flat = kind(m_max, grid), kind(m_max, grid.reshape(*lead, -1))
+        assert state.grid.shape == flat.grid.shape == shape
+        assert state.grid.tobytes() == flat.grid.tobytes() == grid.tobytes()
+        assert getattr(state, field).tobytes() == getattr(flat, field).tobytes()
+        assert np.shares_memory(state.grid, getattr(state, field))
+        assert not state.grid.flags.writeable and state.grid.flags.c_contiguous
+
+    def test_transposed_grid_shapes_raise_the_shape_message(self):
+        with pytest.raises(ValueError, match=r"^vector length \(3, 2\) does not match m_max=1$"):
+            PhotonState(1, np.zeros((3, 2)))
+        for shape in ((2, 3, 2), (3, 2, 2)):
+            with pytest.raises(ValueError, match="^matrix shape does not match m_max$"):
+                BipartiteState(1, np.zeros(shape))
+
+    def test_fortran_ordered_grid_is_stored_c_ordered(self):
+        grid = np.asfortranarray(np.arange(10, dtype=complex).reshape(2, 5))
+        state = PhotonState(2, grid)
+        assert state.grid.flags.c_contiguous
+        assert state.vector.tolist() == list(range(10))
 
 
 class TestBasisLabels:
@@ -126,10 +167,18 @@ class TestApply:
         assert out.amplitude("R", 0) == pytest.approx(1.0)
         assert out.norm() == pytest.approx(1.0)
 
-    def test_bipartite_state_rejected(self):
-        pair = BipartiteState(1, np.zeros((2, 6)))
-        with pytest.raises(TypeError, match="^use apply_bob for bipartite states$"):
-            apply(ElementOp(np.eye(2), m_max=1), pair)
+    def test_bipartite_state_matches_apply_bob(self):
+        rng = np.random.default_rng(19)
+        grid = np.zeros((2, 2, 5), dtype=complex)  # |m| <= 1, so a shift by 1 stays inside
+        grid[..., 1:4] = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+        pair = BipartiteState(2, grid)
+        for op in (random_unitary_op(2, rng), ElementOp([[0, 1], [1, 0]], shift=1, m_max=2)):
+            out = apply(op, pair)
+            assert type(out) is BipartiteState and out.m_max == 2
+            assert out.matrix.tobytes() == apply_bob(op, pair).matrix.tobytes()
+            # The same contraction on the flat matrix read as (Alice spin, Bob spin, m).
+            by_rows = op._apply_grid(pair.matrix.reshape(2, 2, -1), 2)
+            assert out.matrix.tobytes() == by_rows.tobytes()
 
     def test_photon_state_rejected_by_apply_bob(self):
         message = ("^apply_bob takes a BipartiteState, got PhotonState; "
@@ -146,7 +195,7 @@ class TestApply:
         rng = np.random.default_rng(11)
         for _ in range(20):
             op = random_unitary_op(2, rng)
-            assert op.is_unitary(1e-12)
+            assert is_unitary(op, 1e-12)
             s = random_state(2, rng)
             assert apply(op, s).norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -326,7 +375,8 @@ class TestBasisChange:
 
     def test_bell_state_basis_identity(self):
         # (|H>|H> + |V>|V>)/sqrt(2) == (|L>|R> + |R>|L>)/sqrt(2), amplitude-wise.
-        pair = (tensor("H", "H") + tensor("V", "V")) / math.sqrt(2)
+        pair = (np.outer(spin_ket("H"), spin_ket("H"))
+                + np.outer(spin_ket("V"), spin_ket("V"))) / math.sqrt(2)
         expected = np.array([[0, SQRT_HALF], [SQRT_HALF, 0]], dtype=complex)
         np.testing.assert_allclose(pair, expected, atol=1e-12)
 
