@@ -29,7 +29,6 @@ when a row is read.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from functools import cache
 from itertools import product, repeat, starmap
@@ -38,19 +37,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .experiment import correlation, joint_probabilities, spin_orbit_bell_state
-from .qstate import PhotonState, _frozen, _Record
+from .qstate import PhotonState, _frozen, _integer, _Record
 
 GENERATOR_ID = (
     "numpy.random.Generator(PCG64), seeded via "
     "SeedSequence(entropy=seed, spawn_key=(stream, row)); one generator per sampled row"
 )
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 class ChshSettings(_Record):

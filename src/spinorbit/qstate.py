@@ -24,6 +24,7 @@ convention.  Global phases are physical bookkeeping and never stripped.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping, Union
 
 import numpy as np
@@ -55,6 +56,21 @@ class BasisMismatchError(ValueError):
 
 class TruncationError(ValueError):
     """Raised when an operation would push amplitude beyond the OAM cutoff."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _truncation(m_max) -> int:
+    """``m_max`` as a Python int; ``ValueError`` unless it is an integer of at least 0."""
+    m_max = _integer("m_max", m_max)
+    if m_max < 0:
+        raise ValueError(f"m_max must be at least 0, got {m_max}")
+    return m_max
 
 
 def oam_dim(m_max: int) -> int:
@@ -178,6 +194,7 @@ class PhotonState(_State):
     __slots__ = ("m_max", "vector", "_grid")
 
     def __init__(self, m_max: int, vector: np.ndarray):
+        m_max = _truncation(m_max)
         grid = _frozen_grid(vector, m_max, ())
         if grid.shape != (2, oam_dim(m_max)):
             raise ValueError(f"vector length {grid.shape} does not match m_max={m_max}")
@@ -218,6 +235,7 @@ class BipartiteState(_State):
     __slots__ = ("m_max", "matrix", "_grid")
 
     def __init__(self, m_max: int, matrix: np.ndarray):
+        m_max = _truncation(m_max)
         grid = _frozen_grid(matrix, m_max, (2,))
         if grid.shape != (2, 2, oam_dim(m_max)):
             raise ValueError("matrix shape does not match m_max")
@@ -261,6 +279,8 @@ class ElementOp(_Record):
                  name: str = ""):
         blocks = _frozen(blocks)
         blocks = blocks[..., None] if blocks.ndim == 2 else blocks
+        if m_max is not None:
+            m_max = _truncation(m_max)
         n_oam = 1 if m_max is None else oam_dim(m_max)
         if blocks.shape not in ((2, 2, 1), (2, 2, n_oam)):
             raise ValueError(f"blocks {blocks.shape} do not fit m_max={m_max}")

@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from cli_cases import (CASES, CONSOLE, ERROR, FIG2, NO_CONSOLE, WARNING, Case, bench, check,
+                       console_env, run)
 from test_benchdsl import cascade_text
 
 from spinorbit import __version__
@@ -17,7 +20,6 @@ from spinorbit.chsh import GENERATOR_ID, RngSeed
 from spinorbit.cli import build_parser, cmd_run, main, parse_angle
 from spinorbit.qstate import TruncationError
 
-FIG2 = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
@@ -55,62 +57,59 @@ class TestAngleParsing:
 
 
 class TestChshCommand:
-    def test_exact_default_angles(self, capsys):
-        assert main(["chsh"]) == 0
-        out = capsys.readouterr().out
+    def test_exact_default_angles(self, cli):
+        out = run(cli, Case("chsh", ("chsh",), out=("S = 2.8284271247461912",))).out
         assert "S = 2.8284271247461" in out
 
-    def test_exact_json(self, capsys):
-        assert main(["chsh", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_exact_json(self, cli):
+        ran = cli(["chsh", "--json"])
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert payload["s"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert len(payload["e_values"]) == 4
         assert payload["manifest"]["command"] == "chsh"
 
-    def test_zero_angles_give_zero(self, capsys):
-        args = ["chsh", "--chi-a", "0", "--chi-a-prime", "0",
-                "--chi-b", "0", "--chi-b-prime", "0", "--json"]
-        assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["s"] == pytest.approx(0.0, abs=1e-12)
+    def test_zero_angles_give_zero(self, cli):
+        ran = cli(["chsh", "--chi-a", "0", "--chi-a-prime", "0",
+                   "--chi-b", "0", "--chi-b-prime", "0", "--json"])
+        assert ran.code == 0
+        assert json.loads(ran.out)["s"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("command", ["chsh", "nchv"])
-    def test_exact_manifest_names_no_generator(self, capsys, command):
-        assert main([command, "--json"]) == 0
-        manifest = json.loads(capsys.readouterr().out)["manifest"]
+    def test_exact_manifest_names_no_generator(self, cli, command):
+        ran = cli([command, "--json"])
+        assert ran.code == 0
+        manifest = json.loads(ran.out)["manifest"]
         assert "generator" not in manifest and "seed" not in manifest
 
-    def test_montecarlo_reproducible(self, capsys):
-        args = ["chsh", "--mode", "montecarlo", "--shots", "100000",
-                "--seed", "42", "--json"]
-        assert main(args) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(args) == 0
-        second = json.loads(capsys.readouterr().out)
+    def test_montecarlo_reproducible(self, cli):
+        args = ["chsh", "--mode", "montecarlo", "--shots", "100000", "--seed", "42", "--json"]
+        first, second = cli(args), cli(args)
+        assert first.code == second.code == 0
+        first, second = json.loads(first.out), json.loads(second.out)
         assert first["counts"] == second["counts"]
         assert abs(first["s"] - 2 * math.sqrt(2)) <= 5 * first["standard_error"]
 
-    def test_montecarlo_requires_shots(self, capsys):
-        assert main(["chsh", "--mode", "montecarlo"]) == 1
-        assert capsys.readouterr().out == ""
+    def test_montecarlo_requires_shots(self, cli):
+        ran = cli(["chsh", "--mode", "montecarlo"])
+        assert (ran.code, ran.out) == (1, "")
 
-    def test_montecarlo_without_shots_message(self, capsys):
-        assert main(["chsh", "--mode", "montecarlo"]) == 1
-        assert capsys.readouterr().err == (
-            "spinorbit: error: montecarlo mode requires --shots\n"
-        )
+    def test_montecarlo_without_shots_message(self, cli):
+        run(cli, Case("chsh-montecarlo-no-shots", ("chsh", "--mode", "montecarlo"), code=1,
+                      err=ERROR + "montecarlo mode requires --shots\n", err_lines=1))
 
-    def test_exact_mode_takes_no_shots(self, capsys):
-        assert main(["chsh", "--shots", "5"]) == 1
-        assert capsys.readouterr() == ("", "spinorbit: error: exact mode takes no --shots\n")
+    def test_exact_mode_takes_no_shots(self, cli):
+        ran = run(cli, Case("chsh-exact-shots", ("chsh", "--shots", "5"), code=1,
+                            err=ERROR + "exact mode takes no --shots\n", err_lines=1))
+        assert ran.out == ""
 
 
 class TestSweepCommand:
-    def test_csv_columns_and_values(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--chi-b", "pi/4", "--points", "64",
-                     "--shots", "1000", "--seed", "7", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_csv_columns_and_values(self, cli):
+        ran = cli(["sweep", "--chi-b", "pi/4", "--points", "64",
+                   "--shots", "1000", "--seed", "7", "--out", "sweep.csv"])
+        assert ran.code == 0
+        lines = ran.files["sweep.csv"].decode().splitlines()
         assert lines[0] == (
             "chi_A_rad,chi_B_rad,p_pp,p_pm,p_mp,p_mm,"
             "n_pp,n_pm,n_mp,n_mm,e_exact,e_est"
@@ -122,103 +121,94 @@ class TestSweepCommand:
         counts = [int(row[k]) for k in ("n_pp", "n_pm", "n_mp", "n_mm")]
         assert sum(counts) == 1000
 
-    def test_exact_only_mode_omits_count_columns(self, tmp_path, capsys):
-        out = tmp_path / "exact.csv"
-        assert main(["sweep", "--points", "8", "--shots", "0",
-                     "--out", str(out)]) == 0
-        header = out.read_text().splitlines()[0]
+    def test_exact_only_mode_omits_count_columns(self, cli):
+        ran = cli(["sweep", "--points", "8", "--shots", "0", "--out", "exact.csv"])
+        assert ran.code == 0
+        header = ran.files["exact.csv"].decode().splitlines()[0]
         assert header == "chi_A_rad,chi_B_rad,p_pp,p_pm,p_mp,p_mm,e_exact"
 
-    def test_manifest_written_with_circle_rows(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        main(["sweep", "--points", "64", "--shots", "0", "--out", str(out)])
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    def test_manifest_written_with_circle_rows(self, cli):
+        ran = cli(["sweep", "--points", "64", "--shots", "0", "--out", "sweep.csv"])
+        manifest = json.loads(ran.files["sweep.manifest.json"])
         assert manifest["command"] == "sweep"
         assert "seed" not in manifest and "stream" not in manifest
         assert "generator" not in manifest
         # chi_A = pi/2 sits at index 48, chi_A = -pi at index 0.
         assert manifest["circle_rows"] == [0, 48]
 
-    def test_sampled_manifest_names_the_generator(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["generator"] == GENERATOR_ID
+    def test_sampled_manifest_names_the_generator(self, cli):
+        ran = cli(["sweep", "--points", "4", "--shots", "10", "--out", "sweep.csv"])
+        assert ran.code == 0
+        assert json.loads(ran.files["sweep.manifest.json"])["generator"] == GENERATOR_ID
 
     @pytest.mark.parametrize("shots,sha256", [
         ("500", "57dc1c4913940da1e43cfe794705787c6edecd1e75ae8fe7d64fc2a97d1be802"),
         ("0", "af154542d0e24c23f1ce26e7f3bb790260d00bb22f2d75d07cdb10a845216275"),
     ])
-    def test_csv_bytes_and_circle_rows_are_pinned(self, tmp_path, capsys, shots, sha256):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "16", "--shots", shots, "--seed", "3",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["circle_rows"] == [0, 12]
+    def test_csv_bytes_and_circle_rows_are_pinned(self, cli, shots, sha256):
+        ran = cli(["sweep", "--points", "16", "--shots", shots, "--seed", "3",
+                   "--out", "sweep.csv"])
+        assert ran.code == 0
+        assert hashlib.sha256(ran.files["sweep.csv"]).hexdigest() == sha256
+        assert json.loads(ran.files["sweep.manifest.json"])["circle_rows"] == [0, 12]
 
-    def test_rerun_reproduces_csv_bytes(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    def test_rerun_reproduces_csv_bytes(self, cli):
         args = ["sweep", "--points", "16", "--shots", "500", "--seed", "3"]
-        main(args + ["--out", str(a)])
-        main(args + ["--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        assert cli(args + ["--out", "a.csv"]).files["a.csv"] == \
+            cli(args + ["--out", "b.csv"]).files["b.csv"]
 
 
 class TestNchvCommand:
-    def test_json_schema_keys(self, capsys):
-        assert main(["nchv", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_json_schema_keys(self, cli):
+        ran = cli(["nchv", "--json"])
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert set(payload) >= {"classical_max", "quantum_s", "gap", "assignment"}
         assert payload["classical_max"] == 2.0
         assert payload["quantum_s"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert payload["gap"] == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-12)
 
-    def test_random_settings_stay_capped(self, capsys):
+    def test_random_settings_stay_capped(self, cli):
         settings = {"chi-a": 0.3, "chi-a-prime": -2.1, "chi-b": 1.7, "chi-b-prime": -0.4}
         argv = ["nchv", "--json"]
         for name, value in settings.items():
             argv += [f"--{name}", str(value)]
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
+        ran = cli(argv)
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert payload["classical_max"] == 2.0
         a, ap, b, bp = settings.values()
         s = math.sin(a + b) + math.sin(a + bp) - math.sin(ap + b) + math.sin(ap + bp)
         assert payload["quantum_s"] == pytest.approx(s, abs=1e-12)
 
-    def test_draws_nothing_so_takes_no_stream(self, capsys):
-        assert main(["nchv", "--seed", "7"]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["nchv", "--stream", "1"])
-        assert exc.value.code == 1
+    def test_draws_nothing_so_takes_no_stream(self, cli):
+        assert cli(["nchv", "--seed", "7"]).code == 0
+        assert cli(["nchv", "--stream", "1"]).code == 1
 
 
 class TestFieldCommand:
-    def test_axis_pattern_csv(self, tmp_path, capsys):
-        out = tmp_path / "field.csv"
-        assert main(["field", "--q", "1", "--n-r", "3", "--n-phi", "8",
-                     "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_axis_pattern_csv(self, cli):
+        ran = cli(["field", "--q", "1", "--n-r", "3", "--n-phi", "8", "--out", "field.csv"])
+        assert ran.code == 0
+        lines = ran.files["field.csv"].decode().splitlines()
         assert lines[0] == "r,phi,alpha"
         for line in lines[1:]:
             _, phi, alpha = (float(x) for x in line.split(","))
             assert alpha == pytest.approx(phi % math.pi, abs=1e-12)
-        manifest = json.loads((tmp_path / "field.manifest.json").read_text())
+        manifest = json.loads(ran.files["field.manifest.json"])
         assert manifest["rotationally_invariant"] is True
         assert manifest["symmetry_order"] is None
 
-    def test_four_fold_plate_manifest(self, tmp_path, capsys):
-        out = tmp_path / "field3.csv"
-        main(["field", "--q", "3", "--out", str(out)])
-        manifest = json.loads((tmp_path / "field3.manifest.json").read_text())
-        assert manifest["symmetry_order"] == 4
+    def test_four_fold_plate_manifest(self, cli):
+        ran = run(cli, Case("field", ("field", "--q", "3", "--out", "f.csv")))
+        assert json.loads(ran.files["f.manifest.json"])["symmetry_order"] == 4
 
-    def test_radially_constant(self, tmp_path, capsys):
-        out = tmp_path / "field.csv"
+    def test_radially_constant(self, cli):
         n_phi = 24
-        assert main(["field", "--q", "3", "--alpha0", "0.1", "--n-r", "7", "--n-phi", str(n_phi),
-                     "--out", str(out)]) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        ran = cli(["field", "--q", "3", "--alpha0", "0.1", "--n-r", "7", "--n-phi", str(n_phi),
+                   "--out", "field.csv"])
+        assert ran.code == 0
+        rows = [line.split(",") for line in ran.files["field.csv"].decode().splitlines()[1:]]
         blocks = [rows[i:i + n_phi] for i in range(0, len(rows), n_phi)]
         assert len(blocks) == 7
         for block in blocks:
@@ -238,20 +228,20 @@ class TestFieldCommand:
         (["--q", "100", "--n-phi", "360"],
          "2edae7e8672570c21d50c1c235043a5cb4bbb38d60185ad3739eb484dce01559"),
     ], ids=["unit", "offset", "half", "one-cell", "degrees", "wide"])
-    def test_csv_bytes_are_pinned(self, tmp_path, capsys, argv, sha256):
-        out = tmp_path / "field.csv"
-        assert main(["field", *argv, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    def test_csv_bytes_are_pinned(self, cli, argv, sha256):
+        ran = cli(["field", *argv, "--out", "field.csv"])
+        assert ran.code == 0
+        assert hashlib.sha256(ran.files["field.csv"]).hexdigest() == sha256
 
-    def test_manifest_is_pinned(self, tmp_path, capsys):
-        out = tmp_path / "field.csv"
-        assert main(["field", "--q", "0.5", "--alpha0", "pi/4", "--n-r", "2", "--n-phi", "3",
-                     "--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "field.manifest.json").read_text())
+    def test_manifest_is_pinned(self, cli):
+        ran = cli(["field", "--q", "0.5", "--alpha0", "pi/4", "--n-r", "2", "--n-phi", "3",
+                   "--out", "field.csv"])
+        assert ran.code == 0
+        manifest = json.loads(ran.files["field.manifest.json"])
         assert manifest.pop("timestamp")
         assert manifest == {
             "command": "field",
-            "parameters": {"alpha0": math.pi / 4, "n_phi": 3, "n_r": 2, "out": str(out),
+            "parameters": {"alpha0": math.pi / 4, "n_phi": 3, "n_r": 2, "out": "field.csv",
                            "q": 0.5},
             "rotationally_invariant": False,
             "symmetry_order": 1,
@@ -259,40 +249,36 @@ class TestFieldCommand:
         }
 
 
+OFF_SPAN = ("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\nhwp theta=0 side=bob\n"
+            "herald basis=H side=alice\n")
+UNFILTERED = "source spdc\nqplate q=1 side=bob\nherald basis=H\n"
+
+
 class TestRunCommand:
-    def test_fig2_bench_at_peak_settings(self, capsys):
-        assert main(["run", FIG2, "--chi-a", "pi/2", "--chi-b", "pi/4",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_fig2_bench_at_peak_settings(self, cli):
+        ran = cli(["run", FIG2, "--chi-a", "pi/2", "--chi-b", "pi/4", "--json"])
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert payload["e_exact"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert payload["herald_probability"] == pytest.approx(0.5, abs=1e-12)
         assert payload["analyzer_m"] == 2
 
-    def test_wider_charge_bench_same_law(self, tmp_path, capsys):
-        bench = tmp_path / "q2.bench"
-        bench.write_text(
-            "source spdc\nfilter smf side=bob\nqplate q=2 side=bob\nherald basis=H\n"
-        )
-        assert main(["run", str(bench), "--chi-a", "pi/2", "--chi-b", "pi/4",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_wider_charge_bench_same_law(self, cli):
+        ran = cli(["run", "q2.bench", "--chi-a", "pi/2", "--chi-b", "pi/4", "--json"], files={
+            "q2.bench": "source spdc\nfilter smf side=bob\nqplate q=2 side=bob\nherald basis=H\n"})
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert payload["analyzer_m"] == 4
         assert payload["e_exact"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
-    def test_plate_cascade_runs_at_its_reach(self, tmp_path, capsys):
+    def test_plate_cascade_runs_at_its_reach(self, cli):
         # Eight q=1 plates with hwp(0) between each pair carry the photon to m = +-16,
         # far past the charges of one plate (m_max = 2).
-        lines = ["source spdc", "filter smf side=bob", "qplate q=1 side=bob"]
-        lines += ["hwp theta=0 side=bob", "mirror side=bob", "qplate q=1 side=bob"] * 7
-        bench = tmp_path / "cascade.bench"
-        bench.write_text("\n".join(lines + ["herald basis=H side=alice"]) + "\n")
-        assert main(["run", str(bench)]) == 0
-        out = capsys.readouterr().out
-        assert "analyzer OAM magnitude m = 16\n" in out
-        assert "herald probability = 0.5" in out
+        ran = run(cli, bench("cascade", cascade_text(), out=("analyzer OAM magnitude m = 16",)))
+        assert "herald probability = 0.5" in ran.out
 
-    @pytest.mark.parametrize("text,argv,expected", [
-        (None, ["--shots", "10000", "--seed", "7"], [
+    @pytest.mark.parametrize("text,argv,warnings,expected", [
+        (None, ["--shots", "10000", "--seed", "7"], 0, [
             "herald probability = 0.50000000000000022",
             "analyzer OAM magnitude m = 2",
             "p(A+B+)=0.42677669529663692 p(A+B-)=0.073223304703363093 "
@@ -300,7 +286,7 @@ class TestRunCommand:
             "E(1.5707963267948966, 0.78539816339744828) = 0.70710678118654757",
             "counts (shots=10000): (4307, 762, 720, 4211)  e_est = 0.7036",
         ]),
-        (cascade_text(), [], [
+        (cascade_text(), [], 0, [
             "herald probability = 0.50000000000000022",
             "analyzer OAM magnitude m = 16",
             "p(A+B+)=0.42677669529663692 p(A+B-)=0.073223304703363093 "
@@ -309,7 +295,7 @@ class TestRunCommand:
         ]),
         ("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\ndove alpha=0.3 side=bob\n"
          "qwp theta=0.2 side=bob\nhwp theta=0.1 side=bob\nherald basis=H side=alice\n",
-         ["--shots", "1000", "--seed", "3"], [
+         ["--shots", "1000", "--seed", "3"], 1, [
             "herald probability = 0.50000000000000056",
             "analyzer OAM magnitude m = 2",
             "p(A+B+)=0.50620059310242871 p(A+B-)=0.42814783578288274 "
@@ -318,26 +304,22 @@ class TestRunCommand:
             "counts (shots=1000): (494, 439, 26, 41)  e_est = 0.070000000000000007",
         ]),
     ], ids=["fig2", "cascade", "dove-qwp-hwp"])
-    def test_stdout_after_the_bench_line_is_pinned(self, tmp_path, capsys, text, argv,
-                                                   expected):
-        path = FIG2
-        if text is not None:
-            path = tmp_path / "pinned.bench"
-            path.write_text(text)
-        assert main(["run", str(path), *argv]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_stdout_after_the_bench_line_is_pinned(self, cli, text, argv, warnings, expected):
+        path = FIG2 if text is None else "pinned.bench"
+        ran = run(cli, Case("pinned", ("run", path, *argv), files={path: text} if text else {},
+                            err_lines=warnings, err_prefix=WARNING if warnings else None))
+        lines = ran.out.splitlines()
         assert lines[0] == f"bench: {path}"
         assert lines[1:] == expected
 
-    def test_manifest_records_the_truncation_and_the_bench_digest(self, tmp_path, capsys):
-        bench = tmp_path / "fig2.bench"
+    def test_manifest_records_the_truncation_and_the_bench_digest(self, cli):
         with open(FIG2, "rb") as fh:
             text = fh.read()
         manifests = []
         for data in (text, text + b"# edited\n"):
-            bench.write_bytes(data)
-            assert main(["run", str(bench), "--json"]) == 0
-            manifest = json.loads(capsys.readouterr().out)["manifest"]
+            ran = cli(["run", "fig2.bench", "--json"], files={"fig2.bench": data})
+            assert ran.code == 0
+            manifest = json.loads(ran.out)["manifest"]
             assert manifest["bench_sha256"] == hashlib.sha256(data).hexdigest()
             manifests.append(manifest)
         assert manifests[0]["bench_sha256"] != manifests[1]["bench_sha256"]
@@ -345,88 +327,76 @@ class TestRunCommand:
         assert set(manifests[0]) == {"command", "parameters", "tool_version", "timestamp",
                                      "m_max", "bench_sha256"}
 
-    def test_counts_reported_with_shots(self, capsys):
-        assert main(["run", FIG2, "--shots", "1000", "--seed", "5",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_counts_reported_with_shots(self, cli):
+        ran = cli(["run", FIG2, "--shots", "1000", "--seed", "5", "--json"])
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         assert sum(payload["counts"]) == 1000
         assert -1.0 <= payload["e_estimated"] <= 1.0
 
-    def test_counts_draw_row_0_of_the_stream(self, capsys):
+    def test_counts_draw_row_0_of_the_stream(self, cli):
         # The one lane rule: run --shots is row 0, lane (stream, 0), like sweep row 0.
-        assert main(["run", FIG2, "--shots", "1000", "--seed", "5", "--stream", "2",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        ran = cli(["run", FIG2, "--shots", "1000", "--seed", "5", "--stream", "2", "--json"])
+        assert ran.code == 0
+        payload = json.loads(ran.out)
         p = np.array(payload["probabilities"])
         want = RngSeed(5, 2).generator(0).multinomial(1000, p / p.sum())
         assert payload["counts"] == want.tolist()
 
-    def test_malformed_bench_exits_2(self, tmp_path, capsys):
-        bench = tmp_path / "bad.bench"
-        bench.write_text("source spdc\nqplate q=banana\n")
-        assert main(["run", str(bench)]) == 2
-        err = capsys.readouterr().err
-        assert "line 2" in err and "bad-number" in err
+    def test_malformed_bench_exits_2(self, cli):
+        ran = cli(["run", "bad.bench"], files={"bad.bench": "source spdc\nqplate q=banana\n"})
+        assert ran.code == 2
+        assert "line 2" in ran.err and "bad-number" in ran.err
 
-    def test_missing_file_exits_1(self, capsys):
-        assert main(["run", "/nonexistent/path.bench"]) == 1
+    def test_missing_file_exits_1(self, cli):
+        assert cli(["run", "/nonexistent/path.bench"]).code == 1
 
-    def test_analyzer_mismatch_exits_3(self, capsys):
+    def test_analyzer_mismatch_exits_3(self, cli):
         # Forcing a +-1 analyzer on a +-2 state loses all the weight.
-        assert main(["run", FIG2, "--analyzer-m", "1"]) == 3
-        assert "numeric contract violation" in capsys.readouterr().err
+        ran = cli(["run", FIG2, "--analyzer-m", "1"])
+        assert ran.code == 3
+        assert "numeric contract violation" in ran.err
         # A +-4 analyzer lies outside fig2's truncation, which is its reach of 2.
-        assert main(["run", FIG2, "--analyzer-m", "4"]) == 1
-        assert capsys.readouterr().err == (
-            "spinorbit: error: --analyzer-m 4 exceeds the bench truncation m_max=2\n"
+        ran = cli(["run", FIG2, "--analyzer-m", "4"])
+        assert (ran.code, ran.err) == (
+            1, "spinorbit: error: --analyzer-m 4 exceeds the bench truncation m_max=2\n"
         )
 
-    def test_zero_weight_herald_exits_1(self, tmp_path, capsys):
+    def test_zero_weight_herald_exits_1(self, cli):
         # A q-plate before the fiber filter moves every photon out of m = 0.
-        bench = tmp_path / "dark.bench"
-        bench.write_text(
-            "source spdc\nqplate q=1 side=bob\nfilter smf side=bob\n"
-            "herald basis=H side=alice\n"
-        )
-        assert main(["run", str(bench)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("spinorbit: error: herald probability is 0")
-        assert len(err.splitlines()) == 1
+        ran = cli(["run", "dark.bench"], files={"dark.bench": (
+            "source spdc\nqplate q=1 side=bob\nfilter smf side=bob\nherald basis=H side=alice\n"
+        )})
+        assert ran.code == 1
+        assert ran.err.startswith("spinorbit: error: herald probability is 0")
+        assert len(ran.err.splitlines()) == 1
 
-    def test_roundoff_filter_bench_exits_1(self, tmp_path, capsys):
+    def test_roundoff_filter_bench_exits_1(self, cli):
         # Only roundoff reaches the filter's m = 0 mode, so it transmits weight 0.
-        bench = tmp_path / "roundoff.bench"
-        bench.write_text(
+        ran = cli(["run", "roundoff.bench"], files={"roundoff.bench": (
             "source spdc\nqplate q=0.5 side=bob\nqwp theta=22.5deg side=bob\n"
             "herald basis=V\nqwp theta=22.5deg side=bob\nqplate q=0.5 side=bob\n"
             "filter smf side=bob\n"
-        )
-        assert main(["run", str(bench)]) == 1
-        err = capsys.readouterr().err
-        assert "herald probability is 0" in err
-        assert len(err.splitlines()) == 1
+        )})
+        assert ran.code == 1
+        assert "herald probability is 0" in ran.err
+        assert len(ran.err.splitlines()) == 1
 
-    def test_bench_without_oam_exits_1(self, tmp_path, capsys):
+    def test_bench_without_oam_exits_1(self, cli):
         # No q-plate: Bob stays at m = 0, so no analyzer charge can be inferred.
-        bench = tmp_path / "flat.bench"
-        bench.write_text("source spdc\nfilter smf side=bob\nherald basis=H side=alice\n")
-        assert main(["run", str(bench)]) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            "spinorbit: error: cannot infer the analyzer OAM magnitude; pass --analyzer-m\n"
-        )
+        flat = bench("flat", "source spdc\nfilter smf side=bob\nherald basis=H side=alice\n",
+                     code=1, err_lines=1)
+        run(cli, replace(flat, err=ERROR + "cannot infer the analyzer OAM magnitude; "
+                                           "pass --analyzer-m\n"))
         # A bench that moves no OAM compiles at m_max = 0, so no analyzer charge fits.
-        assert main(["run", str(bench), "--analyzer-m", "1"]) == 1
-        assert capsys.readouterr().err == (
-            "spinorbit: error: --analyzer-m 1 exceeds the bench truncation m_max=0\n"
-        )
+        run(cli, replace(flat, argv=(*flat.argv, "--analyzer-m", "1"), err=(
+            ERROR + "--analyzer-m 1 exceeds the bench truncation m_max=0\n")))
 
-    def test_bench_without_herald_exits_2(self, tmp_path, capsys):
-        bench = tmp_path / "open.bench"
-        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n")
-        assert main(["run", str(bench)]) == 2
-        err = capsys.readouterr().err
-        assert err == "bench has no herald stage; nothing to analyze\n"
+    def test_bench_without_herald_exits_2(self, cli):
+        ran = cli(["run", "open.bench"],
+                  files={"open.bench": "source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n"})
+        assert ran.code == 2
+        assert ran.err == "bench has no herald stage; nothing to analyze\n"
 
     @pytest.mark.parametrize(
         "text,error,message",
@@ -452,13 +422,11 @@ class TestRunCommand:
         assert main(["run", str(bench)]) == 2
         assert capsys.readouterr() == ("", message + "\n")
 
-    def test_truncation_above_the_limit_exits_2(self, tmp_path, capsys):
-        bench = tmp_path / "huge.bench"
-        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1e7 side=bob\nherald\n")
-        assert main(["run", str(bench)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "line 3: truncation m_max=20000000 exceeds the limit 65536\n"
+    def test_truncation_above_the_limit_exits_2(self, cli):
+        ran = cli(["run", "huge.bench"], files={
+            "huge.bench": "source spdc\nfilter smf side=bob\nqplate q=1e7 side=bob\nherald\n"})
+        assert (ran.code, ran.out, ran.err) == (
+            2, "", "line 3: truncation m_max=20000000 exceeds the limit 65536\n")
 
     def test_truncation_exits_3(self, monkeypatch, capsys):
         def truncated(*args, **kwargs):
@@ -482,62 +450,46 @@ class TestRunCommand:
         assert main(["run", FIG2]) == 1
         assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
 
-    def test_missing_filter_warning_is_one_stderr_line(self, tmp_path, capsys):
-        assert main(["run", FIG2]) == 0
-        reference = capsys.readouterr().out.splitlines()
-        bench = tmp_path / "unfiltered.bench"
-        bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")
-        assert main(["run", str(bench)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == (
+    def test_missing_filter_warning_is_one_stderr_line(self, cli):
+        reference = run(cli, Case("fig2", ("run", FIG2))).out.splitlines()
+        ran = run(cli, bench("unfiltered", UNFILTERED, err_lines=1, err=(
             "spinorbit: warning: bench has a q-plate but no mode filter; an ideal "
             "source carries no OAM, so the output is unchanged\n"
-        )
-        assert captured.out.splitlines()[1:] == reference[1:]  # all but the bench path
+        )))
+        assert ran.out.splitlines()[1:] == reference[1:]  # all but the bench path
 
-    def test_off_span_weight_is_reported_and_warned(self, tmp_path, capsys):
-        bench = tmp_path / "offspan.bench"
-        bench.write_text("source spdc\nfilter smf side=bob\nqplate q=1 side=bob\n"
-                         "hwp theta=0 side=bob\nherald basis=H side=alice\n")
-        assert main(["run", str(bench), "--json"]) == 0
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
+    def test_off_span_weight_is_reported_and_warned(self, cli):
+        warning = ("spinorbit: warning: weight 1 lies off the q-plate output span |L,-2>, "
+                   "|R,+2>, where the optical-chain analyzer measures other probabilities\n")
+        ran = run(cli, bench("offspan", OFF_SPAN, "--json", err=warning, err_lines=1,
+                             json=(("", "off_span_weight", ">", 0.99),)))
+        payload = json.loads(ran.out)
         assert payload["off_span_weight"] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(payload["probabilities"], [0.4268, 0.0732, 0.0732, 0.4268],
                                    atol=5e-5)
-        assert captured.err == (
-            "spinorbit: warning: weight 1 lies off the q-plate output span |L,-2>, |R,+2>, "
-            "where the optical-chain analyzer measures other probabilities\n"
-        )
-        assert main(["run", str(bench)]) == 0
-        text = capsys.readouterr()
-        assert len(text.out.splitlines()) == 5 and text.err == captured.err
+        text = cli(["run", "offspan.bench"])
+        assert text.code == 0 and len(text.out.splitlines()) == 5 and text.err == warning
 
     @pytest.mark.parametrize("argv", [[FIG2], [FIG2, "--analyzer-m", "2", "--chi-a", "0.3"]])
-    def test_on_span_runs_report_no_off_span_weight(self, argv, capsys):
-        assert main(["run", *argv, "--json"]) == 0
-        captured = capsys.readouterr()
-        assert abs(json.loads(captured.out)["off_span_weight"]) <= 1e-9
-        assert captured.err == ""
+    def test_on_span_runs_report_no_off_span_weight(self, argv, cli):
+        ran = run(cli, Case("on-span", ("run", *argv, "--json"), err="",
+                            json=(("", "manifest.m_max", "==", 2),)))
+        assert abs(json.loads(ran.out)["off_span_weight"]) <= 1e-9
 
-    def test_failure_after_the_missing_filter_lint_is_one_line(self, tmp_path, capsys):
-        bench = tmp_path / "unfiltered.bench"
-        bench.write_text("source spdc\nqplate q=1 side=bob\nherald basis=H\n")
-        assert main(["run", str(bench), "--analyzer-m", "99"]) == 1
-        assert capsys.readouterr().err == (
-            "spinorbit: error: --analyzer-m 99 exceeds the bench truncation m_max=2\n"
+    def test_failure_after_the_missing_filter_lint_is_one_line(self, cli):
+        ran = cli(["run", "unfiltered.bench", "--analyzer-m", "99"],
+                  files={"unfiltered.bench": UNFILTERED})
+        assert (ran.code, ran.err) == (
+            1, "spinorbit: error: --analyzer-m 99 exceeds the bench truncation m_max=2\n"
         )
 
-    def test_usage_error_exits_1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--chi-a", "not-an-angle"])
-        assert exc.value.code == 1
+    def test_usage_error_exits_1(self, cli):
+        assert cli(["chsh", "--chi-a", "not-an-angle"]).code == 1
 
-    def test_zero_denominator_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh", "--chi-a", "pi/0"])
-        assert exc.value.code == 1
-        assert "cannot parse angle 'pi/0'" in capsys.readouterr().err
+    def test_zero_denominator_is_a_usage_error(self, cli):
+        ran = cli(["chsh", "--chi-a", "pi/0"])
+        assert ran.code == 1
+        assert "cannot parse angle 'pi/0'" in ran.err
 
 
 class TestInvalidValues:
@@ -574,15 +526,10 @@ class TestInvalidValues:
             ["run", FIG2, "--seed", "-1"],
         ],
     )
-    def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
-        out = tmp_path / "out.csv"
+    def test_exit_1_with_one_line_and_no_file(self, argv, cli):
         if argv[0] in ("sweep", "field"):
-            argv = argv + ["--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("spinorbit: error: ")
-        assert len(err.splitlines()) == 1
-        assert not out.exists()
+            argv = argv + ["--out", "out.csv"]
+        run(cli, Case("invalid", tuple(argv), code=1, err_lines=1, err_prefix=ERROR))
 
 
 class TestFileErrors:
@@ -594,16 +541,10 @@ class TestFileErrors:
             ["run"],
         ],
     )
-    def test_exit_1_with_one_line_and_no_file(self, argv, tmp_path, capsys):
-        missing = tmp_path / "missing"
-        target = missing / ("in.bench" if argv[0] == "run" else "out.csv")
-        assert main(argv + [str(target)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("spinorbit: error: ")
-        assert str(target) in err
-        assert len(err.splitlines()) == 1
-        assert not missing.exists()
-        assert list(tmp_path.iterdir()) == []
+    def test_exit_1_with_one_line_and_no_file(self, argv, cli):
+        target = os.path.join("missing", "in.bench" if argv[0] == "run" else "out.csv")
+        ran = run(cli, Case("missing", (*argv, target), code=1, err_lines=1, err_prefix=ERROR))
+        assert target in ran.err
 
 
 class TestOutputFiles:
@@ -644,14 +585,15 @@ class TestOutputFiles:
         assert link.is_symlink() and target.exists()
 
 
-def rerun_outputs(argv, out, capsys):
+def rerun_outputs(cli, argv, out, env={}):
     """Run ``argv`` to a CSV at ``out`` or to JSON on stdout; its manifest and its output."""
     if argv[0] in ("sweep", "field"):
-        assert main([*argv, "--out", str(out)]) == 0
-        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
-        return manifest, out.read_bytes()
-    assert main([*argv, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+        ran = cli([*argv, "--out", out], env=env)
+        assert ran.code == 0
+        return json.loads(ran.files[out.replace(".csv", ".manifest.json")]), ran.files[out]
+    ran = cli([*argv, "--json"], env=env)
+    assert ran.code == 0
+    payload = json.loads(ran.out)
     return payload.pop("manifest"), payload
 
 
@@ -669,11 +611,9 @@ class TestManifestRoundTrip:
         ["sweep", "--points", "4", "--chi-b=-1e-05"],
     ], ids=["chsh-exact", "chsh-montecarlo", "nchv", "sweep-exact", "sweep-sampled", "field",
             "run", "run-shots", "chsh-negative-exponent", "sweep-negative-exponent"])
-    def test_the_manifest_alone_reproduces_the_output(self, argv, tmp_path, capsys,
-                                                      monkeypatch):
-        monkeypatch.setenv("SPINORBIT_SEED", "11")  # a drawn seed must be in the manifest
-        manifest, output = rerun_outputs(argv, tmp_path / "a.csv", capsys)
-        monkeypatch.delenv("SPINORBIT_SEED")
+    def test_the_manifest_alone_reproduces_the_output(self, argv, cli):
+        # A drawn seed must be in the manifest.
+        manifest, output = rerun_outputs(cli, argv, "a.csv", env={"SPINORBIT_SEED": "11"})
         params = dict(manifest["parameters"])
         rebuilt = [manifest["command"]]
         if "bench" in params:
@@ -684,7 +624,7 @@ class TestManifestRoundTrip:
         for key in ("seed", "stream"):
             if key in manifest:
                 rebuilt += [f"--{key}", str(manifest[key])]
-        again, output_again = rerun_outputs(rebuilt, tmp_path / "b.csv", capsys)
+        again, output_again = rerun_outputs(cli, rebuilt, "b.csv")
         assert output_again == output
         for man in (manifest, again):
             del man["timestamp"]
@@ -692,42 +632,35 @@ class TestManifestRoundTrip:
         assert again == manifest
 
 
+BAD_SEED = {"SPINORBIT_SEED": "abc"}
+
+
 class TestSeedEnvironment:
-    def test_invalid_seed_warns_once_and_falls_back_to_zero(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.setenv("SPINORBIT_SEED", "abc")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
+    def test_invalid_seed_warns_once_and_falls_back_to_zero(self, cli):
+        ran = cli(["sweep", "--points", "4", "--shots", "10", "--out", "sweep.csv"], env=BAD_SEED)
+        assert ran.code == 0
+        err = ran.err.splitlines()
         assert len(err) == 1 and "'abc'" in err[0] and "SPINORBIT_SEED" in err[0]
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["seed"] == 0
+        assert json.loads(ran.files["sweep.manifest.json"])["seed"] == 0
 
-    def test_valid_seed_is_silent(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("SPINORBIT_SEED", "11")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--points", "4", "--shots", "10", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["seed"] == 11
+    def test_valid_seed_is_silent(self, cli):
+        ran = cli(["sweep", "--points", "4", "--shots", "10", "--out", "sweep.csv"],
+                  env={"SPINORBIT_SEED": "11"})
+        assert (ran.code, ran.err) == (0, "")
+        assert json.loads(ran.files["sweep.manifest.json"])["seed"] == 11
 
-    def test_invalid_seed_is_silent_when_unused(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("SPINORBIT_SEED", "abc")
-        assert main(["field", "--q", "1", "--out", str(tmp_path / "f.csv")]) == 0
-        assert main(["nchv"]) == 0
-        assert main(["sweep", "--points", "4", "--shots", "10", "--seed", "5",
-                     "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert capsys.readouterr().err == ""
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["seed"] == 5
+    def test_invalid_seed_is_silent_when_unused(self, cli):
+        for argv in (["field", "--q", "1", "--out", "f.csv"], ["nchv"],
+                     ["sweep", "--points", "4", "--shots", "10", "--seed", "5",
+                      "--out", "sweep.csv"]):
+            ran = cli(argv, env=BAD_SEED)
+            assert (ran.code, ran.err) == (0, "")
+        assert json.loads(ran.files["sweep.manifest.json"])["seed"] == 5
 
-    def test_exact_sweep_reads_no_seed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("SPINORBIT_SEED", "abc")
-        assert main(["sweep", "--points", "8", "--out", str(tmp_path / "e.csv")]) == 0
-        assert capsys.readouterr().err == ""
-        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
-        assert "seed" not in manifest and "stream" not in manifest
+    def test_exact_sweep_reads_no_seed(self, cli):
+        run(cli, Case("sweep-exact-bad-seed", ("sweep", "--points", "8", "--out", "e.csv"),
+                      env=BAD_SEED, err="", json=(("e.manifest.json", "seed", "absent", None),
+                                                  ("e.manifest.json", "stream", "absent", None))))
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -738,12 +671,9 @@ class TestSeedEnvironment:
           f"shots must be at most 2**63 - 1, got {2**64}")],
         ids=["run", "chsh", "sweep"],
     )
-    def test_failed_draw_prints_only_its_error(self, monkeypatch, tmp_path, capsys, argv,
-                                               message):
-        monkeypatch.setenv("SPINORBIT_SEED", "abc")
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
+    def test_failed_draw_prints_only_its_error(self, cli, argv, message):
+        run(cli, Case("failed-draw", tuple(argv), env=BAD_SEED, code=1, err_lines=1,
+                      err=f"{ERROR}{message}\n"))
 
     def test_warning_follows_the_output(self, monkeypatch):
         monkeypatch.setenv("SPINORBIT_SEED", "abc")
@@ -751,7 +681,20 @@ class TestSeedEnvironment:
         monkeypatch.setattr(sys, "stdout", both)
         monkeypatch.setattr(sys, "stderr", both)
         assert main(["chsh", "--mode", "montecarlo", "--shots", "100"]) == 0
-        lines = both.getvalue().splitlines()
+        self.assert_the_warning_is_last(both.getvalue())
+
+    @pytest.mark.skipif(CONSOLE is None, reason=NO_CONSOLE)
+    def test_warning_follows_the_output_of_the_installed_script(self, tmp_path):
+        # Both streams into one pipe: the script's buffered stdout must reach it first.
+        proc = subprocess.run([CONSOLE, "chsh", "--mode", "montecarlo", "--shots", "100"],
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                              env=console_env(BAD_SEED), cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0
+        self.assert_the_warning_is_last(proc.stdout)
+
+    @staticmethod
+    def assert_the_warning_is_last(text):
+        lines = text.splitlines()
         assert lines[0].startswith("shots per setting: 100")
         assert lines[-1] == ("spinorbit: warning: ignoring $SPINORBIT_SEED='abc' "
                              "(not an integer); using seed 0")
@@ -764,12 +707,33 @@ class TestSeedEnvironment:
          (["nchv", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer")],
         ids=["chsh", "run", "nchv"],
     )
-    def test_explicit_values_are_checked_without_the_environment(
-        self, monkeypatch, capsys, argv, message
-    ):
-        monkeypatch.setenv("SPINORBIT_SEED", "abc")
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"spinorbit: error: {message}\n"
+    def test_explicit_values_are_checked_without_the_environment(self, cli, argv, message):
+        ran = cli(argv, env=BAD_SEED)
+        assert (ran.code, ran.err) == (1, f"{ERROR}{message}\n")
+
+
+class TestContract:
+    """The CLI cases with no named test, and the checker they all share."""
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+    def test_case(self, case, cli):
+        run(cli, case)
+
+    def test_check_refuses_a_stale_row(self, cli):
+        good = bench("offspan", OFF_SPAN, "--json", out=('  "analyzer_m": 2,',), err_lines=1,
+                     err_prefix=WARNING, json=(("", "manifest.m_max", "==", 2),
+                                               ("", "off_span_weight", ">", 0.99)))
+        ran = run(cli, good)
+        stale = [replace(good, code=1), replace(good, out=('  "analyzer_m": 4,',)),
+                 replace(good, err_lines=2), replace(good, err_prefix=ERROR),
+                 replace(good, err=""), replace(good, json=(("", "manifest.m_max", "==", 3),)),
+                 replace(good, json=(("", "off_span_weight", ">", 1.0),)),
+                 replace(good, json=(("", "manifest.m_max", "absent", None),))]
+        for case in stale:
+            with pytest.raises(AssertionError):
+                check(case, ran)
+        with pytest.raises(AssertionError):  # a failed command must leave no file
+            check(replace(good, code=1), ran._replace(code=1, files={**ran.files, "s.csv": b""}))
 
 
 class TestColdStart:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import is_unitary, states_equal_up_to_phase
 
+from spinorbit.elements import mirror_op
 from spinorbit.experiment import herald, spin_orbit_bell_state
 from spinorbit.qstate import (
     _CIRC_TO_LIN,
@@ -125,6 +126,24 @@ class TestGrid:
             with pytest.raises(ValueError, match="^matrix shape does not match m_max$"):
                 BipartiteState(1, np.zeros(shape))
 
+    @pytest.mark.parametrize("m_max,message", [
+        (1.5, "m_max must be an integer, got 1.5"),
+        (2.0, "m_max must be an integer, got 2.0"),
+        (True, "m_max must be an integer, got True"),
+        (-1, "m_max must be at least 0, got -1"),
+    ])
+    def test_truncation_must_be_an_integer_of_at_least_0(self, m_max, message):
+        # 1.5 gives a flat size of 8.0, which matched the (8,) vector it was checked against.
+        for build in (lambda: PhotonState(m_max, np.zeros(8)),
+                      lambda: BipartiteState(m_max, np.zeros((2, 8)))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_numpy_integer_truncation_is_stored_as_an_int(self):
+        for state in (PhotonState(np.int64(1), np.zeros(6)),
+                      BipartiteState(np.uint8(1), np.zeros((2, 6)))):
+            assert type(state.m_max) is int and state.m_max == 1
+
     def test_fortran_ordered_grid_is_stored_c_ordered(self):
         grid = np.asfortranarray(np.arange(10, dtype=complex).reshape(2, 5))
         state = PhotonState(2, grid)
@@ -219,6 +238,17 @@ class TestElementOp:
             ElementOp(np.eye(2), shift=3, m_max=2)
         with pytest.raises(ValueError, match=r"^blocks \(3, 2, 2, 1\) do not fit"):
             ElementOp(np.ones((3, 2, 2, 1)))  # an element holds one setting
+
+    @pytest.mark.parametrize("m_max,message", [
+        (1.5, "m_max must be an integer, got 1.5"),
+        (True, "m_max must be an integer, got True"),
+        (-1, "m_max must be at least 0, got -1"),
+    ])
+    def test_truncation_must_be_an_integer_of_at_least_0(self, m_max, message):
+        for build in (lambda: ElementOp(np.eye(2), m_max=m_max), lambda: mirror_op(m_max)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+        assert type(ElementOp(np.eye(2), m_max=np.int64(2)).m_max) is int
 
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(BasisMismatchError):
