@@ -18,8 +18,9 @@ draw (:func:`sample_counts`) is row 0.  So distinct streams never share a
 draw and any one row can be reproduced on its own; the generator identity
 is recorded in :data:`GENERATOR_ID`.  The lanes' PCG64 seed words come from
 one vectorised port of NumPy's SeedSequence hash (after M. O'Neill's
-``seed_seq_fe``) over the whole block; the words, and so every count, are
-the ones ``SeedSequence`` itself gives.
+``seed_seq_fe``) over the whole block, which hashes the words all lanes
+share once; the words, and so every count, are the ones ``SeedSequence``
+itself gives.  One lane iterator per block hands each row's PCG64 its words.
 
 A phase sweep is one :class:`SweepTable` of read-only columns, the arrays
 the analyzer and the sampler produce; a :class:`SweepRow` is built only
@@ -258,21 +259,26 @@ def _seed_sequence_state(entropy: list) -> np.ndarray:
     """``SeedSequence.generate_state(4, np.uint64)`` per column, (n, 4) uint64.
 
     ``entropy`` is SeedSequence's assembled entropy, at least the four pool
-    words long; each word is an int or an (n,) uint32 array of one word per
-    column.  The hash constants follow a fixed schedule, so they stay ints.
+    words long.  Each word is an int, shared by every column, except the one
+    (n,) uint32 array of the columns' own words, which comes after the first
+    four.  The shared words are hashed once, as ints masked to 32 bits; the
+    pool turns into arrays only where it takes in the column words.  The
+    hash constants follow a fixed schedule, so they stay ints.
     """
-    entropy = [np.asarray(word, dtype=np.uint32).reshape(-1) for word in entropy]
     hash_const = _INIT_A
+
+    def u32(value):
+        return value & _MASK32 if isinstance(value, int) else value  # arrays wrap
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
+        value = u32(value * hash_const)
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result = u32(u32(x * _MIX_MULT_L) - u32(y * _MIX_MULT_R))
         return result ^ (result >> _XSHIFT)
 
     pool = [hashmix(word) for word in entropy[:4]]
@@ -319,32 +325,37 @@ def _lane_states(seed: RngSeed, first_lane: int, n: int) -> np.ndarray:
 
 @cache
 def _lane_seed_type() -> type:
-    """An ``ISeedSequence`` that hands PCG64 one lane's precomputed words.
+    """An ``ISeedSequence`` over a block's (n, 4) words; each PCG64 it seeds takes a row.
 
-    Made on first use, because numpy.random is imported lazily and commands
-    that never sample should not load it.
+    ``PCG64.__init__`` calls ``generate_state`` exactly once, so the k-th
+    PCG64 built from one instance gets row k.  The tests check every sampled
+    row against ``seed.generator(first_lane + k)``, so a numpy that called it
+    otherwise would fail them rather than shift the rows silently.  Made on
+    first use, because numpy.random is imported lazily and commands that
+    never sample should not load it.
     """
 
-    class LaneSeed(np.random.bit_generator.ISeedSequence):
+    class LaneSeeds(np.random.bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray):
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            return next(self.rows)
 
-    return LaneSeed
+    return LaneSeeds
 
 
 def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarray:
     """Multinomial draws of ``shots`` per row of an (n, 4) block, int64 (n, 4).
 
     Row k is the draw ``seed.generator(first_lane + k)`` makes, so each row
-    can be reproduced on its own.  Each row's PCG64 is seeded from the same
-    words, which one vectorised SeedSequence hash computes for the whole
-    block (:func:`_lane_states`).  The block is checked once, before any
-    draw: entries >= -1e-12, each row summing to 1 within 1e-9 (so a NaN
-    entry fails), shots an integer from 1 to 2**63 - 1 (an int64 draw count)
-    and ``seed`` an :class:`RngSeed`.
+    can be reproduced on its own.  One vectorised SeedSequence hash computes
+    every row's PCG64 seed words (:func:`_lane_states`), and one lane
+    iterator (:func:`_lane_seed_type`) hands them to the rows' PCG64s in
+    turn; no object is made per row beyond the generator and its draw.  The
+    block is checked once, before any draw: entries >= -1e-12, each row
+    summing to 1 within 1e-9 (so a NaN entry fails), shots an integer from 1
+    to 2**63 - 1 (an int64 draw count) and ``seed`` an :class:`RngSeed`.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
@@ -362,15 +373,12 @@ def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarra
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     if not isinstance(seed, RngSeed):
         raise ValueError(f"sampling needs an RngSeed, got {seed!r}")
-    states = _lane_states(seed, first_lane, len(p))
-    lane_seed = _lane_seed_type()
+    lanes = _lane_seed_type()(_lane_states(seed, first_lane, len(p)))
     p = np.clip(p, 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
-    out = np.empty(p.shape, dtype=np.int64)
-    for k, (words, row) in enumerate(zip(states, p, strict=True)):
-        bits = np.random.PCG64(lane_seed(words))
-        out[k] = np.random.Generator(bits).multinomial(shots, row)
-    return out
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    return np.array([generator(pcg64(lanes)).multinomial(shots, row) for row in p],
+                    dtype=np.int64)
 
 
 def sample_counts(

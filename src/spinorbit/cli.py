@@ -122,6 +122,8 @@ def _manifest(args, seed: RngSeed | None, **resolved) -> dict:
         "command": args.command,
         "parameters": {**params, **resolved},
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if seed is not None:
@@ -132,11 +134,23 @@ def _manifest(args, seed: RngSeed | None, **resolved) -> dict:
 def _write_outputs(args, header: list[str], columns: list[np.ndarray], manifest: dict) -> str:
     """Write equal-length columns as a CSV at ``args.out``, then its sidecar manifest.
 
-    Returns the sidecar's path, ``<name>.manifest.json``.  If a write fails, the
-    regular files this call opened are removed before the error propagates, so a
-    failed command leaves no output; a file it never opened is left alone.
+    Returns the sidecar's path, ``<name>.manifest.json``.  Before anything is
+    opened, a sidecar that already exists as a regular file must record an
+    ``out`` of this output's basename: the manifest of another output with the
+    same stem (``s.csv`` beside ``s.txt``) is never replaced.  If a write fails,
+    the regular files this call opened are removed before the error propagates,
+    so a failed command leaves no output; a file it never opened is left alone.
     """
     man_path = os.path.splitext(args.out)[0] + ".manifest.json"
+    if os.path.isfile(man_path):
+        with open(man_path, "rb") as fh:
+            try:
+                owner = json.load(fh)["parameters"]["out"]
+            except (ValueError, LookupError, TypeError):
+                owner = None
+        if not isinstance(owner, str) or os.path.basename(owner) != os.path.basename(args.out):
+            raise FileExistsError(f"{man_path} is not the manifest of {args.out}; "
+                                  "not overwriting it")
     # Integer columns print as integers, every other column as a float that round-trips.
     cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist())) for col in columns]
     opened = []
@@ -283,7 +297,13 @@ def cmd_run(args) -> int:
 
     with open(args.bench, "rb") as fh:
         data = fh.read()
-    result = compile_bench(parse(data.decode())).run()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{args.bench}: line {line} is not UTF-8 "
+                         f"(byte {data[exc.start]:#04x})") from None
+    result = compile_bench(parse(text)).run()
     if result.bob is None:
         raise BenchError("bench has no herald stage; nothing to analyze")
     if result.herald_probability * result.filter_weight == 0:

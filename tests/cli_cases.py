@@ -118,7 +118,8 @@ CASES = [
     bench("open", "source spdc\n", code=2, err_lines=1,
           err="bench has no herald stage; nothing to analyze\n"),
     # Fixed edge inputs: one error line each, and no output file.
-    bench("non-utf8", b"source spdc\n\xff\xfe\n", code=1, err_lines=1, err_prefix=ERROR),
+    bench("non-utf8", b"source spdc\n\xff\xfe\n", code=1,
+          err=ERROR + "non-utf8.bench: line 2 is not UTF-8 (byte 0xff)\n"),
     Case("run-directory", ("run", "d"), files={"d/": None}, code=1, err_lines=1,
          err_prefix=ERROR),
     Case("sweep-out-directory", ("sweep", "--out", "d"), files={"d/": None}, code=1,

@@ -213,6 +213,29 @@ class TestSampleRows:
         np.testing.assert_array_equal(got.counts, want.counts)
         np.testing.assert_array_equal(got.e_estimated, want.e_estimated)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.lists(st.integers(0, 10**6), min_size=4, max_size=4)
+                         .filter(any), min_size=1, max_size=6),
+        shots=st.integers(1, 10**6) | st.just(2**63 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 2**40),
+        first_lane=(st.integers(0, 8) | st.integers(2**32 - 4, 2**32 + 4)
+                    | st.integers(0, 2**40 - 1)),
+    )
+    @example(weights=[[1, 2, 3, 4]] * 6, shots=10**4, seed=2**64 - 1, stream=2**40,
+             first_lane=2**32 - 3)  # a block across the 32-bit lane boundary
+    def test_every_row_is_its_lane_generators_draw(self, weights, shots, seed, stream,
+                                                   first_lane):
+        p = np.array(weights, dtype=float)
+        p /= p.sum(axis=1, keepdims=True)
+        rng_seed = RngSeed(seed, stream)
+        draws = _sample_rows(p, shots, rng_seed, first_lane)
+        assert draws.dtype == np.int64 and draws.shape == p.shape
+        for k, row in enumerate(p):
+            want = rng_seed.generator(first_lane + k).multinomial(shots, row / row.sum())
+            np.testing.assert_array_equal(draws[k], want)
+
     def test_missing_seed_rejected_before_the_lane_hash(self, monkeypatch):
         assert sweep(0.3, [0.1], 0, None).counts is None  # an exact sweep draws nothing
         monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)

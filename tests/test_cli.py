@@ -246,6 +246,8 @@ class TestFieldCommand:
             "rotationally_invariant": False,
             "symmetry_order": 1,
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "python_version": "%d.%d.%d" % sys.version_info[:3],
         }
 
 
@@ -324,8 +326,8 @@ class TestRunCommand:
             manifests.append(manifest)
         assert manifests[0]["bench_sha256"] != manifests[1]["bench_sha256"]
         assert manifests[0]["m_max"] == manifests[1]["m_max"] == 2
-        assert set(manifests[0]) == {"command", "parameters", "tool_version", "timestamp",
-                                     "m_max", "bench_sha256"}
+        assert set(manifests[0]) == {"command", "parameters", "tool_version", "numpy_version",
+                                     "python_version", "timestamp", "m_max", "bench_sha256"}
 
     def test_counts_reported_with_shots(self, cli):
         ran = cli(["run", FIG2, "--shots", "1000", "--seed", "5", "--json"])
@@ -576,6 +578,20 @@ class TestOutputFiles:
         assert capsys.readouterr().err.endswith("No space left on device\n")
         assert [p.name for p in tmp_path.iterdir()] == ["s.manifest.json"]
         assert (tmp_path / "s.manifest.json").read_bytes() == sidecar
+
+    def test_another_outputs_sidecar_is_not_replaced(self, tmp_path, capsys):
+        # s.csv and s.txt share the stem s, so both would write s.manifest.json.
+        assert main(["sweep", "--points", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        sidecar = (tmp_path / "s.manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(["sweep", "--points", "4", "--out", str(tmp_path / "s.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinorbit: error: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.manifest.json"]
+        assert (tmp_path / "s.manifest.json").read_bytes() == sidecar
+        # A rerun into the same output replaces its own sidecar.
+        assert main(["sweep", "--points", "8", "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads((tmp_path / "s.manifest.json").read_bytes())["parameters"]["points"] == 8
 
     def test_a_link_written_through_survives(self, tmp_path, capsys):
         target, link = tmp_path / "target.csv", tmp_path / "s.csv"
