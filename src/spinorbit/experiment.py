@@ -51,6 +51,7 @@ from .qstate import (
     PhotonState,
     TruncationError,
     _frozen,
+    _integer,
     _Record,
     apply_bob,
     oam_dim,
@@ -121,11 +122,11 @@ def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
     nrm = math.sqrt(sum(abs(v) ** 2 for v in chi))
     if not abs(nrm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"herald basis must have unit norm, got {nrm}")
-    bob = chi.conj() @ state.matrix
+    bob = chi.conj() @ state.grid.reshape(2, -1)  # Bob's (spin, m) cells read flat
     prob = float(np.vdot(bob, bob).real)
     if prob < NORM_TOL**2:
         return HeraldOutcome(state=PhotonState.zero(state.m_max), probability=0.0)
-    return HeraldOutcome(state=PhotonState(state.m_max, bob / math.sqrt(prob)), probability=prob)
+    return HeraldOutcome(PhotonState(state.m_max, bob.reshape(2, -1) / math.sqrt(prob)), prob)
 
 
 def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
@@ -185,9 +186,11 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     :func:`_spin_outcomes` with Bob's grid columns m_max -+ m.  The input's
     squared norm must be 1 within 1e-9, with support in spin x {-m, +m}:
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
-    Settings must be finite and m >= 1; m > m_max raises TruncationError.
+    Settings must be finite and m an integer of at least 1; m > m_max raises
+    TruncationError.
     """
     grid = _unit_grid(bob)
+    m = _integer("m", m)
     if m < 1:
         raise ValueError("analyzer OAM magnitude must be a positive integer")
     if m > bob.m_max:

@@ -3,14 +3,12 @@
 A single photon carries two coupled degrees of freedom here: spin (circular
 polarization, labels "L" and "R") and orbital angular momentum (an integer
 topological charge m, truncated to |m| <= m_max).  A state stores its
-amplitudes as a grid indexed (spin, m + m_max), of shape (2, 2*m_max+1),
-with Alice's spin as a leading axis for a pair; every element acts on that
-grid.  A state's flat field is a view of the grid in the label order
-
-    ("L", -M), ..., ("L", +M), ("R", -M), ..., ("R", +M)
-
-and all operations are pure functions over immutable values, so everything
-in this module is safe to share across threads.
+amplitudes only as a grid indexed (spin, m + m_max), of shape
+(2, 2*m_max+1), with Alice's spin as a leading axis for a pair; every
+element acts on that grid, and the (spin, m) label of a cell is read and
+written through one rule.  All operations are pure functions over
+immutable values, so everything in this module is safe to share across
+threads.
 
 The linear polarization basis is fixed as
 
@@ -60,7 +58,9 @@ class TruncationError(ValueError):
 
 def _integer(name: str, value) -> int:
     """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # The Integral ABC check is slow next to an analyzer call; an exact int skips it.
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -77,17 +77,19 @@ def oam_dim(m_max: int) -> int:
     return 2 * m_max + 1
 
 
-def state_dim(m_max: int) -> int:
-    return 2 * oam_dim(m_max)
+def _cell(m_max: int, m, *spins) -> tuple[int, ...]:
+    """The grid index (*spin rows, m + m_max) of the label (*spins, m).
 
-
-def basis_index(spin: str, m: int, m_max: int) -> int:
-    """Flat index of the (spin, m) basis label."""
-    if spin not in SPIN_LABELS:
-        raise ValueError(f"spin must be 'L' or 'R', got {spin!r}")
+    A spin other than "L" or "R" or a charge that is not an integer raises
+    ValueError, and |m| > m_max TruncationError.
+    """
+    for spin in spins:
+        if spin not in SPIN_LABELS:
+            raise ValueError(f"spin must be 'L' or 'R', got {spin!r}")
+    m = _integer("m", m)
     if abs(m) > m_max:
         raise TruncationError(f"|m|={abs(m)} exceeds truncation m_max={m_max}")
-    return SPIN_LABELS.index(spin) * oam_dim(m_max) + (m + m_max)
+    return (*map(SPIN_LABELS.index, spins), m + m_max)
 
 
 def spin_ket(state: Union[str, np.ndarray]) -> np.ndarray:
@@ -157,70 +159,57 @@ class _Record:
         return type(self), self._fields()
 
 
-def _frozen_grid(values, m_max: int, lead: tuple) -> np.ndarray:
-    """``values`` as a read-only C-ordered complex copy; the flat layout
-    (*lead, 4*m_max+2) comes back as the grid (*lead, 2, 2*m_max+1)."""
-    grid = np.array(values, dtype=complex, order="C")
-    if grid.shape == (*lead, state_dim(m_max)):
-        grid = grid.reshape(*lead, 2, -1)
-    grid.setflags(write=False)
-    return grid
-
-
 class _State(_Record):
-    """A state record whose amplitudes live on its (..., 2, 2*m_max+1) grid.
-
-    The constructor takes the grid or the flat field; the field is a view of
-    the grid, which the derived ``_grid`` slot holds.
+    """A state record: its truncation ``m_max`` and its read-only, C-ordered
+    complex ``grid`` of amplitudes indexed (..., spin, m + m_max), with
+    ``_spins`` spin axes.  The constructor takes the grid alone; any other
+    shape raises ValueError.
     """
 
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    @property
-    def grid(self) -> np.ndarray:
-        """The read-only amplitudes indexed (..., spin, m + m_max)."""
-        return self._grid
+    def __init__(self, m_max: int, grid: np.ndarray):
+        m_max = _truncation(m_max)
+        grid = np.array(grid, dtype=complex, order="C")
+        shape = (2,) * self._spins + (oam_dim(m_max),)
+        if grid.shape != shape:
+            raise ValueError(f"grid shape {grid.shape} does not match m_max={m_max}: "
+                             f"expected {shape}")
+        grid.setflags(write=False)
+        _Record.__init__(self, m_max, grid)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._grid))
+        return float(np.linalg.norm(self.grid))
 
 
 class PhotonState(_State):
-    """Single-photon amplitudes on the (2, 2*m_max+1) (spin, m) grid;
-    ``vector`` is the grid read flat over the (spin, m) labels."""
+    """Single-photon amplitudes on the (2, 2*m_max+1) (spin, m) grid."""
 
-    __slots__ = ("m_max", "vector", "_grid")
-
-    def __init__(self, m_max: int, vector: np.ndarray):
-        m_max = _truncation(m_max)
-        grid = _frozen_grid(vector, m_max, ())
-        if grid.shape != (2, oam_dim(m_max)):
-            raise ValueError(f"vector length {grid.shape} does not match m_max={m_max}")
-        _Record.__init__(self, m_max, grid.reshape(-1), grid)
+    __slots__ = ("m_max", "grid")
+    _spins = 1
 
     @classmethod
     def zero(cls, m_max: int) -> "PhotonState":
-        return cls(m_max, np.zeros(state_dim(m_max), dtype=complex))
+        return cls.from_amplitudes(m_max, {})
 
     @classmethod
     def basis_state(cls, spin: str, m: int, m_max: int) -> "PhotonState":
-        vec = np.zeros(state_dim(m_max), dtype=complex)
-        vec[basis_index(spin, m, m_max)] = 1.0
-        return cls(m_max, vec)
+        return cls.from_amplitudes(m_max, {(spin, m): 1.0})
 
     @classmethod
     def from_amplitudes(
         cls, m_max: int, amps: Mapping[tuple[str, int], complex]
     ) -> "PhotonState":
-        vec = np.zeros(state_dim(m_max), dtype=complex)
+        m_max = _truncation(m_max)
+        grid = np.zeros((2, oam_dim(m_max)), dtype=complex)
         for (spin, m), a in amps.items():
-            vec[basis_index(spin, m, m_max)] = a
-        return cls(m_max, vec)
+            grid[_cell(m_max, m, spin)] = a
+        return cls(m_max, grid)
 
     def amplitude(self, spin: str, m: int) -> complex:
-        return complex(self.vector[basis_index(spin, m, self.m_max)])
+        return complex(self.grid[_cell(self.m_max, m, spin)])
 
 
 class BipartiteState(_State):
@@ -228,34 +217,24 @@ class BipartiteState(_State):
 
     Alice's photon is analyzed in polarization alone (her OAM is fixed at
     zero by the source and never stored).  The grid has shape
-    (2, 2, 2*m_max+1), indexed (Alice spin, Bob spin, m + m_max); ``matrix``
-    is its (2, 4*m_max+2) view: rows Alice L/R, columns Bob's labels.
+    (2, 2, 2*m_max+1), indexed (Alice spin, Bob spin, m + m_max).
     """
 
-    __slots__ = ("m_max", "matrix", "_grid")
-
-    def __init__(self, m_max: int, matrix: np.ndarray):
-        m_max = _truncation(m_max)
-        grid = _frozen_grid(matrix, m_max, (2,))
-        if grid.shape != (2, 2, oam_dim(m_max)):
-            raise ValueError("matrix shape does not match m_max")
-        _Record.__init__(self, m_max, grid.reshape(2, -1), grid)
+    __slots__ = ("m_max", "grid")
+    _spins = 2
 
     @classmethod
     def from_amplitudes(
         cls, m_max: int, amps: Mapping[tuple[str, str, int], complex]
     ) -> "BipartiteState":
-        mat = np.zeros((2, state_dim(m_max)), dtype=complex)
+        m_max = _truncation(m_max)
+        grid = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)
         for (a_spin, b_spin, m), a in amps.items():
-            mat[SPIN_LABELS.index(a_spin), basis_index(b_spin, m, m_max)] = a
-        return cls(m_max, mat)
+            grid[_cell(m_max, m, a_spin, b_spin)] = a
+        return cls(m_max, grid)
 
     def amplitude(self, alice_spin: str, bob_spin: str, m: int) -> complex:
-        return complex(
-            self.matrix[
-                SPIN_LABELS.index(alice_spin), basis_index(bob_spin, m, self.m_max)
-            ]
-        )
+        return complex(self.grid[_cell(self.m_max, m, alice_spin, bob_spin)])
 
 
 class ElementOp(_Record):
@@ -295,8 +274,10 @@ class ElementOp(_Record):
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense matrix over the flat (spin, m) labels, or over (L, R) when ``m_max``
-        is None: the reference the tests compare the grid contraction with."""
+        """Dense matrix over the (spin, m) labels in the order (L, -m_max), ...,
+        (L, +m_max), (R, -m_max), ..., (R, +m_max), a state's grid read flat, or
+        over (L, R) when ``m_max`` is None: the reference the tests compare the
+        grid contraction with."""
         n_oam = 1 if self.m_max is None else oam_dim(self.m_max)
         blocks = np.broadcast_to(self.blocks, (2, 2, n_oam))
         rows = [[np.eye(n_oam, k=k) * blocks[s, t] for t in (0, 1)]

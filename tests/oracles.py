@@ -6,8 +6,20 @@ from spinorbit.qstate import NORM_TOL, SPIN_LABELS, PhotonState, inner, spin_ket
 
 
 def basis_labels(m_max: int) -> tuple[tuple[str, int], ...]:
-    """The (spin, m) labels in the order of a state's flat field and ``ElementOp.matrix``."""
+    """The (spin, m) labels in the order of ``ElementOp.matrix``: a state's grid read flat."""
     return tuple((s, m) for s in SPIN_LABELS for m in range(-m_max, m_max + 1))
+
+
+def basis_index(spin: str, m: int, m_max: int) -> int:
+    """The position of the (spin, m) label in :func:`basis_labels`."""
+    return basis_labels(m_max).index((spin, m))
+
+
+def flat(state) -> np.ndarray:
+    """A state's grid over the (spin, m) labels of :func:`basis_labels`, the order
+    ``ElementOp.matrix`` acts in: (2*(2*m_max+1),) for a photon, and (2, ...) with a
+    row per Alice spin for a pair."""
+    return state.grid.reshape(*state.grid.shape[:-2], -1)
 
 
 def product_state(spin, m: int, m_max: int) -> PhotonState:

@@ -8,7 +8,7 @@ import math
 import os
 
 import numpy as np
-from oracles import basis_labels
+from oracles import basis_index, basis_labels
 
 from spinorbit.benchdsl import compile_bench, parse, serialize
 from spinorbit.chsh import (
@@ -36,7 +36,7 @@ from spinorbit.experiment import (
     prepare_hybrid,
     spin_orbit_bell_state,
 )
-from spinorbit.qstate import PhotonState, basis_index
+from spinorbit.qstate import PhotonState
 
 SQRT2 = math.sqrt(2.0)
 FIG2_PATH = os.path.join(os.path.dirname(__file__), "..", "benches", "fig2.bench")

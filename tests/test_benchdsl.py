@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import states_equal_up_to_phase
+from oracles import flat, states_equal_up_to_phase
 
 from spinorbit.benchdsl import (
     MAX_M_MAX,
@@ -36,7 +36,6 @@ from spinorbit.qstate import (
     NORM_TOL,
     _Record,
     BipartiteState,
-    PhotonState,
     apply,
     apply_bob,
     oam_dim,
@@ -313,12 +312,12 @@ class TestCompile:
         assert result.herald_probability == pytest.approx(
             direct.probability, abs=1e-12
         )
-        np.testing.assert_allclose(result.bob.vector, direct.state.vector, atol=1e-12)
+        np.testing.assert_allclose(result.bob.grid, direct.state.grid, atol=1e-12)
 
     def test_bipartite_is_the_pre_herald_state(self):
         result = compile_bench(parse(FIG2)).run()
         np.testing.assert_allclose(
-            result.bipartite.matrix, prepare_hybrid(m_max=2).matrix, atol=1e-12
+            result.bipartite.grid, prepare_hybrid(m_max=2).grid, atol=1e-12
         )
 
     def test_bench_without_herald(self):
@@ -328,7 +327,7 @@ class TestCompile:
         assert result.herald_probability is None
         assert result.analyzer_m == 2
         np.testing.assert_allclose(
-            result.bipartite.matrix, prepare_hybrid(m_max=2).matrix, atol=1e-12
+            result.bipartite.grid, prepare_hybrid(m_max=2).grid, atol=1e-12
         )
 
     def test_wider_charge_bench(self):
@@ -411,8 +410,8 @@ class TestCompile:
     def test_alice_step_is_her_spin_block_on_the_source(self, line, element):
         result = compile_bench(parse(f"source spdc\n{line} side=alice\n")).run()
         m_max = result.bipartite.m_max
-        want = element(m_max).blocks[..., 0] @ spdc_source(m_max).matrix
-        np.testing.assert_array_equal(result.bipartite.matrix, want)
+        want = element(m_max).blocks[..., 0] @ flat(spdc_source(m_max))
+        np.testing.assert_array_equal(flat(result.bipartite), want)
 
     def test_filter_of_roundoff_is_not_renormalized(self):
         # The two q-plate paths into m = 0 cancel up to roundoff after the herald.
@@ -442,7 +441,7 @@ class TestCompile:
     def test_filter_without_weight_gives_zero(self, text):
         result = compile_bench(parse(text)).run()
         assert result.filter_weight == 0.0
-        assert not result.bob.vector.any()
+        assert not result.bob.grid.any()
         assert result.analyzer_m is None
 
     def test_steps_are_the_elements_after_the_source(self):
@@ -535,17 +534,16 @@ def full_width_run(pipeline: BenchPipeline) -> PipelineResult:
             outcome = herald(state, stage.params["basis"])
             state, prob = outcome.state, outcome.probability
         elif stage.side == "alice":
-            rows = op._apply_grid(state.matrix.reshape(2, 2, -1).swapaxes(0, 1), m_max)
-            state = BipartiteState(m_max, rows.swapaxes(0, 1).reshape(2, -1))
+            rows = op._apply_grid(state.grid.swapaxes(0, 1), m_max)
+            state = BipartiteState(m_max, rows.swapaxes(0, 1))
         else:
             state = apply(op, state) if prob is not None else apply_bob(op, state)
         if before is not None:
-            amps = state.vector if prob is not None else state.matrix
+            amps = state.grid
             norm = float(np.linalg.norm(amps))
             weight *= (norm / before) ** 2 if norm >= NORM_TOL else 0.0
             state = type(state)(m_max, amps / norm if norm >= NORM_TOL else np.zeros_like(amps))
-    amps = state.vector if prob is not None else state.matrix
-    peaks = np.abs(amps).reshape(-1, oam_dim(m_max)).max(axis=0)
+    peaks = np.abs(state.grid).reshape(-1, oam_dim(m_max)).max(axis=0)
     magnitudes = {abs(int(m) - m_max) for m in np.flatnonzero(peaks > NORM_TOL)}
     analyzer_m = (magnitudes.pop() if len(magnitudes) == 1 else None) or None
     if prob is None:
@@ -561,8 +559,8 @@ def run_outcome(run, pipeline: BenchPipeline) -> tuple:
     except ValueError as err:
         return ("error", type(err), str(err))
     bob, prob = result.bob, result.herald_probability
-    return ("ok", result.bipartite.m_max, result.bipartite.matrix.tobytes(),
-            None if bob is None else (bob.m_max, bob.vector.tobytes()),
+    return ("ok", result.bipartite.m_max, result.bipartite.grid.tobytes(),
+            None if bob is None else (bob.m_max, bob.grid.tobytes()),
             None if prob is None else prob.hex(), result.filter_weight.hex(),
             result.analyzer_m)
 
@@ -635,8 +633,7 @@ class TestReach:
         # |2q|, its window is all of it, and three more charges per side change no
         # amplitude beyond roundoff.
         def charges(state):  # rows of (Alice spin,) Bob spin, columns m + m_max
-            amps = state.vector if isinstance(state, PhotonState) else state.matrix
-            return amps.reshape(-1, oam_dim(state.m_max))
+            return state.grid.reshape(-1, oam_dim(state.m_max))
 
         for seed in range(300):
             ast = random_bench(np.random.default_rng(seed))

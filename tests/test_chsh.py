@@ -498,10 +498,10 @@ class TestMonteCarlo:
         # The squared norm is the total probability the sampler checks, so a
         # state the analyzer accepts is one the sampler accepts.
         bell = spin_orbit_bell_state()
-        near = PhotonState(bell.m_max, bell.vector * (1 + 0.4e-9))
+        near = PhotonState(bell.m_max, bell.grid * (1 + 0.4e-9))
         result = chsh_monte_carlo(TSIRELSON_SETTINGS, 100, RngSeed(0), bob=near)
         assert sum(result.counts[0].as_tuple()) == 100
-        far = PhotonState(bell.m_max, bell.vector * (1 + 0.9e-9))
+        far = PhotonState(bell.m_max, bell.grid * (1 + 0.9e-9))
         with pytest.raises(ValueError, match="^analyzer input must be unit norm"):
             chsh_monte_carlo(TSIRELSON_SETTINGS, 100, RngSeed(0), bob=far)
 

@@ -194,7 +194,7 @@ class TestDovePair:
     def test_zero_oam_untouched(self):
         op = dove_pair_op(1.234, 4)
         state = product_state(spin_ket("V"), 0, 4)
-        np.testing.assert_allclose(apply(op, state).vector, state.vector, atol=1e-12)
+        np.testing.assert_allclose(apply(op, state).grid, state.grid, atol=1e-12)
 
     def test_zero_rotation_is_identity(self):
         op = dove_pair_op(0.0, 2)
@@ -204,7 +204,7 @@ class TestDovePair:
         op = dove_pair_op(0.77, 3)
         assert is_unitary(op, 1e-12)
         state = product_state(spin_ket("H"), 3, 3)
-        np.testing.assert_allclose(apply(op, state).vector, state.vector, atol=1e-12)
+        np.testing.assert_allclose(apply(op, state).grid, state.grid, atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
     def test_overflowing_phase_rejected(self, alpha):
@@ -242,7 +242,7 @@ class TestSmfFilter:
         out = apply(op, s)
         assert out.norm() ** 2 == pytest.approx(0.5, abs=1e-12)
         assert states_equal_up_to_phase(
-            PhotonState(2, out.vector / out.norm()), PhotonState.basis_state("L", 0, 2)
+            PhotonState(2, out.grid / out.norm()), PhotonState.basis_state("L", 0, 2)
         )
 
 

@@ -126,7 +126,7 @@ class TestPrepareHybrid:
         ).run().bipartite
         state = prepare_hybrid(QPlateSpec(q))
         assert state.m_max == compiled.m_max
-        assert state.matrix.tobytes() == compiled.matrix.tobytes()
+        assert state.grid.tobytes() == compiled.grid.tobytes()
 
 
 class TestHerald:
@@ -149,7 +149,7 @@ class TestHerald:
             },
         )
         # normalize: |H>_A (x) |L,0>_B has those four amplitudes over alice L/R
-        pair = BipartiteState(2, pair.matrix / pair.norm())
+        pair = BipartiteState(2, pair.grid / pair.norm())
         outcome = herald(pair)
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
         assert states_equal_up_to_phase(outcome.state, bob)
@@ -261,9 +261,9 @@ class TestJointProbabilities:
 
     def test_nan_state_rejected(self):
         bell = spin_orbit_bell_state()
-        vec = bell.vector.copy()
-        vec[0] = math.nan
-        bob = PhotonState(bell.m_max, vec)
+        grid = bell.grid.copy()
+        grid[0, 0] = math.nan
+        bob = PhotonState(bell.m_max, grid)
         with pytest.raises(ValueError, match="^analyzer input must be unit norm, got nan$"):
             joint_probabilities(bob, 0.0, 0.0)
         with pytest.raises(ValueError, match="unit norm"):
@@ -298,6 +298,18 @@ class TestJointProbabilities:
     def test_zero_charge_rejected(self):
         with pytest.raises(ValueError, match="^analyzer OAM magnitude must be a positive"):
             joint_probabilities(spin_orbit_bell_state(), 0.0, 0.0, m=0)
+
+    @pytest.mark.parametrize("m", [2.0, 2.5, True])
+    def test_non_integer_charge_rejected(self, m):
+        # Before the check 2.0 failed in the fancy index, 2.5 as a truncation
+        # and True as lost weight.
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
+            joint_probabilities(spin_orbit_bell_state(), 0.1, 0.1, m=m)
+
+    def test_numpy_integer_charge_is_the_charge(self):
+        bell = spin_orbit_bell_state()
+        want = joint_probabilities(bell, 0.1, 0.1, m=2)
+        assert joint_probabilities(bell, 0.1, 0.1, m=np.int64(2)).tobytes() == want.tobytes()
 
     def test_non_finite_setting_rejected(self):
         bell = spin_orbit_bell_state()
@@ -384,7 +396,7 @@ class TestInterferometer:
     @pytest.mark.parametrize("scale", [0.0, 2.0, math.nan])
     def test_non_unit_input_rejected_like_the_kernel(self, scale):
         bell = spin_orbit_bell_state()
-        bob = PhotonState(bell.m_max, bell.vector * scale)
+        bob = PhotonState(bell.m_max, bell.grid * scale)
         message = f"^analyzer input must be unit norm, got {bob.norm()}$"
         for route in (joint_probabilities, interferometer_detect):
             with pytest.raises(ValueError, match=message):
@@ -500,7 +512,8 @@ def replay_detect(bob, alpha, beta):
 
 
 def random_unit_state(rng, m_max):
-    amps = rng.normal(size=2 * (2 * m_max + 1)) + 1j * rng.normal(size=2 * (2 * m_max + 1))
+    shape = (2, 2 * m_max + 1)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return PhotonState(m_max, amps / np.linalg.norm(amps))
 
 

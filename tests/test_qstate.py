@@ -1,8 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import is_unitary, states_equal_up_to_phase
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import flat, is_unitary, states_equal_up_to_phase
 
 from spinorbit.elements import mirror_op
 from spinorbit.experiment import herald, spin_orbit_bell_state
@@ -16,20 +19,19 @@ from spinorbit.qstate import (
     TruncationError,
     apply,
     apply_bob,
-    basis_index,
     inner,
     spin_ket,
 )
 
 SQRT_HALF = math.sqrt(0.5)
+_PAIR = BipartiteState.from_amplitudes(1, {("L", "R", 0): 1.0})
 
 
 def random_state(m_max, rng):
-    vec = rng.normal(size=2 * (2 * m_max + 1)) + 1j * rng.normal(
-        size=2 * (2 * m_max + 1)
-    )
-    vec /= np.linalg.norm(vec)
-    return PhotonState(m_max, vec)
+    shape = (2, 2 * m_max + 1)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid /= np.linalg.norm(grid)
+    return PhotonState(m_max, grid)
 
 
 def random_unitary_op(m_max, rng):
@@ -63,7 +65,7 @@ class TestTensor:
         # |H>|H> expands with amplitude 1/2 on every circular combination,
         # all signs positive, so each joint probability is 1/4.
         assert pair.grid.shape == (2, 2, 1)
-        np.testing.assert_allclose(pair.matrix, 0.5 * np.ones((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(pair.grid[..., 0], 0.5 * np.ones((2, 2)), atol=1e-15)
 
     def test_spin_with_oam_charge(self):
         state = PhotonState(2, np.outer(spin_ket("L"), oam_ket({0: 1.0}, 2)))
@@ -96,34 +98,40 @@ class TestTensor:
 
     def test_factor_types_rejected(self):
         # An outer product whose OAM factor does not span the truncation is no grid.
-        with pytest.raises(ValueError, match=r"^vector length \(2, 4\) does not match m_max=2$"):
+        message = r"^grid shape \(2, 4\) does not match m_max=2: expected \(2, 5\)$"
+        with pytest.raises(ValueError, match=message):
             PhotonState(2, np.outer(spin_ket("H"), np.ones(4)))
-        with pytest.raises(ValueError, match="^matrix shape does not match m_max$"):
+        message = r"^grid shape \(2, 2\) does not match m_max=1: expected \(2, 2, 3\)$"
+        with pytest.raises(ValueError, match=message):
             BipartiteState(1, np.outer(spin_ket("H"), spin_ket("H")))
 
 
 class TestGrid:
-    """A state holds its (spin, m) grid; the flat field is a view of it."""
+    """A state holds its (spin, m) grid and nothing else: the constructor takes only the grid."""
 
-    @pytest.mark.parametrize("kind,lead,field", [(PhotonState, (), "vector"),
-                                                 (BipartiteState, (2,), "matrix")])
+    @pytest.mark.parametrize("kind,lead", [(PhotonState, ()), (BipartiteState, (2,))])
     @pytest.mark.parametrize("m_max", [0, 2])
-    def test_grid_and_flat_forms_build_the_same_state(self, kind, lead, field, m_max):
+    def test_grid_is_stored_and_a_flat_form_raises(self, kind, lead, m_max):
         rng = np.random.default_rng(m_max)
         shape = (*lead, 2, 2 * m_max + 1)
         grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        state, flat = kind(m_max, grid), kind(m_max, grid.reshape(*lead, -1))
-        assert state.grid.shape == flat.grid.shape == shape
-        assert state.grid.tobytes() == flat.grid.tobytes() == grid.tobytes()
-        assert getattr(state, field).tobytes() == getattr(flat, field).tobytes()
-        assert np.shares_memory(state.grid, getattr(state, field))
+        state = kind(m_max, grid)
+        assert state.grid.shape == shape and state.grid.tobytes() == grid.tobytes()
         assert not state.grid.flags.writeable and state.grid.flags.c_contiguous
+        flat_shape = (*lead, 2 * (2 * m_max + 1))
+        message = (rf"^grid shape {re.escape(str(flat_shape))} does not match m_max={m_max}: "
+                   rf"expected {re.escape(str(shape))}$")
+        with pytest.raises(ValueError, match=message):
+            kind(m_max, grid.reshape(flat_shape))
 
     def test_transposed_grid_shapes_raise_the_shape_message(self):
-        with pytest.raises(ValueError, match=r"^vector length \(3, 2\) does not match m_max=1$"):
+        message = r"^grid shape \(3, 2\) does not match m_max=1: expected \(2, 3\)$"
+        with pytest.raises(ValueError, match=message):
             PhotonState(1, np.zeros((3, 2)))
         for shape in ((2, 3, 2), (3, 2, 2)):
-            with pytest.raises(ValueError, match="^matrix shape does not match m_max$"):
+            message = (rf"^grid shape {re.escape(str(shape))} does not match m_max=1: "
+                       r"expected \(2, 2, 3\)$")
+            with pytest.raises(ValueError, match=message):
                 BipartiteState(1, np.zeros(shape))
 
     @pytest.mark.parametrize("m_max,message", [
@@ -133,36 +141,69 @@ class TestGrid:
         (-1, "m_max must be at least 0, got -1"),
     ])
     def test_truncation_must_be_an_integer_of_at_least_0(self, m_max, message):
-        # 1.5 gives a flat size of 8.0, which matched the (8,) vector it was checked against.
-        for build in (lambda: PhotonState(m_max, np.zeros(8)),
-                      lambda: BipartiteState(m_max, np.zeros((2, 8)))):
+        # 1.5 gives 4.0 charges, which matched the (2, 4) grid it was checked against.
+        for build in (lambda: PhotonState(m_max, np.zeros((2, 4))),
+                      lambda: BipartiteState(m_max, np.zeros((2, 2, 4)))):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
 
     def test_numpy_integer_truncation_is_stored_as_an_int(self):
-        for state in (PhotonState(np.int64(1), np.zeros(6)),
-                      BipartiteState(np.uint8(1), np.zeros((2, 6)))):
+        for state in (PhotonState(np.int64(1), np.zeros((2, 3))),
+                      BipartiteState(np.uint8(1), np.zeros((2, 2, 3)))):
             assert type(state.m_max) is int and state.m_max == 1
 
     def test_fortran_ordered_grid_is_stored_c_ordered(self):
         grid = np.asfortranarray(np.arange(10, dtype=complex).reshape(2, 5))
         state = PhotonState(2, grid)
         assert state.grid.flags.c_contiguous
-        assert state.vector.tolist() == list(range(10))
+        assert state.grid.tobytes() == np.arange(10, dtype=complex).tobytes()
 
 
 class TestBasisLabels:
     def test_index_is_spin_major(self):
-        assert basis_index("L", -2, 2) == 0
-        assert basis_index("R", 2, 2) == 9
+        # The label (spin, m) is the grid cell [spin, m + m_max]; read flat, as
+        # ElementOp.matrix acts, the grid runs spin-major.
+        assert PhotonState.basis_state("R", 2, 2).grid[1, 4] == 1.0
+        assert flat(PhotonState.basis_state("L", -2, 2))[0] == 1.0
+        assert flat(PhotonState.basis_state("R", 2, 2))[9] == 1.0
 
     def test_bad_spin_rejected(self):
         with pytest.raises(ValueError, match="^spin must be 'L' or 'R', got 'H'$"):
-            basis_index("H", 0, 2)
+            PhotonState.basis_state("H", 0, 2)
 
     def test_charge_beyond_truncation_rejected(self):
         with pytest.raises(TruncationError, match="^\\|m\\|=3 exceeds truncation m_max=2$"):
-            basis_index("L", -3, 2)
+            PhotonState.basis_state("L", -3, 2)
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: BipartiteState.from_amplitudes(2, {("H", "L", 0): 1.0}),
+         ValueError, "spin must be 'L' or 'R', got 'H'"),
+        (lambda: _PAIR.amplitude("X", "L", 0), ValueError, "spin must be 'L' or 'R', got 'X'"),
+        (lambda: _PAIR.amplitude("L", "V", 0), ValueError, "spin must be 'L' or 'R', got 'V'"),
+        (lambda: PhotonState.from_amplitudes(2, {("L", 1.5): 1.0}),
+         ValueError, "m must be an integer, got 1.5"),
+        (lambda: spin_orbit_bell_state().amplitude("L", 2.0),
+         ValueError, "m must be an integer, got 2.0"),
+        (lambda: _PAIR.amplitude("L", "L", True), ValueError, "m must be an integer, got True"),
+        (lambda: PhotonState.basis_state("L", 0, 2.0),
+         ValueError, "m_max must be an integer, got 2.0"),
+        (lambda: spin_orbit_bell_state(m=2.0), ValueError, "m_max must be an integer, got 2.0"),
+        (lambda: spin_orbit_bell_state(m=2.0, m_max=2),
+         ValueError, "m must be an integer, got -2.0"),
+        (lambda: BipartiteState.from_amplitudes(1, {("L", "R", -2): 1.0}),
+         TruncationError, "|m|=2 exceeds truncation m_max=1"),
+        (lambda: _PAIR.amplitude("R", "R", 3), TruncationError, "|m|=3 exceeds truncation m_max=1"),
+    ], ids=["pair-alice-spin", "pair-amplitude-alice-spin", "pair-amplitude-bob-spin",
+            "fractional-charge", "float-charge", "bool-charge", "float-truncation",
+            "bell-float-truncation", "bell-float-charge", "pair-charge-beyond",
+            "pair-amplitude-charge-beyond"])
+    def test_every_label_is_checked_by_one_rule(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_numpy_integer_charge_is_a_label(self):
+        bell = spin_orbit_bell_state(np.int64(2))
+        assert bell.amplitude("L", np.int64(-2)) == bell.amplitude("R", np.int8(2)) == SQRT_HALF
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="^unknown polarization label 'X'$"):
@@ -178,7 +219,7 @@ class TestApply:
         rng = np.random.default_rng(3)
         s = random_state(2, rng)
         eye = ElementOp(np.eye(2), m_max=2)
-        np.testing.assert_allclose(apply(eye, s).vector, s.vector, atol=1e-15)
+        np.testing.assert_allclose(apply(eye, s).grid, s.grid, atol=1e-15)
 
     def test_spin_flip_on_basis_state(self):
         x = ElementOp(np.array([[0, 1], [1, 0]]))
@@ -194,10 +235,10 @@ class TestApply:
         for op in (random_unitary_op(2, rng), ElementOp([[0, 1], [1, 0]], shift=1, m_max=2)):
             out = apply(op, pair)
             assert type(out) is BipartiteState and out.m_max == 2
-            assert out.matrix.tobytes() == apply_bob(op, pair).matrix.tobytes()
-            # The same contraction on the flat matrix read as (Alice spin, Bob spin, m).
-            by_rows = op._apply_grid(pair.matrix.reshape(2, 2, -1), 2)
-            assert out.matrix.tobytes() == by_rows.tobytes()
+            assert out.grid.tobytes() == apply_bob(op, pair).grid.tobytes()
+            # The same contraction on the pair's (Alice spin, Bob spin, m) grid.
+            by_rows = op._apply_grid(pair.grid, 2)
+            assert out.grid.tobytes() == by_rows.tobytes()
 
     def test_photon_state_rejected_by_apply_bob(self):
         message = ("^apply_bob takes a BipartiteState, got PhotonState; "
@@ -277,7 +318,7 @@ class TestElementOp:
         }
         s = PhotonState.from_amplitudes(m_max, amps)
         np.testing.assert_allclose(
-            apply(op, s).vector, op.matrix @ s.vector, atol=1e-12
+            flat(apply(op, s)), op.matrix @ flat(s), atol=1e-12
         )
 
 
@@ -301,14 +342,14 @@ class TestInner:
 
     def test_bipartite_overlap(self):
         rng = np.random.default_rng(5)
-        a, b = (BipartiteState(1, rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6)))
+        a, b = (BipartiteState(1, rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3)))
                 for _ in range(2))
-        assert inner(a, b) == np.vdot(a.matrix, b.matrix)
-        assert inner(a, a) == pytest.approx(np.linalg.norm(a.matrix) ** 2, abs=1e-12)
+        assert inner(a, b) == np.vdot(a.grid, b.grid)
+        assert inner(a, a) == pytest.approx(np.linalg.norm(a.grid) ** 2, abs=1e-12)
 
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(BasisMismatchError, match="^states use different truncations$"):
-            inner(BipartiteState(1, np.zeros((2, 6))), BipartiteState(2, np.zeros((2, 10))))
+            inner(BipartiteState(1, np.zeros((2, 2, 3))), BipartiteState(2, np.zeros((2, 2, 5))))
         with pytest.raises(BasisMismatchError, match="^states use different truncations$"):
             inner(PhotonState.basis_state("L", 0, 1), PhotonState.basis_state("L", 0, 2))
 
@@ -316,7 +357,7 @@ class TestInner:
                                        ("photon", "ket"), ("ket", "pair")])
     def test_states_of_two_kinds_rejected(self, kinds):
         made = {"photon": PhotonState.basis_state("L", 0, 1),
-                "pair": BipartiteState(1, np.eye(2, 6)), "ket": "H"}
+                "pair": BipartiteState(1, np.eye(2, 6).reshape(2, 2, 3)), "ket": "H"}
         a, b = (made[kind] for kind in kinds)
         message = ("^inner takes two PhotonStates, two BipartiteStates or two spin kets, "
                    f"got {type(a).__name__} and {type(b).__name__}$")
@@ -338,14 +379,14 @@ class TestProject:
 
     def test_matching_spin_projection_is_certain(self):
         bob = PhotonState.basis_state("L", 0, 2)
-        s = BipartiteState(2, np.outer(spin_ket("L"), bob.vector))
+        s = BipartiteState(2, np.multiply.outer(spin_ket("L"), bob.grid))
         out = herald(s, "L")
         assert out.probability == pytest.approx(1.0)
         assert states_equal_up_to_phase(out.state, bob)
 
     def test_orthogonal_projection_flags_empty(self):
         bob = PhotonState.basis_state("L", 0, 2)
-        s = BipartiteState(2, np.outer(spin_ket("L"), bob.vector))
+        s = BipartiteState(2, np.multiply.outer(spin_ket("L"), bob.grid))
         out = herald(s, "R")
         assert out.probability == 0.0
         assert out.state.norm() < NORM_TOL
@@ -374,8 +415,8 @@ class TestProject:
     def test_completeness_of_dichotomic_pair(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            s = BipartiteState(2, rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10)))
-            s = BipartiteState(2, s.matrix / s.norm())
+            s = BipartiteState(2, rng.normal(size=(2, 2, 5)) + 1j * rng.normal(size=(2, 2, 5)))
+            s = BipartiteState(2, s.grid / s.norm())
             for plus, minus in (("H", "V"), ("L", "R")):
                 p1 = herald(s, plus).probability
                 p2 = herald(s, minus).probability
@@ -416,7 +457,7 @@ _L0 = PhotonState.basis_state("L", 0, 1)
 
 @pytest.mark.parametrize(
     "a,b,equal",
-    [(_L0, PhotonState(1, 2 * _L0.vector), True),
+    [(_L0, PhotonState(1, 2 * _L0.grid), True),
      (PhotonState.zero(1), PhotonState.zero(1), True),
      (PhotonState.zero(1), _L0, False)],
     ids=["state-and-its-double", "two-zero-states", "zero-and-nonzero"],
@@ -430,11 +471,11 @@ class TestValueSemantics:
     def test_vectors_are_frozen(self):
         s = PhotonState.basis_state("L", 0, 1)
         with pytest.raises(ValueError):
-            s.vector[0] = 0.0
+            s.grid[0, 0] = 0.0
 
     def test_global_phase_not_stripped(self):
         s = PhotonState.basis_state("L", 0, 1)
-        t = PhotonState(1, s.vector * 1j)
+        t = PhotonState(1, s.grid * 1j)
         assert t.amplitude("L", 0) == pytest.approx(1j)
         assert states_equal_up_to_phase(s, t)
 
@@ -444,3 +485,28 @@ class TestValueSemantics:
         )
         assert state.norm() == pytest.approx(1.0)
         assert state.amplitude("L", "R", 0) == pytest.approx(SQRT_HALF)
+
+
+_LABELS = st.integers(0, 6).flatmap(lambda m_max: st.tuples(
+    st.just(m_max),
+    st.dictionaries(
+        st.tuples(st.sampled_from("LR"), st.sampled_from("LR"), st.integers(-m_max, m_max)),
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        max_size=12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LABELS)
+def test_labels_round_trip_through_the_grid(case):
+    """from_amplitudes then amplitude returns every amplitude, which sits at grid[s, m + m_max]."""
+    m_max, amps = case
+    photon_amps = {(b, m): a for (_, b, m), a in amps.items()}
+    for kind, lead, labels in ((BipartiteState, (2,), amps), (PhotonState, (), photon_amps)):
+        state = kind.from_amplitudes(m_max, labels)
+        assert state.grid.shape == (*lead, 2, 2 * m_max + 1)
+        assert np.count_nonzero(state.grid) == sum(a != 0 for a in labels.values())
+        for (*spins, m), a in labels.items():
+            assert state.amplitude(*spins, m) == a
+            assert state.grid[(*("LR".index(s) for s in spins), m + m_max)] == a
+        with pytest.raises(ValueError, match="^grid shape .* does not match m_max="):
+            kind(m_max, flat(state))

@@ -43,7 +43,7 @@ from spinorbit.elements import QPlateSpec
 from spinorbit.experiment import HeraldOutcome
 from spinorbit.qstate import BipartiteState, ElementOp, PhotonState, _Record
 
-_STATE = PhotonState(1, np.eye(6)[1])
+_STATE = PhotonState.basis_state("L", 0, 1)
 _GRID = np.linspace(0.0, 1.0, 3)
 _COUNTS = CountRecord(1, 2, 3, 4)
 
@@ -70,8 +70,8 @@ VALUE_RECORDS = {
 UNHASHABLE = {"NchvResult"}  # a field holds a dict
 
 IDENTITY_RECORDS = {
-    "PhotonState": (lambda: PhotonState(1, np.eye(6)[1]), ("m_max", "vector")),
-    "BipartiteState": (lambda: BipartiteState(1, np.zeros((2, 6))), ("m_max", "matrix")),
+    "PhotonState": (lambda: PhotonState.basis_state("L", 0, 1), ("m_max", "grid")),
+    "BipartiteState": (lambda: BipartiteState(1, np.zeros((2, 2, 3))), ("m_max", "grid")),
     "ElementOp": (lambda: ElementOp(np.eye(2)), ("blocks", "shift", "m_max", "name")),
     "SweepTable": (
         lambda: SweepTable(_GRID, 0.2, np.full((3, 4), 0.25), np.arange(12).reshape(3, 4),
@@ -83,9 +83,9 @@ ALL_RECORDS = {**VALUE_RECORDS, **IDENTITY_RECORDS}
 
 
 def same(x, y) -> bool:
-    """Equal values; arrays by content and states, which compare by identity, by vector."""
+    """Equal values; arrays by content and states, which compare by identity, by grid."""
     if isinstance(x, PhotonState):
-        return x.m_max == y.m_max and same(x.vector, y.vector)
+        return x.m_max == y.m_max and same(x.grid, y.grid)
     if isinstance(x, np.ndarray):
         return np.array_equal(x, y)
     return x == y
@@ -198,12 +198,12 @@ class TestDefaultsAndNormalisation:
         assert RngSeed(1).stream == 0
 
     def test_arrays_are_read_only_complex_copies(self):
-        src = np.eye(6)[1]
+        src = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         state = PhotonState(1, src)
-        src[1] = 5.0
-        assert state.vector[1] == 1.0 and state.vector.dtype == complex
-        assert not state.vector.flags.writeable
-        for arr in (BipartiteState(1, np.zeros((2, 6))).matrix,
+        src[0, 1] = 5.0
+        assert state.grid[0, 1] == 1.0 and state.grid.dtype == complex
+        assert not state.grid.flags.writeable
+        for arr in (BipartiteState(1, np.zeros((2, 2, 3))).grid,
                     ElementOp(np.eye(2)).blocks):
             assert arr.dtype == complex and not arr.flags.writeable
 
@@ -218,8 +218,10 @@ class TestDefaultsAndNormalisation:
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: PhotonState(1, np.zeros(5)), "vector length (5,) does not match m_max=1"),
-        (lambda: BipartiteState(1, np.zeros((2, 5))), "matrix shape does not match m_max"),
+        (lambda: PhotonState(1, np.zeros(5)),
+         "grid shape (5,) does not match m_max=1: expected (2, 3)"),
+        (lambda: BipartiteState(1, np.zeros((2, 5))),
+         "grid shape (2, 5) does not match m_max=1: expected (2, 2, 3)"),
         (lambda: ElementOp(np.eye(3)), "blocks (3, 3, 1) do not fit m_max=None"),
         (lambda: ElementOp(np.zeros((2, 2, 4)), m_max=2), "blocks (2, 2, 4) do not fit m_max=2"),
         (lambda: ElementOp(np.eye(2), shift=1), "m_max=None cannot hold a +-1 OAM shift"),
@@ -425,8 +427,8 @@ class TestBenchPipelineRecord:
             assert [stage for stage, _ in twin.steps] == [stage for stage, _ in _PIPELINE.steps]
             result = twin.run()
             assert result.herald_probability == _RESULT.herald_probability
-            assert result.bob.vector.tobytes() == _RESULT.bob.vector.tobytes()
-            assert result.bipartite.matrix.tobytes() == _RESULT.bipartite.matrix.tobytes()
+            assert result.bob.grid.tobytes() == _RESULT.bob.grid.tobytes()
+            assert result.bipartite.grid.tobytes() == _RESULT.bipartite.grid.tobytes()
 
 
 def test_stage_equality_ignores_the_line_but_copies_keep_it():
