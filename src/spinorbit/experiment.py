@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,13 @@ from .qstate import (
 
 LOST_WEIGHT_TOL = 1e-9
 _HWP_PHASES = _frozen([1j, -1j])  # hwp(beta) on the columns L, R, per unit beta
+
+
+@lru_cache(maxsize=4)
+def _dove_charges(m_max: int) -> np.ndarray:
+    """The Dove pair's phase per unit alpha on each charge, 2i*m for m = -m_max..m_max;
+    bounded, since at m_max = 2**16 one vector holds 2 MB."""
+    return _frozen(2j * np.arange(-m_max, m_max + 1))
 
 
 @cache
@@ -136,8 +143,23 @@ def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
 
-def _finite_settings(a, b, a_max=sys.float_info.max) -> tuple[np.ndarray, np.ndarray]:
-    """Two analyzer settings as float arrays; a NaN or infinite entry, or |a| > a_max, raises."""
+def _real_scalar(x) -> bool:
+    """True for a Python or numpy real number or a 0-d real ndarray, of dtype kind b, i, u or
+    f: a setting that needs no array.  A timedelta64, a numpy integer of kind m, is not."""
+    return isinstance(x, (float, int)) or (
+        (isinstance(x, np.generic) or type(x) is np.ndarray)
+        and x.shape == () and x.dtype.kind in "biuf")
+
+
+def _finite_settings(a, b, a_max=sys.float_info.max):
+    """Two analyzer settings as Python floats if both are scalars, else as float arrays;
+    a NaN or infinite entry, or |a| > a_max, raises ValueError.  Numpy's ufuncs take a
+    Python float without building a 0-d array, and give the same bytes."""
+    if _real_scalar(a) and _real_scalar(b):
+        a, b = float(a), float(b)
+        if not (abs(a) <= a_max and math.isfinite(b)):  # a NaN fails the first test too
+            raise ValueError("analyzer settings must be finite")
+        return a, b
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.count_nonzero(np.abs(a) <= a_max) < a.size or np.count_nonzero(np.isfinite(b)) < b.size:
         raise ValueError("analyzer settings must be finite")
@@ -169,12 +191,12 @@ def _oam_outcomes(chi_a) -> np.ndarray:
 
     Eigenvalue +1 is the detector port fed by the + superposition.
     """
-    return _outcome_pair((1 + 1j) / 2, (1 - 1j) * np.exp(1j * np.asarray(chi_a)) / 2)
+    return _outcome_pair((1 + 1j) / 2, (1 - 1j) * np.exp(1j * chi_a) / 2)
 
 
 def _spin_outcomes(chi_b) -> np.ndarray:
     """Polarization observable: outcome states (|L> +- e^{i chi_b}|R>) / sqrt(2) over (L, R)."""
-    return _outcome_pair(math.sqrt(0.5), np.exp(1j * np.asarray(chi_b)) * math.sqrt(0.5))
+    return _outcome_pair(math.sqrt(0.5), np.exp(1j * chi_b) * math.sqrt(0.5))
 
 
 def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarray:
@@ -202,8 +224,8 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     # The conjugate of each overlap <outcome|sub>: the same bytes once squared.
     amps = np.einsum("...ak,...bs,sk->...ab", _oam_outcomes(chi_a), _spin_outcomes(chi_b), sub)
     probs = (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
-    lost = 1.0 - probs.sum(axis=-1)
-    if (lost > LOST_WEIGHT_TOL).any():
+    lost = 1.0 - np.add.reduce(probs, -1)
+    if np.count_nonzero(lost > LOST_WEIGHT_TOL):
         raise LostWeightError(
             f"probability weight {np.max(lost):.3g} lies outside the +-{m} analyzer subspace"
         )
@@ -246,10 +268,11 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     """
     grid = _unit_grid(bob)
     alpha, beta = _finite_settings(alpha, beta, sys.float_info.max / (2 * bob.m_max + 1))
+    if isinstance(alpha, np.ndarray):  # each setting meets a (port, spin, m) block
+        alpha, beta = alpha[..., None, None, None], beta[..., None, None, None]
     arms = _fixed_plates() @ grid  # (transmitted, reflected) x ports "plus", "minus"
-    dove = np.exp(alpha[..., None, None, None] * (2j * np.arange(-bob.m_max, bob.m_max + 1)))
+    dove = np.exp(alpha * _dove_charges(bob.m_max))
     ports = arms[0] + arms[1, ..., ::-1] * dove  # reflected arm: image inversion, Dove pair
-    hwp_beta = np.exp(beta[..., None, None] * _HWP_PHASES)
-    det = (_CIRC_TO_LIN * hwp_beta)[..., None, :, :] @ ports  # detectors H (+1), V (-1)
+    det = (_CIRC_TO_LIN * np.exp(beta * _HWP_PHASES)) @ ports  # detectors H (+1), V (-1)
     probs = np.einsum("...k,...k->...", det.conj(), det).real
     return probs.reshape(probs.shape[:-2] + (4,))

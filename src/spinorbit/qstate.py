@@ -180,6 +180,18 @@ class _State(_Record):
         grid.setflags(write=False)
         _Record.__init__(self, m_max, grid)
 
+    @classmethod
+    def from_amplitudes(cls, m_max: int, amps: Mapping[tuple, complex]):
+        """The state with amplitude ``a`` at each (*spins, m) label of ``amps``, 0 elsewhere;
+        a label of another form raises ValueError."""
+        m_max = _truncation(m_max)
+        grid = np.zeros((2,) * cls._spins + (oam_dim(m_max),), dtype=complex)
+        for label, a in amps.items():
+            if not isinstance(label, tuple) or len(label) != cls._spins + 1:
+                raise ValueError(f"a {cls.__name__} label is {cls._label_form}, got {label!r}")
+            grid[_cell(m_max, label[-1], *label[:-1])] = a
+        return cls(m_max, grid)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.grid))
 
@@ -189,6 +201,7 @@ class PhotonState(_State):
 
     __slots__ = ("m_max", "grid")
     _spins = 1
+    _label_form = "(spin, m)"
 
     @classmethod
     def zero(cls, m_max: int) -> "PhotonState":
@@ -197,16 +210,6 @@ class PhotonState(_State):
     @classmethod
     def basis_state(cls, spin: str, m: int, m_max: int) -> "PhotonState":
         return cls.from_amplitudes(m_max, {(spin, m): 1.0})
-
-    @classmethod
-    def from_amplitudes(
-        cls, m_max: int, amps: Mapping[tuple[str, int], complex]
-    ) -> "PhotonState":
-        m_max = _truncation(m_max)
-        grid = np.zeros((2, oam_dim(m_max)), dtype=complex)
-        for (spin, m), a in amps.items():
-            grid[_cell(m_max, m, spin)] = a
-        return cls(m_max, grid)
 
     def amplitude(self, spin: str, m: int) -> complex:
         return complex(self.grid[_cell(self.m_max, m, spin)])
@@ -222,16 +225,7 @@ class BipartiteState(_State):
 
     __slots__ = ("m_max", "grid")
     _spins = 2
-
-    @classmethod
-    def from_amplitudes(
-        cls, m_max: int, amps: Mapping[tuple[str, str, int], complex]
-    ) -> "BipartiteState":
-        m_max = _truncation(m_max)
-        grid = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)
-        for (a_spin, b_spin, m), a in amps.items():
-            grid[_cell(m_max, m, a_spin, b_spin)] = a
-        return cls(m_max, grid)
+    _label_form = "(alice_spin, bob_spin, m)"
 
     def amplitude(self, alice_spin: str, bob_spin: str, m: int) -> complex:
         return complex(self.grid[_cell(self.m_max, m, alice_spin, bob_spin)])

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -39,6 +41,14 @@ from spinorbit.qstate import (
 )
 
 SQRT_HALF = math.sqrt(0.5)
+
+# Each 0-d form a setting can take: the analyzers check these as Python floats.
+SCALAR_FORMS = (float, np.float64, np.asarray)
+# Non-finite settings in the 0-d forms the scalar check reads, beside the Python floats.
+NON_FINITE_0D = {f"{form.__name__}-{value}": form(value)
+                 for form in (np.float64, np.asarray) for value in (math.nan, math.inf, -math.inf)}
+# The largest |alpha| whose Dove phases 2*m*alpha stay finite on the Bell state (m_max = 2).
+BELL_ALPHA_MAX = sys.float_info.max / 5
 
 # random_bench seeds whose bench has a herald and leaves Bob nonzero weight, at m_max 0 to 7.
 BENCH_SEEDS = (3, 4, 5, 7, 8, 12, 13, 24, 30, 36)
@@ -277,7 +287,8 @@ class TestJointProbabilities:
         chi_a, chi_b = rng.uniform(-math.pi, math.pi, size=(2, 40))
         batched = joint_probabilities(state, chi_a, chi_b)
         for row, a, b in zip(batched, chi_a, chi_b):
-            np.testing.assert_allclose(row, joint_probabilities(state, a, b), rtol=0, atol=1e-15)
+            for form in SCALAR_FORMS:
+                assert joint_probabilities(state, form(a), form(b)).tobytes() == row.tobytes()
 
     def test_outer_broadcast_shape(self):
         bell = spin_orbit_bell_state()
@@ -317,6 +328,10 @@ class TestJointProbabilities:
             joint_probabilities(bell, [0.0, math.nan], 0.0)
         with pytest.raises(ValueError, match="finite"):
             joint_probabilities(bell, 0.0, math.inf)
+        for value in NON_FINITE_0D.values():
+            for chi_a, chi_b in ((value, 0.2), (0.1, value)):
+                with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
+                    joint_probabilities(bell, chi_a, chi_b)
 
     def test_uniform_at_zero_settings(self):
         bell = spin_orbit_bell_state()
@@ -462,9 +477,9 @@ class TestInterferometer:
         batched = interferometer_detect(bell, alpha, beta)
         assert batched.shape == (25, 4)
         for row, a, b in zip(batched, alpha, beta):
-            scalar = interferometer_detect(bell, a, b)
-            assert scalar.shape == (4,)
-            np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-15)
+            for form in SCALAR_FORMS:
+                scalar = interferometer_detect(bell, form(a), form(b))
+                assert scalar.shape == (4,) and scalar.tobytes() == row.tobytes()
 
     def test_outer_broadcast_shape(self):
         bell = spin_orbit_bell_state()
@@ -587,25 +602,38 @@ class TestInterferometerReplay:
         fast = interferometer_detect(result.bob, alpha, beta)
         assert np.max(np.abs(fast - replay_detect(result.bob, alpha, beta))) <= 1e-15
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf] + [
+        pytest.param(value, id=name) for name, value in NON_FINITE_0D.items()])
     def test_non_finite_scalar_settings_rejected(self, value):
         bell = spin_orbit_bell_state()
         for alpha, beta in ((value, 0.2), (0.1, value)):
             with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
                 interferometer_detect(bell, alpha, beta)
 
-    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    @pytest.mark.parametrize("alpha", [1e308, -1e308] + [
+        pytest.param(form(alpha), id=f"{form.__name__}-{alpha}")
+        for form in (np.float64, np.asarray) for alpha in (1e308, -1e308)
+    ] + [
+        pytest.param(form(np.nextafter(BELL_ALPHA_MAX, math.inf)), id=f"{form.__name__}-above-bound")
+        for form in (float, np.float64, np.asarray)
+    ])
     def test_overflowing_dove_phase_rejected(self, alpha):
-        """2*m*alpha overflows at m = 2 for |alpha| = 1e308: rejected like a non-finite setting."""
+        """2*m*alpha overflows at m = 2 for |alpha| = 1e308: rejected like a non-finite setting,
+        as is the first float above sys.float_info.max / (2*m_max + 1)."""
         bell = spin_orbit_bell_state()
         for alphas in (alpha, np.array([0.1, alpha])):
             with pytest.raises(ValueError, match="^analyzer settings must be finite$"):
                 interferometer_detect(bell, alphas, 0.0)
 
     def test_large_finite_settings_stay_finite(self):
-        """beta = 1e308 has a finite hwp phase, and so has alpha = 1e308 on m = 0 alone."""
+        """beta = 1e308 has a finite hwp phase, and so has alpha = 1e308 on m = 0 alone; alpha
+        at +-sys.float_info.max / (2*m_max + 1), in every form, is accepted."""
         probs = interferometer_detect(spin_orbit_bell_state(), 0.0, 1e308)
         assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
+        for form in SCALAR_FORMS + (np.atleast_1d,):
+            for alpha in (BELL_ALPHA_MAX, -BELL_ALPHA_MAX):
+                probs = interferometer_detect(spin_orbit_bell_state(), form(alpha), 0.3)
+                assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
         flat = PhotonState.from_amplitudes(0, {("L", 0): SQRT_HALF, ("R", 0): SQRT_HALF})
         assert interferometer_detect(flat, 1e308, 0.3).tobytes() == (
             interferometer_detect(flat, 0.0, 0.3).tobytes()
@@ -621,17 +649,38 @@ KERNEL_DIGESTS = (
 )
 
 
-@pytest.mark.parametrize("seed", range(len(KERNEL_DIGESTS)))
-def test_kernel_bytes_are_pinned(seed):
-    m_max, m, digest = KERNEL_DIGESTS[seed]
+# sha256 of interferometer_detect(...).tobytes() over the same 16x16 grid, now of (alpha,
+# beta), computed with version 0.22.0: (m_max, m, digest) for the same seeded states.
+CHAIN_DIGESTS = (
+    (2, 2, "a4ebcdd6637dfcaf6da561e4d86815d3ee1bf89c8557196abb4d6b67880a8f5d"),
+    (3, 3, "c58c5501a2388a1e89557d12b768e36928e1ab17282a473cb3e8862630b30507"),
+    (6, 2, "06a4999854fd4e5116306d524719a72f382cfce01b5cf487446e255f352adacd"),
+)
+
+
+def grid_digest(route, seed, m_max, m):
+    """sha256 of ``route`` over the 16x16 outer grid of settings, on a random unit state on
+    spin x {-m, +m} drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     labels = (("L", -m), ("R", -m), ("L", m), ("R", m))
     bob = PhotonState.from_amplitudes(m_max, dict(zip(labels, amps / np.linalg.norm(amps))))
-    chi = np.linspace(-math.pi, math.pi, 16, endpoint=False)
-    probs = joint_probabilities(bob, chi[:, None], chi[None, :], m=m)
+    angle = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+    probs = route(bob, angle[:, None], angle[None, :])
     assert probs.shape == (16, 16, 4) and probs.dtype == np.float64
-    assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
+    return hashlib.sha256(probs.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_DIGESTS)))
+def test_kernel_bytes_are_pinned(seed):
+    m_max, m, digest = KERNEL_DIGESTS[seed]
+    assert grid_digest(functools.partial(joint_probabilities, m=m), seed, m_max, m) == digest
+
+
+@pytest.mark.parametrize("seed", range(len(CHAIN_DIGESTS)))
+def test_chain_bytes_are_pinned(seed):
+    m_max, m, digest = CHAIN_DIGESTS[seed]
+    assert grid_digest(interferometer_detect, seed, m_max, m) == digest
 
 
 @pytest.mark.parametrize("seed", [0, 1])

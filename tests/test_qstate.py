@@ -193,10 +193,14 @@ class TestBasisLabels:
         (lambda: BipartiteState.from_amplitudes(1, {("L", "R", -2): 1.0}),
          TruncationError, "|m|=2 exceeds truncation m_max=1"),
         (lambda: _PAIR.amplitude("R", "R", 3), TruncationError, "|m|=3 exceeds truncation m_max=1"),
+        (lambda: PhotonState.from_amplitudes(2, {("L",): 1}),
+         ValueError, "a PhotonState label is (spin, m), got ('L',)"),
+        (lambda: BipartiteState.from_amplitudes(2, {("L", 0): 1}),
+         ValueError, "a BipartiteState label is (alice_spin, bob_spin, m), got ('L', 0)"),
     ], ids=["pair-alice-spin", "pair-amplitude-alice-spin", "pair-amplitude-bob-spin",
             "fractional-charge", "float-charge", "bool-charge", "float-truncation",
             "bell-float-truncation", "bell-float-charge", "pair-charge-beyond",
-            "pair-amplitude-charge-beyond"])
+            "pair-amplitude-charge-beyond", "short-label", "pair-short-label"])
     def test_every_label_is_checked_by_one_rule(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
