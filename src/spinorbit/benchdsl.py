@@ -26,7 +26,6 @@ filter leaving a norm below 1e-12 gives weight 0, as a herald does.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import warnings
 
@@ -41,7 +40,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _Record
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _real, _Record, _truncation
 
 _TWO_PI = 2 * math.pi
 
@@ -324,9 +323,11 @@ class BenchPipeline(_Record):
         m_max, line = (need, line) if m_max is None else (m_max, 1)
         if (fault := _order_fault(ast.stages)) is not None:
             raise CompileError(*fault)
-        if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 0:
+        try:
+            m_max = _truncation(m_max)
+        except ValueError:  # m_max is still the caller's value
             raise CompileError(1, f"truncation m_max={m_max!r} must be an integer from 0 "
-                                  f"to {MAX_M_MAX}")
+                                  f"to {MAX_M_MAX}") from None
         if m_max > MAX_M_MAX:
             raise CompileError(line, f"truncation m_max={m_max} exceeds the limit {MAX_M_MAX}")
         steps, built = [], {}  # equal stages share one element; repr keeps -0.0 apart
@@ -432,8 +433,8 @@ def _reach(stages) -> tuple[int, int]:
 
 def _params_fault(stage: Stage):
     """Why a stage breaks its schema, else None: an unknown keyword, a
-    parameter missing, a number not finite, an identifier outside its choices
-    or a parameter the schema does not list."""
+    parameter missing, a number not real (``_real``) or not finite, an identifier
+    outside its choices or a parameter the schema does not list."""
     schema = SCHEMAS.get(stage.keyword)
     if schema is None:
         return f"unknown stage {stage.keyword!r}"
@@ -442,7 +443,11 @@ def _params_fault(stage: Stage):
             return f"stage {stage.keyword!r} is missing parameter {spec.name!r}"
         value = stage.params[spec.name]
         if spec.choices is None:
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            try:
+                value = _real(repr(spec.name), value)
+            except ValueError as err:
+                return str(err)
+            if not math.isfinite(value):
                 return f"{spec.name!r} must be a finite number, got {value!r}"
         elif value not in spec.choices:
             return f"{spec.name!r} must be one of {spec.choices}, got {value!r}"

@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .experiment import correlation, joint_probabilities, spin_orbit_bell_state
-from .qstate import PhotonState, _frozen, _integer, _Record
+from .qstate import PhotonState, _frozen, _integer, _real, _Record
 
 GENERATOR_ID = (
     "numpy.random.Generator(PCG64), seeded via "
@@ -52,19 +52,14 @@ class ChshSettings(_Record):
     __slots__ = ("chi_a", "chi_a_prime", "chi_b", "chi_b_prime")
 
     def __init__(self, chi_a: float, chi_a_prime: float, chi_b: float, chi_b_prime: float):
-        for v in (chi_a, chi_a_prime, chi_b, chi_b_prime):
-            if not math.isfinite(v):
-                raise ValueError("all CHSH settings must be finite")
-        _Record.__init__(self, chi_a, chi_a_prime, chi_b, chi_b_prime)
+        values = tuple(map(_real, self.__slots__, (chi_a, chi_a_prime, chi_b, chi_b_prime)))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("all CHSH settings must be finite")
+        _Record.__init__(self, *values)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in S order: (a,b), (a,b'), (a',b), (a',b')."""
-        return (
-            (self.chi_a, self.chi_b),
-            (self.chi_a, self.chi_b_prime),
-            (self.chi_a_prime, self.chi_b),
-            (self.chi_a_prime, self.chi_b_prime),
-        )
+        return tuple(product((self.chi_a, self.chi_a_prime), (self.chi_b, self.chi_b_prime)))
 
 
 #: Settings at which the heralded state's sine-law correlations reach 2*sqrt(2).
@@ -154,7 +149,7 @@ class SweepTable(_Record):
                  counts: np.ndarray | None, e_exact: np.ndarray,
                  e_estimated: np.ndarray | None, is_circle: np.ndarray):
         columns = {
-            "chi_a": _frozen(chi_a, float),
+            "chi_a": _frozen(_real("chi_a", chi_a, array=True), float),
             "probabilities": _frozen(probabilities, float),
             "counts": None if counts is None else _frozen(counts, np.int64),
             "e_exact": _frozen(e_exact, float),
@@ -166,7 +161,7 @@ class SweepTable(_Record):
             shape = (n, 4) if name in ("probabilities", "counts") else (n,)
             if column is not None and column.shape != shape:
                 raise ValueError(f"sweep column {name} has shape {column.shape}, not {shape}")
-        columns["chi_b"] = float(chi_b)
+        columns["chi_b"] = _real("chi_b", chi_b)
         _Record.__init__(self, *map(columns.get, self.__slots__))
 
     def __len__(self) -> int:
@@ -453,8 +448,8 @@ def sweep(
     columns None.  The grid must be a non-empty one-dimensional sequence; the
     table holds a copy of it.
     """
-    chi_a = np.asarray(chi_a_grid, dtype=float)
-    if chi_a.ndim != 1:
+    chi_a, chi_b = _real("chi_a_grid", chi_a_grid, array=True), _real("chi_b", chi_b)
+    if np.ndim(chi_a) != 1:
         raise ValueError("chi_A grid must be one-dimensional")
     if len(chi_a) == 0:
         raise ValueError("chi_A grid must not be empty")
@@ -470,7 +465,6 @@ def sweep(
     if shots > 0:
         draws = _sample_rows(grid_probs, shots, seed, first_row)
         e_est = correlation(draws) / shots
-    chi_b = float(chi_b)
     return SweepTable(chi_a, chi_b, grid_probs, draws, correlation(grid_probs), e_est,
                       _circle_mask(chi_a, chi_b))
 

@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, _frozen, _Record
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, _frozen, _real, _Record
 
 _HALF_TURN_TOL = 1e-9
 
@@ -49,7 +49,7 @@ class QPlateSpec(_Record):
     __slots__ = ("q", "alpha0")
 
     def __init__(self, q: float, alpha0: float = 0.0):
-        q, alpha0 = float(q), float(alpha0)
+        q, alpha0 = _real("q", q), _real("alpha0", alpha0)
         if not math.isfinite(q) or not math.isfinite(alpha0):
             raise ValueError("q-plate parameters must be finite")
         if not math.isfinite(2 * q) or abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
@@ -81,17 +81,15 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
     return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
-def _angle(value) -> np.ndarray:
-    """An element's angle as a 0-d float array; any other shape or a non-finite one raises."""
-    angle = np.asarray(value, dtype=float)
-    if angle.ndim:
-        raise ValueError(f"angle must be a scalar, got shape {angle.shape}")
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {float(angle)}")
+def _angle(value) -> float:
+    """An element's angle as a Python float (``_real``); a non-finite one raises ValueError."""
+    angle = _real("angle", value)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     return angle
 
 
-def _rotation(theta: np.ndarray) -> np.ndarray:
+def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
@@ -127,7 +125,7 @@ def dove_pair_op(alpha, m_max: int) -> ElementOp:
     """
     angle = _angle(alpha)
     if abs(angle) > sys.float_info.max / (2 * m_max + 1):
-        raise ValueError(f"Dove angle {float(angle)} overflows a phase 2*m*alpha at m_max={m_max}")
+        raise ValueError(f"Dove angle {angle} overflows a phase 2*m*alpha at m_max={m_max}")
     turns = np.zeros(2 * m_max + 1, dtype=complex)  # i 2 m alpha
     turns.imag = angle * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
     blocks = _P_H[..., None] + np.exp(turns, out=turns) * _P_V[..., None]

@@ -52,6 +52,7 @@ from .qstate import (
     TruncationError,
     _frozen,
     _integer,
+    _real,
     _Record,
     apply_bob,
     oam_dim,
@@ -143,24 +144,16 @@ def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
 
-def _real_scalar(x) -> bool:
-    """True for a Python or numpy real number or a 0-d real ndarray, of dtype kind b, i, u or
-    f: a setting that needs no array.  A timedelta64, a numpy integer of kind m, is not."""
-    return isinstance(x, (float, int)) or (
-        (isinstance(x, np.generic) or type(x) is np.ndarray)
-        and x.shape == () and x.dtype.kind in "biuf")
-
-
 def _finite_settings(a, b, a_max=sys.float_info.max):
-    """Two analyzer settings as Python floats if both are scalars, else as float arrays;
-    a NaN or infinite entry, or |a| > a_max, raises ValueError.  Numpy's ufuncs take a
+    """Two analyzer settings read by ``_real``: Python floats if both are scalars, else float
+    arrays; a NaN or infinite entry, or |a| > a_max, raises ValueError.  Numpy's ufuncs take a
     Python float without building a 0-d array, and give the same bytes."""
-    if _real_scalar(a) and _real_scalar(b):
-        a, b = float(a), float(b)
+    a, b = _real("analyzer setting", a, array=True), _real("analyzer setting", b, array=True)
+    if type(a) is float and type(b) is float:
         if not (abs(a) <= a_max and math.isfinite(b)):  # a NaN fails the first test too
             raise ValueError("analyzer settings must be finite")
         return a, b
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = np.asarray(a), np.asarray(b)
     if np.count_nonzero(np.abs(a) <= a_max) < a.size or np.count_nonzero(np.isfinite(b)) < b.size:
         raise ValueError("analyzer settings must be finite")
     return a, b
@@ -208,8 +201,8 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     :func:`_spin_outcomes` with Bob's grid columns m_max -+ m.  The input's
     squared norm must be 1 within 1e-9, with support in spin x {-m, +m}:
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
-    Settings must be finite and m an integer of at least 1; m > m_max raises
-    TruncationError.
+    Settings must be finite real numbers (not bools) and m an integer of at
+    least 1; m > m_max raises TruncationError.
     """
     grid = _unit_grid(bob)
     m = _integer("m", m)
@@ -250,7 +243,7 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     as in :func:`joint_probabilities`; with chi_a = 2*m*alpha and
     chi_b = 2*beta the two routes agree on states prepared by the q-plate
     chain.  The input must be unit norm, as for :func:`joint_probabilities`,
-    and settings finite, |alpha| at most sys.float_info.max / (2*m_max + 1)
+    and settings finite reals, |alpha| at most sys.float_info.max / (2*m_max + 1)
     so that every Dove phase 2*m*alpha is finite.
 
     The reflected path of the recombination loop carries one extra image

@@ -65,6 +65,22 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value, array: bool = False):
+    """``value`` as a Python float, or with ``array`` as a float ndarray if it has a shape;
+    ``ValueError`` unless it is a Python int or float, or numpy numbers of dtype kind i, u or f
+    (a bool, complex, string, masked array or an int past numpy's 64 bits is not)."""
+    if type(value) is float:  # the analyzers read two settings per call; skip every test
+        return value
+    arr = np.asanyarray(value)
+    if type(arr) is not np.ndarray or arr.dtype.kind not in "iuf":
+        plain = arr.ndim == 0 and type(arr) is np.ndarray  # an array's repr may span lines
+        shown = repr(value) if plain else f"{type(value).__name__} of dtype {arr.dtype}"
+        raise ValueError(f"{name} must be a real number, got {shown}")
+    if arr.ndim and not array:
+        raise ValueError(f"{name} must be a scalar, got shape {arr.shape}")
+    return arr.astype(float, copy=False) if arr.ndim else float(arr)
+
+
 def _truncation(m_max) -> int:
     """``m_max`` as a Python int; ``ValueError`` unless it is an integer of at least 0."""
     m_max = _integer("m_max", m_max)

@@ -490,7 +490,8 @@ class TestCompile:
 
     @pytest.mark.parametrize("m_max", [4, np.int64(4)])
     def test_explicit_truncation_accepts_integers(self, m_max):
-        assert compile_bench(parse(FIG2), m_max=m_max).m_max == 4
+        pipeline = compile_bench(parse(FIG2), m_max=m_max)
+        assert pipeline.m_max == 4 and type(pipeline.m_max) is int
 
     def test_truncation_at_the_limit_compiles(self, monkeypatch):
         assert MAX_M_MAX == 2**16
@@ -825,6 +826,11 @@ FAULT_PINS = [
      (ParseError, 2, "expected a number, got 'nan'")),
     ("nan-theta", (_SOURCE, Stage("qwp", {"theta": math.nan}, "bob", 2)), None,
      (CompileError, 2, "'theta' must be a finite number, got nan")),
+    # A bool is not a number: hwp(True) and a q = 1 plate once compiled from these.
+    ("bool-theta", (_SOURCE, Stage("hwp", {"theta": True}, "bob", 3)), None,
+     (CompileError, 3, "'theta' must be a real number, got True")),
+    ("bool-q", (_SOURCE, Stage("qplate", {"q": True, "alpha0": 0.0}, "bob", 3)), None,
+     (CompileError, 3, "'q' must be a real number, got True")),
     ("bad-basis", "source spdc\nherald basis=X\n", None,
      (ParseError, 2, "'basis' must be one of ('H', 'V', 'L', 'R'), got 'X'")),
     ("bad-basis", (_SOURCE, Stage("herald", {"basis": "X"}, "alice", 2)), None,

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -420,6 +421,20 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{message}$"):
             sweep(0.3, [0.1], shots, RngSeed(1), first_row=first_row)
 
+    @pytest.mark.parametrize("chi_b,message", [
+        (np.array([0.1, 0.2]), r"chi_b must be a scalar, got shape \(2,\)"),
+        ("0.3", "chi_b must be a real number, got '0.3'"),
+        (True, "chi_b must be a real number, got True"),
+    ], ids=["array", "str", "bool"])
+    def test_chi_b_is_one_real_scalar_before_the_analyzer(self, chi_b, message, monkeypatch):
+        # An array chi_b once broadcast against the grid and sampled before float() failed.
+        def no_analyzer(*args, **kwargs):
+            raise AssertionError("the analyzer ran before chi_b was checked")
+
+        monkeypatch.setattr(chsh, "joint_probabilities", no_analyzer)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(chi_b, [0.1, 0.2], 10, RngSeed(1))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(0.0, [], shots=0, seed=RngSeed(0))
@@ -504,6 +519,49 @@ class TestMonteCarlo:
         far = PhotonState(bell.m_max, bell.grid * (1 + 0.9e-9))
         with pytest.raises(ValueError, match="^analyzer input must be unit norm"):
             chsh_monte_carlo(TSIRELSON_SETTINGS, 100, RngSeed(0), bob=far)
+
+
+def assert_standard_normal(z):
+    """z holds n draws that should be independent N(0, 1): |mean| <= 5/sqrt(n), and the sample
+    variance lies inside the two-sided 1e-6 interval of chi2(n - 1) / (n - 1).  The quantiles
+    use the Wilson-Hilferty cube root, whose relative error at n - 1 = 399 is below 1e-3."""
+    n = len(z)
+    assert abs(z.mean()) <= 5 / math.sqrt(n)
+    k = n - 1
+
+    def chi2_quantile(p):
+        x = NormalDist().inv_cdf(p)
+        return k * (1 - 2 / (9 * k) + x * math.sqrt(2 / (9 * k))) ** 3
+
+    assert chi2_quantile(0.5e-6) / k <= z.var(ddof=1) <= chi2_quantile(1 - 0.5e-6) / k
+
+
+class TestStatisticalContracts:
+    """The sampler's documented statistics, checked on fixed seeds so tier-1 stays
+    deterministic; each bound comes from the sampling distribution, not from the draws."""
+
+    def test_monte_carlo_standard_error_is_calibrated(self):
+        # 400 runs on streams 0-399: (S - 2 sqrt 2) / SE is close to N(0, 1) at 1,000 shots.
+        z = []
+        for stream in range(400):
+            est = chsh_monte_carlo(TSIRELSON_SETTINGS, 1000, RngSeed(2024, stream))
+            z.append((est.s_estimate - 2 * SQRT2) / est.standard_error)
+        assert_standard_normal(np.array(z))
+
+    def test_sweep_estimates_scatter_by_their_standard_error(self):
+        # |E| <= sin(1) on this grid, so no row's count ratio is near-degenerate.
+        table = sweep(0.0, np.linspace(-1.0, 1.0, 400), 1000, RngSeed(2024))
+        se = np.sqrt((1.0 - table.e_exact**2) / 1000)
+        assert_standard_normal((table.e_estimated - table.e_exact) / se)
+
+    def test_counts_are_uncorrelated_across_streams_and_rows(self):
+        # One setting on every row, so n_pp is a Binomial(100, p_pp) draw per row and lane.
+        n = 2000
+        n_pp = [sweep(0.3, np.full(n, 0.3), 100, RngSeed(2024, stream)).counts[:, 0]
+                for stream in (0, 1)]
+        assert abs(np.corrcoef(n_pp[0], n_pp[1])[0, 1]) <= 5 / math.sqrt(n)
+        for counts in n_pp:
+            assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) <= 5 / math.sqrt(n - 1)
 
 
 class TestSettingsValidation:

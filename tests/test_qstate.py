@@ -17,6 +17,7 @@ from spinorbit.qstate import (
     ElementOp,
     PhotonState,
     TruncationError,
+    _real,
     apply,
     apply_bob,
     inner,
@@ -514,3 +515,45 @@ def test_labels_round_trip_through_the_grid(case):
             assert state.grid[(*("LR".index(s) for s in spins), m + m_max)] == a
         with pytest.raises(ValueError, match="^grid shape .* does not match m_max="):
             kind(m_max, flat(state))
+
+
+class TestReal:
+    """The one rule for a real number: what it accepts and what it returns."""
+
+    @pytest.mark.parametrize("value", [3, -0.5, np.float64(-0.5), np.float32(0.5),
+                                       np.int64(3), np.uint8(3), np.array(0.25)],
+                             ids=["int", "float", "float64", "float32", "int64", "uint8", "0-d"])
+    def test_scalar_forms_give_a_python_float(self, value):
+        for array in (False, True):
+            got = _real("x", value, array=array)
+            assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [[1, 2], (0.5, -1), np.array([0.5], np.float32),
+                                       np.arange(3, dtype=np.uint16), [[0.1], [0.2]]],
+                             ids=["int-list", "tuple", "float32", "uint16", "nested"])
+    def test_arrays_give_a_float_ndarray(self, value):
+        got = _real("x", value, array=True)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tolist() == np.asarray(value, dtype=float).tolist()
+        message = f"x must be a scalar, got shape {got.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _real("x", value)
+
+    def test_ints_are_read_within_numpys_64_bits(self):
+        assert _real("x", 2**64 - 1) == 2.0**64 and _real("x", -(2**63)) == -(2.0**63)
+        for value in (2**64, -(2**63) - 1, 10**400):
+            with pytest.raises(ValueError, match=f"^x must be a real number, got {value}$"):
+                _real("x", value)
+
+    @pytest.mark.parametrize("value,shown", [
+        ("0.3", "'0.3'"), (True, "True"), (np.False_, repr(np.False_)), (1 + 0j, "(1+0j)"),
+        (None, "None"), (np.timedelta64(3, "s"), repr(np.timedelta64(3, "s"))),
+        ([True, False], "list of dtype bool"), (np.array([0.1, None]), "ndarray of dtype object"),
+        (np.ma.masked_array([0.1, 0.2]), "MaskedArray of dtype float64"),
+    ], ids=["str", "bool", "np.bool_", "complex", "None", "timedelta64", "bool-list",
+            "object-array", "masked-array"])
+    def test_anything_else_names_the_input(self, value, shown):
+        for array in (False, True):
+            with pytest.raises(ValueError) as err:
+                _real("alpha", value, array=array)
+            assert str(err.value) == f"alpha must be a real number, got {shown}"

@@ -213,6 +213,9 @@ class TestDefaultsAndNormalisation:
         assert type(op.shift) is int and op.shift == 1
         spec = QPlateSpec(1, 0)
         assert type(spec.q) is float and type(spec.alpha0) is float
+        settings = ChshSettings(1, np.float32(0.5), np.int64(-2), np.array(0.25))
+        assert settings._fields() == (1.0, 0.5, -2.0, 0.25)
+        assert all(type(v) is float for v in settings._fields())
 
 
 @pytest.mark.parametrize(
@@ -244,6 +247,12 @@ class TestDefaultsAndNormalisation:
         (lambda: SweepTable(0.5, 0.0, np.zeros((1, 4)), None, np.zeros(1), None,
                             np.zeros(1, bool)),
          "sweep column chi_a has shape (), not (1,)"),
+        (lambda: SweepTable(["0.5"], 0.0, np.zeros((1, 4)), None, np.zeros(1), None,
+                            np.zeros(1, bool)),
+         "chi_a must be a real number, got list of dtype <U3"),
+        (lambda: SweepTable(_GRID, True, np.zeros((3, 4)), None, np.zeros(3), None,
+                            np.zeros(3, bool)),
+         "chi_b must be a real number, got True"),
     ],
 )
 def test_validation_errors(build, message):
