@@ -40,7 +40,7 @@ from .elements import (
     smf_filter_op,
     waveplate_op,
 )
-from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _real, _Record, _truncation
+from .qstate import NORM_TOL, BipartiteState, ElementOp, PhotonState, _integer, _real, _Record
 
 _TWO_PI = 2 * math.pi
 
@@ -324,7 +324,7 @@ class BenchPipeline(_Record):
         if (fault := _order_fault(ast.stages)) is not None:
             raise CompileError(*fault)
         try:
-            m_max = _truncation(m_max)
+            m_max = _integer("m_max", m_max, low=0)
         except ValueError:  # m_max is still the caller's value
             raise CompileError(1, f"truncation m_max={m_max!r} must be an integer from 0 "
                                   f"to {MAX_M_MAX}") from None
@@ -433,7 +433,7 @@ def _reach(stages) -> tuple[int, int]:
 
 def _params_fault(stage: Stage):
     """Why a stage breaks its schema, else None: an unknown keyword, a
-    parameter missing, a number not real (``_real``) or not finite, an identifier
+    parameter missing, a number not a finite real (``_real``), an identifier
     outside its choices or a parameter the schema does not list."""
     schema = SCHEMAS.get(stage.keyword)
     if schema is None:
@@ -444,11 +444,9 @@ def _params_fault(stage: Stage):
         value = stage.params[spec.name]
         if spec.choices is None:
             try:
-                value = _real(repr(spec.name), value)
+                _real(repr(spec.name), value)
             except ValueError as err:
                 return str(err)
-            if not math.isfinite(value):
-                return f"{spec.name!r} must be a finite number, got {value!r}"
         elif value not in spec.choices:
             return f"{spec.name!r} must be one of {spec.choices}, got {value!r}"
     if len(stage.params) > len(schema.params):  # each listed name is present: one is not listed

@@ -52,10 +52,8 @@ class ChshSettings(_Record):
     __slots__ = ("chi_a", "chi_a_prime", "chi_b", "chi_b_prime")
 
     def __init__(self, chi_a: float, chi_a_prime: float, chi_b: float, chi_b_prime: float):
-        values = tuple(map(_real, self.__slots__, (chi_a, chi_a_prime, chi_b, chi_b_prime)))
-        if not all(map(math.isfinite, values)):
-            raise ValueError("all CHSH settings must be finite")
-        _Record.__init__(self, *values)
+        settings = (chi_a, chi_a_prime, chi_b, chi_b_prime)
+        _Record.__init__(self, *map(_real, self.__slots__, settings))
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in S order: (a,b), (a,b'), (a',b), (a',b')."""
@@ -70,14 +68,14 @@ CIRCLE_SETTINGS = TSIRELSON_SETTINGS.pairs()
 
 
 class CountRecord(_Record):
-    """Coincidence counts for the four detector-port pairs."""
+    """Coincidence counts for the four detector-port pairs, integers of at least 0."""
 
     __slots__ = ("n_pp", "n_pm", "n_mp", "n_mm")
 
     def __init__(self, n_pp: int, n_pm: int, n_mp: int, n_mm: int):
-        if n_pp < 0 or n_pm < 0 or n_mp < 0 or n_mm < 0:
-            raise ValueError("counts must be non-negative")
-        _Record.__init__(self, n_pp, n_pm, n_mp, n_mm)
+        counts = (n_pp, n_pm, n_mp, n_mm)
+        _Record.__init__(self, *(_integer(name, n, low=0)
+                                 for name, n in zip(self.__slots__, counts)))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
@@ -90,7 +88,8 @@ class CountRecord(_Record):
 class RngSeed(_Record):
     """Seed plus stream index for reproducible, parallel-safe sampling.
 
-    Both are integers, stored as Python ints.  Identical (seed, stream)
+    The seed is an integer from 0 to 2**64 - 1 and the stream one of at
+    least 0, both stored as Python ints.  Identical (seed, stream)
     values reproduce identical draws bit for bit; distinct streams are
     statistically independent.
     """
@@ -98,12 +97,8 @@ class RngSeed(_Record):
     __slots__ = ("seed", "stream")
 
     def __init__(self, seed: int, stream: int = 0):
-        seed, stream = _integer("seed", seed), _integer("stream", stream)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if stream < 0:
-            raise ValueError("stream index must be non-negative")
-        _Record.__init__(self, seed, stream)  # the lane hash needs Python ints
+        _Record.__init__(self, _integer("seed", seed, low=0, high=2**64 - 1),
+                         _integer("stream", stream, low=0))
 
     def generator(self, lane: int) -> np.random.Generator:
         """``default_rng(SeedSequence(seed, spawn_key=(stream, lane)))``: one lane's PCG64.
@@ -111,6 +106,7 @@ class RngSeed(_Record):
         The one-lane reference: a sampled block seeds its rows from the same
         words, computed for every row at once (see :func:`_lane_states`).
         """
+        lane = _integer("lane", lane, low=0)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, lane))
         return np.random.Generator(np.random.PCG64(ss))
 
@@ -361,11 +357,7 @@ def _sample_rows(probs, shots: int, seed: RngSeed, first_lane: int) -> np.ndarra
     bad = ~(np.abs(sums - 1.0) <= 1e-9)
     if np.any(bad):
         raise ValueError(f"probabilities must sum to 1, got {sums[bad][0]}")
-    shots = _integer("shots", shots)
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if shots > 2**63 - 1:
-        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
+    shots = _integer("shots", shots, low=1, high=2**63 - 1)
     if not isinstance(seed, RngSeed):
         raise ValueError(f"sampling needs an RngSeed, got {seed!r}")
     lanes = _lane_seed_type()(_lane_states(seed, first_lane, len(p)))
@@ -453,11 +445,7 @@ def sweep(
         raise ValueError("chi_A grid must be one-dimensional")
     if len(chi_a) == 0:
         raise ValueError("chi_A grid must not be empty")
-    shots, first_row = _integer("shots", shots), _integer("first_row", first_row)
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
-    if first_row < 0:
-        raise ValueError("first_row must be non-negative")
+    shots, first_row = _integer("shots", shots, low=0), _integer("first_row", first_row, low=0)
     if bob is None:
         bob = spin_orbit_bell_state(m=m)
     grid_probs = joint_probabilities(bob, chi_a, chi_b, m=m)
@@ -482,14 +470,13 @@ def chsh_monte_carlo(
     (stream, k).  The standard error treats the four runs as independent
     multinomials: SE = sqrt(sum_i (1 - E_i^2) / shots).
     """
-    if _integer("shots", shots_per_setting) < 2:
-        raise ValueError("need at least two shots per setting")
+    shots = _integer("shots", shots_per_setting, low=2)
     probs = pair_probabilities(settings, bob, m)
-    draws = _sample_rows(probs, shots_per_setting, seed, 0)
+    draws = _sample_rows(probs, shots, seed, 0)
     counts = [CountRecord(*row) for row in draws.tolist()]
     e_values = [estimate_E(rec) for rec in counts]
     s_est = chsh_combination(e_values)
-    variance = sum((1.0 - e * e) / shots_per_setting for e in e_values)
+    variance = sum((1.0 - e * e) / shots for e in e_values)
     return McEstimate(
         s_estimate=s_est,
         standard_error=math.sqrt(variance),

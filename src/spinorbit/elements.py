@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, _frozen, _real, _Record
+from .qstate import _CIRC_TO_LIN, SPIN_KETS, ElementOp, _frozen, _integer, _real, _Record
 
 _HALF_TURN_TOL = 1e-9
 
@@ -50,8 +50,6 @@ class QPlateSpec(_Record):
 
     def __init__(self, q: float, alpha0: float = 0.0):
         q, alpha0 = _real("q", q), _real("alpha0", alpha0)
-        if not math.isfinite(q) or not math.isfinite(alpha0):
-            raise ValueError("q-plate parameters must be finite")
         if not math.isfinite(2 * q) or abs(2 * q - round(2 * q)) > _HALF_TURN_TOL:
             raise ValueError(f"2q must be an integer, got q={q}")
         _Record.__init__(self, q, alpha0)
@@ -64,9 +62,10 @@ class QPlateSpec(_Record):
     def axis_angle(self, phi):
         """Optical-axis angle q*phi + alpha0 mod pi, in [0, pi), at azimuth phi.
 
-        The pattern does not depend on the radius.
+        ``phi`` is a real number or an array of them (``_real``); the pattern does
+        not depend on the radius.
         """
-        return np.mod(self.q * phi + self.alpha0, math.pi)
+        return np.mod(self.q * _real("phi", phi, array=True) + self.alpha0, math.pi)
 
 
 def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
@@ -81,12 +80,18 @@ def qplate_op(spec: QPlateSpec, m_max: int) -> ElementOp:
     return ElementOp(blocks, shift=spec.two_q, m_max=m_max, name=name)
 
 
-def _angle(value) -> float:
-    """An element's angle as a Python float (``_real``); a non-finite one raises ValueError."""
-    angle = _real("angle", value)
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle}")
-    return angle
+def _dove_angle(alpha, m_max: int):
+    """``alpha``, a float or a float array read by ``_real``, unchanged; an entry with |alpha|
+    above sys.float_info.max / (2*m_max + 1), where a phase 2*m*alpha could overflow, raises
+    ValueError."""
+    limit = sys.float_info.max / (2 * m_max + 1)
+    if type(alpha) is float and abs(alpha) <= limit:  # a scalar within the bound: no array
+        return alpha
+    over = np.abs(alpha) > limit
+    if np.count_nonzero(over):
+        shown = np.asarray(alpha)[over][0]
+        raise ValueError(f"Dove angle {shown} overflows a phase 2*m*alpha at m_max={m_max}")
+    return alpha
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -101,8 +106,8 @@ def waveplate_op(kind: str, theta) -> ElementOp:
     kind "hwp": half-wave element imprinting circular phase theta (see the
     module docstring for the angle convention).
     """
-    kind = kind.lower()
-    angle = _angle(theta)
+    kind = kind.lower() if isinstance(kind, str) else kind
+    angle = _real("angle", theta)
     if kind == "qwp":
         lin = _rotation(angle) @ np.diag([1.0, 1j]) @ _rotation(-angle)
         circ = _CIRC_TO_LIN.conj().T @ lin @ _CIRC_TO_LIN
@@ -123,9 +128,8 @@ def dove_pair_op(alpha, m_max: int) -> ElementOp:
     sys.float_info.max / (2*m_max + 1), where a phase 2*m*alpha could
     overflow, raises ValueError.
     """
-    angle = _angle(alpha)
-    if abs(angle) > sys.float_info.max / (2 * m_max + 1):
-        raise ValueError(f"Dove angle {angle} overflows a phase 2*m*alpha at m_max={m_max}")
+    m_max = _integer("m_max", m_max, low=0)
+    angle = _dove_angle(_real("angle", alpha), m_max)
     turns = np.zeros(2 * m_max + 1, dtype=complex)  # i 2 m alpha
     turns.imag = angle * np.arange(-2 * m_max, 2 * m_max + 1, 2.0)
     blocks = _P_H[..., None] + np.exp(turns, out=turns) * _P_V[..., None]
@@ -138,6 +142,7 @@ def smf_filter_op(m_max: int) -> ElementOp:
     A projector, not a unitary; the squared norm after application is the
     transmitted weight.
     """
+    m_max = _integer("m_max", m_max, low=0)
     blocks = np.eye(2)[..., None] * (np.arange(-m_max, m_max + 1) == 0)
     return ElementOp(blocks, m_max=m_max, name="smf")
 

@@ -31,7 +31,6 @@ E(chi_A, chi_B) = sin(chi_A + chi_B).
 from __future__ import annotations
 
 import math
-import sys
 from functools import cache, lru_cache
 
 import numpy as np
@@ -40,6 +39,7 @@ from .elements import (
     _P_H,
     _P_V,
     QPlateSpec,
+    _dove_angle,
     qplate_op,
     smf_filter_op,
     waveplate_op,
@@ -95,6 +95,7 @@ class HeraldOutcome(_Record):
 
 def spdc_source(m_max: int = 0) -> BipartiteState:
     """Photon-pair source in (|H>_A |H>_B + |V>_A |V>_B)/sqrt(2), Bob m = 0; m_max 0 by default."""
+    m_max = _integer("m_max", m_max, low=0)
     h = spin_ket("H")
     v = spin_ket("V")
     amps = np.zeros((2, 2, oam_dim(m_max)), dtype=complex)  # (Alice, Bob spin, m)
@@ -139,23 +140,21 @@ def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
 
 def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
     """The heralded single-photon Bell state (|L,-m> + |R,+m>)/sqrt(2); m_max m by default."""
+    m = _integer("m", m)
     m_max = m if m_max is None else m_max
     amp = math.sqrt(0.5)
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
 
-def _finite_settings(a, b, a_max=sys.float_info.max):
+def _finite_settings(a, b, m_max=None):
     """Two analyzer settings read by ``_real``: Python floats if both are scalars, else float
-    arrays; a NaN or infinite entry, or |a| > a_max, raises ValueError.  Numpy's ufuncs take a
-    Python float without building a 0-d array, and give the same bytes."""
+    arrays.  With ``m_max``, ``a`` is a Dove angle, bounded by ``_dove_angle``.  Numpy's ufuncs
+    take a Python float without building a 0-d array, and give the same bytes."""
     a, b = _real("analyzer setting", a, array=True), _real("analyzer setting", b, array=True)
-    if type(a) is float and type(b) is float:
-        if not (abs(a) <= a_max and math.isfinite(b)):  # a NaN fails the first test too
-            raise ValueError("analyzer settings must be finite")
-        return a, b
-    a, b = np.asarray(a), np.asarray(b)
-    if np.count_nonzero(np.abs(a) <= a_max) < a.size or np.count_nonzero(np.isfinite(b)) < b.size:
-        raise ValueError("analyzer settings must be finite")
+    if type(a) is not float or type(b) is not float:
+        a, b = np.asarray(a), np.asarray(b)
+    if m_max is not None:
+        a = _dove_angle(a, m_max)
     return a, b
 
 
@@ -205,9 +204,7 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     least 1; m > m_max raises TruncationError.
     """
     grid = _unit_grid(bob)
-    m = _integer("m", m)
-    if m < 1:
-        raise ValueError("analyzer OAM magnitude must be a positive integer")
+    m = _integer("m", m, low=1)
     if m > bob.m_max:
         raise TruncationError(f"analyzer charge +-{m} exceeds truncation m_max={bob.m_max}")
     chi_a, chi_b = _finite_settings(chi_a, chi_b)
@@ -260,7 +257,7 @@ def interferometer_detect(bob: PhotonState, alpha, beta) -> np.ndarray:
     the recombiner's port factors commute with both.
     """
     grid = _unit_grid(bob)
-    alpha, beta = _finite_settings(alpha, beta, sys.float_info.max / (2 * bob.m_max + 1))
+    alpha, beta = _finite_settings(alpha, beta, bob.m_max)
     if isinstance(alpha, np.ndarray):  # each setting meets a (port, spin, m) block
         alpha, beta = alpha[..., None, None, None], beta[..., None, None, None]
     arms = _fixed_plates() @ grid  # (transmitted, reflected) x ports "plus", "minus"

@@ -56,20 +56,27 @@ class TruncationError(ValueError):
     """Raised when an operation would push amplitude beyond the OAM cutoff."""
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)."""
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer (a bool is not)
+    from ``low`` to ``high``, each bound None for none."""
     # The Integral ABC check is slow next to an analyzer call; an exact int skips it.
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return value
 
 
 def _real(name: str, value, array: bool = False):
-    """``value`` as a Python float, or with ``array`` as a float ndarray if it has a shape;
-    ``ValueError`` unless it is a Python int or float, or numpy numbers of dtype kind i, u or f
-    (a bool, complex, string, masked array or an int past numpy's 64 bits is not)."""
-    if type(value) is float:  # the analyzers read two settings per call; skip every test
+    """``value`` as a finite Python float, or with ``array`` as a finite float ndarray if it
+    has a shape; ``ValueError`` unless it is a Python int or float, or numpy numbers of dtype
+    kind i, u or f (a bool, complex, string, masked array or an int past numpy's 64 bits is
+    not), and none of it NaN or infinite."""
+    if type(value) is float and math.isfinite(value):  # the analyzers read two per call
         return value
     arr = np.asanyarray(value)
     if type(arr) is not np.ndarray or arr.dtype.kind not in "iuf":
@@ -78,15 +85,9 @@ def _real(name: str, value, array: bool = False):
         raise ValueError(f"{name} must be a real number, got {shown}")
     if arr.ndim and not array:
         raise ValueError(f"{name} must be a scalar, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr.astype(float, copy=False) if arr.ndim else float(arr)
-
-
-def _truncation(m_max) -> int:
-    """``m_max`` as a Python int; ``ValueError`` unless it is an integer of at least 0."""
-    m_max = _integer("m_max", m_max)
-    if m_max < 0:
-        raise ValueError(f"m_max must be at least 0, got {m_max}")
-    return m_max
 
 
 def oam_dim(m_max: int) -> int:
@@ -187,7 +188,7 @@ class _State(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, m_max: int, grid: np.ndarray):
-        m_max = _truncation(m_max)
+        m_max = _integer("m_max", m_max, low=0)
         grid = np.array(grid, dtype=complex, order="C")
         shape = (2,) * self._spins + (oam_dim(m_max),)
         if grid.shape != shape:
@@ -200,7 +201,7 @@ class _State(_Record):
     def from_amplitudes(cls, m_max: int, amps: Mapping[tuple, complex]):
         """The state with amplitude ``a`` at each (*spins, m) label of ``amps``, 0 elsewhere;
         a label of another form raises ValueError."""
-        m_max = _truncation(m_max)
+        m_max = _integer("m_max", m_max, low=0)
         grid = np.zeros((2,) * cls._spins + (oam_dim(m_max),), dtype=complex)
         for label, a in amps.items():
             if not isinstance(label, tuple) or len(label) != cls._spins + 1:
@@ -266,16 +267,16 @@ class ElementOp(_Record):
 
     def __init__(self, blocks: np.ndarray, shift: int = 0, m_max: int | None = None,
                  name: str = ""):
-        blocks = _frozen(blocks)
+        shift, blocks = _integer("shift", shift), _frozen(blocks)
         blocks = blocks[..., None] if blocks.ndim == 2 else blocks
         if m_max is not None:
-            m_max = _truncation(m_max)
+            m_max = _integer("m_max", m_max, low=0)
         n_oam = 1 if m_max is None else oam_dim(m_max)
         if blocks.shape not in ((2, 2, 1), (2, 2, n_oam)):
             raise ValueError(f"blocks {blocks.shape} do not fit m_max={m_max}")
         if shift and (m_max is None or abs(shift) > m_max):
             raise ValueError(f"m_max={m_max} cannot hold a +-{abs(shift)} OAM shift")
-        _Record.__init__(self, blocks, int(shift), m_max, name)
+        _Record.__init__(self, blocks, shift, m_max, name)
 
     @property
     def spin_only(self) -> bool:

@@ -825,7 +825,7 @@ FAULT_PINS = [
     ("nan-theta", "source spdc\nqwp theta=nan\n", None,
      (ParseError, 2, "expected a number, got 'nan'")),
     ("nan-theta", (_SOURCE, Stage("qwp", {"theta": math.nan}, "bob", 2)), None,
-     (CompileError, 2, "'theta' must be a finite number, got nan")),
+     (CompileError, 2, "'theta' must be finite, got nan")),
     # A bool is not a number: hwp(True) and a q = 1 plate once compiled from these.
     ("bool-theta", (_SOURCE, Stage("hwp", {"theta": True}, "bob", 3)), None,
      (CompileError, 3, "'theta' must be a real number, got True")),

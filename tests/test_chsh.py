@@ -188,7 +188,7 @@ class TestSampleRows:
     def test_shots_past_int64_rejected_before_the_lane_hash(self, monkeypatch):
         assert _sample_rows([[0.25] * 4], 2**63 - 1, RngSeed(0), 0).sum() == 2**63 - 1
         monkeypatch.setattr(chsh, "_lane_states", no_lane_hash)
-        message = f"^shots must be at most 2\\*\\*63 - 1, got {2**63}$"
+        message = f"^shots must be at most {2**63 - 1}, got {2**63}$"
         with pytest.raises(ValueError, match=message):
             _sample_rows([[0.25] * 4] * 2, 2**63, RngSeed(0), 0)
 
@@ -584,9 +584,9 @@ class TestSettingsValidation:
         ((0, 0.5), "stream must be an integer, got 0.5"),
         ((True,), "seed must be an integer, got True"),
         ((None,), "seed must be an integer, got None"),
-        ((-1,), "seed must fit in an unsigned 64-bit integer"),
-        ((2**64,), "seed must fit in an unsigned 64-bit integer"),
-        ((0, -2), "stream index must be non-negative"),
+        ((-1,), "seed must be at least 0, got -1"),
+        ((2**64,), f"seed must be at most {2**64 - 1}, got {2**64}"),
+        ((0, -2), "stream must be at least 0, got -2"),
     ])
     def test_seed_faults_raise_one_line_at_construction(self, args, message):
         with pytest.raises(ValueError) as err:

@@ -680,11 +680,11 @@ class TestSeedEnvironment:
 
     @pytest.mark.parametrize(
         "argv,message",
-        [(["run", FIG2, "--shots", "-1"], "shots must be at least 1"),
+        [(["run", FIG2, "--shots", "-1"], "shots must be at least 1, got -1"),
          (["chsh", "--mode", "montecarlo", "--shots", "1"],
-          "need at least two shots per setting"),
+          "shots must be at least 2, got 1"),
          (["sweep", "--shots", str(2**64), "--out", "unwritten.csv"],
-          f"shots must be at most 2**63 - 1, got {2**64}")],
+          f"shots must be at most {2**63 - 1}, got {2**64}")],
         ids=["run", "chsh", "sweep"],
     )
     def test_failed_draw_prints_only_its_error(self, cli, argv, message):
@@ -718,9 +718,9 @@ class TestSeedEnvironment:
 
     @pytest.mark.parametrize(
         "argv,message",
-        [(["chsh", "--stream", "-1"], "stream index must be non-negative"),
-         (["run", FIG2, "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
-         (["nchv", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer")],
+        [(["chsh", "--stream", "-1"], "stream must be at least 0, got -1"),
+         (["run", FIG2, "--seed", "-1"], "seed must be at least 0, got -1"),
+         (["nchv", "--seed", str(2**64)], f"seed must be at most {2**64 - 1}, got {2**64}")],
         ids=["chsh", "run", "nchv"],
     )
     def test_explicit_values_are_checked_without_the_environment(self, cli, argv, message):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -183,6 +184,11 @@ class TestWavePlates:
         with pytest.raises(ValueError):
             waveplate_op("twp", 0.0)
 
+    @pytest.mark.parametrize("kind,shown", [("twp", "'twp'"), (3, "3"), (None, "None")])
+    def test_unknown_kind_is_named(self, kind, shown):
+        with pytest.raises(ValueError, match=f"^unknown wave plate kind {shown}$"):
+            waveplate_op(kind, 0.1)
+
 
 class TestDovePair:
     def test_rotated_arm_phase_on_twisted_light(self):
@@ -255,6 +261,17 @@ class TestAxisAngle:
 
     def test_offset_at_zero_azimuth(self):
         assert QPlateSpec(2, 0.4).axis_angle(0.0) == pytest.approx(0.4)
+
+    def test_azimuths_are_read_as_real_numbers(self):
+        spec = QPlateSpec(1, 0.2)
+        want = spec.axis_angle(np.array([0.0, 0.3]))
+        assert spec.axis_angle([0, 0.3]).tolist() == want.tolist()
+        assert spec.axis_angle(np.float32(0.5)) == spec.axis_angle(float(np.float32(0.5)))
+        for phi, message in (("0.3", "phi must be a real number, got '0.3'"),
+                             (True, "phi must be a real number, got True"),
+                             ([0.1, math.nan], "phi must be finite, got nan")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                spec.axis_angle(phi)
 
 
 class TestSymmetry:

@@ -17,6 +17,7 @@ from spinorbit.qstate import (
     ElementOp,
     PhotonState,
     TruncationError,
+    _integer,
     _real,
     apply,
     apply_bob,
@@ -188,9 +189,9 @@ class TestBasisLabels:
         (lambda: _PAIR.amplitude("L", "L", True), ValueError, "m must be an integer, got True"),
         (lambda: PhotonState.basis_state("L", 0, 2.0),
          ValueError, "m_max must be an integer, got 2.0"),
-        (lambda: spin_orbit_bell_state(m=2.0), ValueError, "m_max must be an integer, got 2.0"),
+        (lambda: spin_orbit_bell_state(m=2.0), ValueError, "m must be an integer, got 2.0"),
         (lambda: spin_orbit_bell_state(m=2.0, m_max=2),
-         ValueError, "m must be an integer, got -2.0"),
+         ValueError, "m must be an integer, got 2.0"),
         (lambda: BipartiteState.from_amplitudes(1, {("L", "R", -2): 1.0}),
          TruncationError, "|m|=2 exceeds truncation m_max=1"),
         (lambda: _PAIR.amplitude("R", "R", 3), TruncationError, "|m|=3 exceeds truncation m_max=1"),
@@ -557,3 +558,38 @@ class TestReal:
             with pytest.raises(ValueError) as err:
                 _real("alpha", value, array=array)
             assert str(err.value) == f"alpha must be a real number, got {shown}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form", [float, np.float64, np.float32, np.array],
+                             ids=["float", "float64", "float32", "0-d"])
+    def test_non_finite_scalars_rejected(self, bad, form):
+        for array in (False, True):
+            with pytest.raises(ValueError, match=f"^x must be finite, got {bad}$"):
+                _real("x", form(bad), array=array)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_arrays_name_their_first_non_finite_entry(self, bad):
+        for value in ([0.5, bad, -bad], np.array([[0.5], [bad]], np.float32), (1.0, bad)):
+            with pytest.raises(ValueError, match=f"^x must be finite, got {bad}$"):
+                _real("x", value, array=True)
+
+    def test_largest_floats_are_finite(self):
+        assert _real("x", 1e308) == 1e308
+        assert _real("x", [-1e308, 1e308], array=True).tolist() == [-1e308, 1e308]
+
+
+class TestInteger:
+    """The one rule for an integer: its bounds, each checked after the type."""
+
+    def test_bounds_are_inclusive(self):
+        assert _integer("n", 0, low=0) == 0 and _integer("n", 7, high=7) == 7
+        assert type(_integer("n", np.uint64(2**64 - 1), low=0, high=2**64 - 1)) is int
+
+    @pytest.mark.parametrize("value,message", [
+        (-1, "n must be at least 0, got -1"), (np.int8(-3), "n must be at least 0, got -3"),
+        (10, "n must be at most 9, got 10"), (2**64, f"n must be at most 9, got {2**64}"),
+        (-1.0, "n must be an integer, got -1.0"),
+    ])
+    def test_out_of_range_names_the_bound(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _integer("n", value, low=0, high=9)

@@ -229,15 +229,26 @@ class TestDefaultsAndNormalisation:
         (lambda: ElementOp(np.zeros((2, 2, 4)), m_max=2), "blocks (2, 2, 4) do not fit m_max=2"),
         (lambda: ElementOp(np.eye(2), shift=1), "m_max=None cannot hold a +-1 OAM shift"),
         (lambda: ElementOp(np.eye(2), shift=-3, m_max=2), "m_max=2 cannot hold a +-3 OAM shift"),
-        (lambda: QPlateSpec(math.inf), "q-plate parameters must be finite"),
-        (lambda: QPlateSpec(1, math.nan), "q-plate parameters must be finite"),
+        # These rows keep the ids of their 0.24.0 messages, each naming the rule it checks.
+        pytest.param(lambda: QPlateSpec(math.inf), "q must be finite, got inf",
+                     id="<lambda>-q-plate parameters must be finite0"),
+        pytest.param(lambda: QPlateSpec(1, math.nan), "alpha0 must be finite, got nan",
+                     id="<lambda>-q-plate parameters must be finite1"),
         (lambda: QPlateSpec(0.3), "2q must be an integer, got q=0.3"),
-        (lambda: ChshSettings(0.0, math.nan, 0.0, 0.0), "all CHSH settings must be finite"),
-        (lambda: ChshSettings(0.0, 0.0, 0.0, -math.inf), "all CHSH settings must be finite"),
-        (lambda: CountRecord(1, 2, -1, 4), "counts must be non-negative"),
-        (lambda: RngSeed(-1), "seed must fit in an unsigned 64-bit integer"),
-        (lambda: RngSeed(2**64), "seed must fit in an unsigned 64-bit integer"),
-        (lambda: RngSeed(0, -1), "stream index must be non-negative"),
+        pytest.param(lambda: ChshSettings(0.0, math.nan, 0.0, 0.0),
+                     "chi_a_prime must be finite, got nan",
+                     id="<lambda>-all CHSH settings must be finite0"),
+        pytest.param(lambda: ChshSettings(0.0, 0.0, 0.0, -math.inf),
+                     "chi_b_prime must be finite, got -inf",
+                     id="<lambda>-all CHSH settings must be finite1"),
+        pytest.param(lambda: CountRecord(1, 2, -1, 4), "n_mp must be at least 0, got -1",
+                     id="<lambda>-counts must be non-negative"),
+        pytest.param(lambda: RngSeed(-1), "seed must be at least 0, got -1",
+                     id="<lambda>-seed must fit in an unsigned 64-bit integer0"),
+        pytest.param(lambda: RngSeed(2**64), f"seed must be at most {2**64 - 1}, got {2**64}",
+                     id="<lambda>-seed must fit in an unsigned 64-bit integer1"),
+        pytest.param(lambda: RngSeed(0, -1), "stream must be at least 0, got -1",
+                     id="<lambda>-stream index must be non-negative"),
         (lambda: SweepTable(_GRID, 0.0, np.zeros((2, 4)), None, np.zeros(3), None,
                             np.zeros(3, bool)),
          "sweep column probabilities has shape (2, 4), not (3, 4)"),
