@@ -9,7 +9,7 @@ evaluates the CHSH combination exactly, with shot noise, and against the
 brute-force noncontextual hidden-variable bound.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .chsh import (
     CIRCLE_SETTINGS,

@@ -13,7 +13,9 @@ are provided and must agree on the span of the q-plate outputs |L,-m>, |R,+m>:
 * the closed-form kernel (:func:`joint_probabilities`): the outcome states
   of both dichotomic observables are written down directly on the
   spin x {-m, +m} subspace, and one einsum over arrays of settings gives
-  the four squared overlaps per setting, and
+  the four squared overlaps per setting; a scalar setting pair takes the
+  same products and sums on four Python complex numbers, with the same
+  bytes, and
 * the element-by-element optical chain (:func:`interferometer_detect`)
   over broadcast arrays of hardware angles (alpha, beta): quarter-wave
   plate at 45 deg, polarizing splitter, Dove-prism pair at relative angle
@@ -30,6 +32,7 @@ E(chi_A, chi_B) = sin(chi_A + chi_B).
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import cache, lru_cache
 
@@ -139,9 +142,9 @@ def herald(state: BipartiteState, alice_basis="H") -> HeraldOutcome:
 
 
 def spin_orbit_bell_state(m: int = 2, m_max: int | None = None) -> PhotonState:
-    """The heralded single-photon Bell state (|L,-m> + |R,+m>)/sqrt(2); m_max m by default."""
+    """The heralded single-photon Bell state (|L,-m> + |R,+m>)/sqrt(2); m_max |m| by default."""
     m = _integer("m", m)
-    m_max = m if m_max is None else m_max
+    m_max = abs(m) if m_max is None else m_max
     amp = math.sqrt(0.5)
     return PhotonState.from_amplitudes(m_max, {("L", -m): amp, ("R", m): amp})
 
@@ -197,7 +200,10 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     ``chi_a`` and ``chi_b`` broadcast together; scalar settings give shape
     (4,).  First index is the OAM outcome, second the polarization outcome.
     One einsum overlaps the outcome states of :func:`_oam_outcomes` and
-    :func:`_spin_outcomes` with Bob's grid columns m_max -+ m.  The input's
+    :func:`_spin_outcomes` with Bob's grid columns m_max -+ m; two scalar
+    settings skip it and form the four overlaps in Python complex arithmetic,
+    term for term as the einsum does, so a scalar call's bytes equal those of
+    the matching row of a batched call.  The input's
     squared norm must be 1 within 1e-9, with support in spin x {-m, +m}:
     weight outside it beyond 1e-9 at any setting raises LostWeightError.
     Settings must be finite real numbers (not bools) and m an integer of at
@@ -208,12 +214,29 @@ def joint_probabilities(bob: PhotonState, chi_a, chi_b, m: int = 2) -> np.ndarra
     if m > bob.m_max:
         raise TruncationError(f"analyzer charge +-{m} exceeds truncation m_max={bob.m_max}")
     chi_a, chi_b = _finite_settings(chi_a, chi_b)
-    # The sweep CSV pins rest on this fancy index: its operand is F-ordered, the einsum sums
-    # in stride order, and the equal slice grid[:, m_max-m : m_max+m+1 : 2*m] gives other bytes.
-    sub = grid[:, [bob.m_max - m, bob.m_max + m]].conj()  # (spin, -m/+m)
-    # The conjugate of each overlap <outcome|sub>: the same bytes once squared.
-    amps = np.einsum("...ak,...bs,sk->...ab", _oam_outcomes(chi_a), _spin_outcomes(chi_b), sub)
-    probs = (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
+    # Both paths form each amplitude in one order, O and S being the arrays of _oam_outcomes and
+    # _spin_outcomes and sub[j, k] Bob's cell (j, m_max -+ m) conjugated: products
+    # (O[a, k] * S[b, j]) * sub[j, k], summed over the spin j within each charge k, then the two
+    # charge sums added.  The einsum sums in its operands' stride order, so that order rests on
+    # the fancy index's F-ordered sub (the equal C-ordered slice gives other bytes); the sweep
+    # CSV pins and the kernel digests hold both paths to it.  Conjugation and sign flips are
+    # exact in every product and sum, so the scalar path forms each conjugate, the overlap
+    # <outcome|cells> itself, from conjugated outcome entries, and its -+ terms by flipping the
+    # + ones: the same magnitudes, bit for bit.
+    if type(chi_a) is float:
+        (u0, v0), (u1, v1) = grid[:, bob.m_max - m : bob.m_max + m + 1 : 2 * m].tolist()
+        e_a, e_b = cmath.exp(1j * chi_a).conjugate(), cmath.exp(1j * chi_b).conjugate()
+        o0, o1 = (1 - 1j) / 2, (1 + 1j) * e_a / 2  # conjugates of _oam_outcomes' entries
+        s0, s1 = math.sqrt(0.5), e_b * math.sqrt(0.5)  # and of _spin_outcomes'
+        p, q, r, t = o0 * s0 * u0, o0 * s1 * u1, o1 * s0 * v0, o1 * s1 * v1
+        wp, wm, xp, xm = p + q, p - q, r + t, r - t  # charge -m and +m sums, spin outcome +-
+        probs = np.abs([wp + xp, wm + xm, wp - xp, wm - xm])
+        probs *= probs
+    else:
+        sub = grid[:, [bob.m_max - m, bob.m_max + m]].conj()  # (spin, -m/+m)
+        oam, spin = _oam_outcomes(chi_a), _spin_outcomes(chi_b)
+        amps = np.einsum("...ak,...bs,sk->...ab", oam, spin, sub)
+        probs = (np.abs(amps) ** 2).reshape(amps.shape[:-2] + (4,))
     lost = 1.0 - np.add.reduce(probs, -1)
     if np.count_nonzero(lost > LOST_WEIGHT_TOL):
         raise LostWeightError(

@@ -564,6 +564,18 @@ class TestStatisticalContracts:
             assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) <= 5 / math.sqrt(n - 1)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sweep(0.0, [0.0], 0, None, m=-1), id="sweep"),
+    pytest.param(lambda: pair_probabilities(TSIRELSON_SETTINGS, m=-1), id="pair_probabilities"),
+    pytest.param(lambda: chsh_monte_carlo(TSIRELSON_SETTINGS, 10, RngSeed(0), m=-1),
+                 id="chsh_monte_carlo"),
+])
+def test_negative_charge_names_the_analyzer_bound(call):
+    """With no ``bob``, m = -1 builds the mirror-span state and the analyzer refuses the charge."""
+    with pytest.raises(ValueError, match="^m must be at least 1, got -1$"):
+        call()
+
+
 class TestSettingsValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

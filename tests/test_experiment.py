@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import states_equal_up_to_phase
@@ -45,6 +45,8 @@ SQRT_HALF = math.sqrt(0.5)
 
 # Each 0-d form a setting can take: the analyzers check these as Python floats.
 SCALAR_FORMS = (float, np.float64, np.asarray)
+# Settings at the edges of the float range: signed zeros, the least subnormal and huge phases.
+EDGE_SETTINGS = (0.0, -0.0, 5e-324, 1e300, -1e300)
 # Non-finite settings in the 0-d forms the scalar check reads, beside the Python floats.
 NON_FINITE_0D = {f"{form.__name__}-{value}": form(value)
                  for form in (np.float64, np.asarray) for value in (math.nan, math.inf, -math.inf)}
@@ -129,6 +131,13 @@ class TestPrepareHybrid:
         assert [prepare_hybrid(QPlateSpec(q)).m_max for q in (1, 2, 0.5)] == [2, 4, 1]
         assert [spin_orbit_bell_state(m).m_max for m in (1, 2, 3)] == [1, 2, 3]
         assert spdc_source().m_max == 0
+
+    def test_negative_charge_defaults_to_its_magnitude(self):
+        """m = -2 gives the mirror-span state (|L,+2> + |R,-2>)/sqrt(2) at m_max 2."""
+        mirror = spin_orbit_bell_state(-2)
+        assert mirror.m_max == 2
+        assert mirror.grid.tobytes() == spin_orbit_bell_state(-2, 2).grid.tobytes()
+        assert mirror.amplitude("L", 2) == mirror.amplitude("R", -2) == SQRT_HALF
 
     @pytest.mark.parametrize("q", [0.5, 1, 1.5, 2, -1])
     def test_equals_the_compiled_bench(self, q):
@@ -290,6 +299,52 @@ class TestJointProbabilities:
         for row, a, b in zip(batched, chi_a, chi_b):
             for form in SCALAR_FORMS:
                 assert joint_probabilities(state, form(a), form(b)).tobytes() == row.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        parts=hnp.arrays(float, 8, elements=st.floats(-1.0, 1.0)),
+        drawn=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(-10.0, 10.0)), max_size=4),
+    )
+    def test_scalar_bytes_equal_batched_rows_across_truncations(self, m, extra, parts, drawn):
+        """Any unit state on spin x {-m, +m} at any truncation from m to m + 4: each scalar call,
+        in every 0-d form, gives the bytes of its row of one batched call."""
+        amps = parts[:4] + 1j * parts[4:]
+        assume(np.linalg.norm(amps) > 1e-3)
+        labels = (("L", -m), ("R", -m), ("L", m), ("R", m))
+        state = PhotonState.from_amplitudes(m + extra,
+                                            dict(zip(labels, amps / np.linalg.norm(amps))))
+        pairs = [(a, b) for a in EDGE_SETTINGS for b in EDGE_SETTINGS] + drawn
+        chi_a, chi_b = np.array(pairs).T
+        batched = joint_probabilities(state, chi_a, chi_b, m=m)
+        for row, (a, b) in zip(batched, pairs):
+            for form in SCALAR_FORMS:
+                assert joint_probabilities(state, form(a), form(b), m=m).tobytes() == (
+                    row.tobytes())
+
+    def test_scalar_call_returns_a_fresh_vector(self):
+        bell = spin_orbit_bell_state()
+        for form in SCALAR_FORMS:
+            first, second = (joint_probabilities(bell, form(0.3), form(0.4)) for _ in range(2))
+            for probs in (first, second):
+                assert probs.shape == (4,) and probs.dtype == np.float64
+                assert probs.flags.c_contiguous and probs.flags.writeable
+            assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("stray", [0.6, 1e-4])
+    def test_scalar_lost_weight_message_is_the_batched_one(self, stray):
+        """Off-span weight stray**2 raises LostWeightError from both paths, in the same words."""
+        state = PhotonState.from_amplitudes(
+            4, {("L", -2): math.sqrt(1 - stray**2), ("R", 0): stray})
+        for a, b in ((0.3, 0.4), (0.0, -0.0), (1e300, 5e-324)):
+            with pytest.raises(LostWeightError) as batched:
+                joint_probabilities(state, [a], [b])
+            for form in SCALAR_FORMS:
+                with pytest.raises(LostWeightError) as scalar:
+                    joint_probabilities(state, form(a), form(b))
+                assert str(scalar.value) == str(batched.value)
 
     def test_outer_broadcast_shape(self):
         bell = spin_orbit_bell_state()
